@@ -14,6 +14,10 @@
 #   make bench-diff # bench-json + per-benchmark deltas vs BENCH_pr9.json
 #                # (the previous PR's committed baseline); fails on a >10%
 #                # ns/op or allocs/op regression
+#   make benchmark-smoke # vet + unit-test the benchmark module (benchmarks/,
+#                # a Go module of its own that `go build ./...` never sees)
+#                # and run one 3-second traced point, failing if any
+#                # per-layer probe no longer builds
 #   make golden  # regenerate testdata/golden after an intentional change
 #
 # `make short` skips the long simulations (testing.Short()); run `make test`
@@ -34,7 +38,7 @@ RACE_FAST = ./internal/sim ./internal/stats ./internal/runcache ./noc ./internal
 # Repetitions for `make bench`; benchstat wants >= 10 samples.
 BENCH_COUNT ?= 1
 
-.PHONY: check vet build test short race race-fast fuzz bench bench-json bench-diff golden
+.PHONY: check vet build test short race race-fast fuzz bench bench-json bench-diff benchmark-smoke golden
 
 check: vet build short race-fast fuzz
 
@@ -86,6 +90,17 @@ bench-json:
 
 bench-diff:
 	$(GO) run ./cmd/benchjson -out BENCH_pr10.json -baseline BENCH_pr9.json
+
+# The benchmark (BENCHMARK.json, benchmarks/) builds its driver and sixteen
+# per-layer probes from source against this tree's packages, so a change
+# that renames a symbol a probe imports breaks it silently: the traced run
+# reports that probe ABSENT on stderr and carries on. Catch it here.
+benchmark-smoke:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+	mkdir -p .bench_build
+	bash benchmarks/run.sh --workload point-low --seed 1 --seconds 3 --trace 1 2>.bench_build/smoke.stderr; \
+	  status=$$?; cat .bench_build/smoke.stderr >&2; \
+	  test $$status -eq 0 && ! grep -q '^ABSENT' .bench_build/smoke.stderr
 
 golden:
 	$(GO) test ./internal/exp -run TestGoldenFigures -update

@@ -25,7 +25,7 @@ func init() {
 	register("tab2", "threshold settings used in the trade-off study (Table 2)", runTab2)
 	register("fig13", "latency under threshold settings I-VI", runFig13)
 	register("fig14", "normalized power under threshold settings I-VI", runFig14)
-	register("fig15", "Pareto curve: latency vs power savings at rate 1.7", runFig15)
+	register("fig15", fmt.Sprintf("Pareto curve: latency vs power savings at rate %.1f", fig15Rate), runFig15)
 }
 
 func runTab1(Options) []Table {

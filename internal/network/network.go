@@ -159,8 +159,20 @@ func (c Config) Validate() error {
 	if c.RouterPeriod <= 0 {
 		return fmt.Errorf("network: router period %v", c.RouterPeriod)
 	}
-	if _, err := routing.ByName(c.Routing); err != nil {
+	algo, err := routing.ByName(c.Routing)
+	if err != nil {
 		return err
+	}
+	// The routing algorithms panic on platforms they cannot route
+	// deadlock-free; refuse those here instead.
+	_, adaptive := algo.(routing.MinimalAdaptive)
+	switch {
+	case adaptive && c.Torus:
+		return fmt.Errorf("network: %s routing on a torus (it supports meshes only)", algo.Name())
+	case adaptive && c.Router.VCs < 2:
+		return fmt.Errorf("network: %s routing with %d VC (needs one escape plus one adaptive)", algo.Name(), c.Router.VCs)
+	case c.Torus && c.Router.VCs < 2:
+		return fmt.Errorf("network: torus with %d VC (dateline assignment needs 2)", c.Router.VCs)
 	}
 	if _, err := link.NewTable(c.Link); err != nil {
 		return err
@@ -257,6 +269,18 @@ type ringBucket struct {
 	credits  []creditMsg
 }
 
+// chanEnd is the fixed far end of one directed channel, resolved once at
+// construction so a flit-hop never recomputes topology: the downstream
+// router and its input port, the dimension of travel, and whether a head
+// flit crossing the channel crosses a torus dateline. The zero value (nil
+// in) marks the local port and unconnected mesh-edge ports.
+type chanEnd struct {
+	in   *router.InputPort
+	node int
+	dim  int
+	wrap bool
+}
+
 // Network is a runnable simulation instance.
 type Network struct {
 	Cfg   Config
@@ -269,6 +293,13 @@ type Network struct {
 	linkAt [][]*link.DVSLink
 	ctls   []*portCtl
 	algo   routing.Algorithm
+	// chanEnds[node*ports+port] is the far end of the channel leaving node
+	// by port. lvlCycles[level] is a link's flit serialization (and credit
+	// return) delay at that level in whole router cycles,
+	// ceil(Period[level]/RouterPeriod): a message sent on the edge of cycle
+	// c over a link at that level is due at cycle c + lvlCycles[level].
+	chanEnds  []chanEnd
+	lvlCycles []int64
 
 	injectors []*injector
 	nextPkt   int64
@@ -311,10 +342,10 @@ type Network struct {
 	// draining output pipelines); Step iterates only set bits, in ascending
 	// node order so the event sequence matches the tick-everything baseline
 	// exactly. injMask marks nodes whose source injector holds work. Flit
-	// arrivals (ring, slow path, injection) re-arm a router; the end-of-step
-	// sweep retires routers whose Busy predicate went false. With Cfg.NoSkip
-	// every bit stays permanently set and both masks degenerate to the
-	// original tick-everything loops.
+	// arrivals (ring, slow path, injection) re-arm a router; Step retires a
+	// router at the end of its own pass once its Busy predicate went false.
+	// With Cfg.NoSkip every bit stays permanently set and both masks
+	// degenerate to the original tick-everything loops.
 	activeMask  []uint64
 	activeCount int
 	injMask     []uint64
@@ -510,6 +541,11 @@ func New(cfg Config) (*Network, error) {
 		n.injectors = append(n.injectors, &injector{})
 	}
 
+	n.lvlCycles = make([]int64, len(table.Period))
+	for lvl, p := range table.Period {
+		n.lvlCycles[lvl] = n.dueCycle(p)
+	}
+
 	// Tile partitioning must precede link construction: a tiled channel's
 	// link schedules its transition and serialization events on the
 	// scheduler of the tile owning its source router.
@@ -517,13 +553,16 @@ func New(cfg Config) (*Network, error) {
 		n.initTiles(cfg.Tiles)
 	}
 
-	// Channels: one DVS link per directed channel, plus the policy
-	// controller at its source output port.
+	// Channels: one DVS link per directed channel, the policy controller at
+	// its source output port, and the channel's fixed far end.
+	ports := cfg.Router.Ports
 	n.linkAt = make([][]*link.DVSLink, topo.Nodes())
 	for i := range n.linkAt {
-		n.linkAt[i] = make([]*link.DVSLink, cfg.Router.Ports)
+		n.linkAt[i] = make([]*link.DVSLink, ports)
 	}
-	for _, ch := range topo.Channels() {
+	n.chanEnds = make([]chanEnd, topo.Nodes()*ports)
+	channels := topo.Channels()
+	for _, ch := range channels {
 		port := topo.PortFor(ch.Dim, ch.Dir)
 		l := link.NewDVSLink(table, n.schedFor(ch.Src), start)
 		n.linkAt[ch.Src][port] = l
@@ -532,43 +571,38 @@ func New(cfg Config) (*Network, error) {
 		n.ctls = append(n.ctls, &portCtl{
 			policy: n.newPolicy(), out: out, link: l, node: ch.Src, port: port,
 		})
+		// The flit lands on the port facing back along the channel.
+		n.chanEnds[ch.Src*ports+port] = chanEnd{
+			in:   n.Routers[ch.Dst].Inputs[topo.PortFor(ch.Dim, 1-ch.Dir)],
+			node: ch.Dst, dim: ch.Dim, wrap: ch.Wrap,
+		}
 	}
 
 	// Credit return paths: the input port of ch.Dst facing ch reaches back
-	// to ch.Src's output port; the credit travels on the reverse channel,
-	// so its latency is the reverse link's current serialization period.
-	for _, ch := range topo.Channels() {
-		ch := ch
-		outPort := topo.PortFor(ch.Dim, ch.Dir)
-		inPort := topo.PortFor(ch.Dim, 1-ch.Dir) // arriving from the opposite direction
-		upstream := n.Routers[ch.Src].Outputs[outPort]
-		revPort := topo.PortFor(ch.Dim, 1-ch.Dir)
-		rev := n.linkAt[ch.Dst][revPort] // channel ch.Dst -> ch.Src
+	// to ch.Src's output port; the credit travels on the reverse channel
+	// (every channel of a k-ary n-cube has one), so its latency is the
+	// reverse link's current serialization period.
+	for _, ch := range channels {
+		back := topo.PortFor(ch.Dim, 1-ch.Dir) // ch.Dst's port facing ch.Src
+		upstream := n.Routers[ch.Src].Outputs[topo.PortFor(ch.Dim, ch.Dir)]
+		rev := n.linkAt[ch.Dst][back] // channel ch.Dst -> ch.Src
 		if n.tiles != nil {
 			// The closure always runs on the tile owning ch.Dst (credit
 			// returns fire while that router's input port frees a slot);
 			// the credited output port belongs to the tile owning ch.Src.
 			gen, rcv := n.tiles[n.tileOf[ch.Dst]], n.tileOf[ch.Src]
-			n.Routers[ch.Dst].SetCreditReturn(inPort, func(vc int, now sim.Time) {
-				delay := n.Cfg.RouterPeriod
-				if rev != nil {
-					delay = rev.Period()
-				}
+			n.Routers[ch.Dst].SetCreditReturn(back, func(vc int, _ sim.Time) {
 				if rcv == gen.id {
-					gen.enqueueCredit(upstream, vc, now+delay)
+					gen.enqueueCredit(upstream, vc, rev.Level())
 				} else {
 					gen.outbox[rcv] = append(gen.outbox[rcv],
-						tileMsg{at: now + delay, node: -1, out: upstream, vc: vc})
+						tileMsg{due: gen.cycle + n.lvlCycles[rev.Level()], node: -1, out: upstream, vc: vc})
 				}
 			})
 			continue
 		}
-		n.Routers[ch.Dst].SetCreditReturn(inPort, func(vc int, now sim.Time) {
-			delay := n.Cfg.RouterPeriod
-			if rev != nil {
-				delay = rev.Period()
-			}
-			n.enqueueCredit(upstream, vc, now+delay)
+		n.Routers[ch.Dst].SetCreditReturn(back, func(vc int, _ sim.Time) {
+			n.enqueueCredit(upstream, vc, rev.Level())
 		})
 	}
 
@@ -724,10 +758,23 @@ func (n *Network) Cycle() int64 { return n.cycle }
 func (n *Network) Now() sim.Time { return n.Sched.Now() }
 
 // Step advances the platform one router cycle: deliver pending events,
-// inject, tick the active routers, transmit onto links, eject, and run the
-// DVS policy when a history window closes. Routers not on the active list
-// are skipped; skipping them is exact, because an idle router's Tick,
-// transmit and eject phases are provable no-ops (see Router.Busy).
+// inject, then one pass over the active routers in ascending node order —
+// each ticks, transmits onto its links, ejects, and retires from the active
+// list if that left it idle — and finally the DVS policy when a history
+// window closes. Routers not on the active list are skipped; skipping them
+// is exact, because an idle router's Tick, transmit and eject are provable
+// no-ops (see Router.Busy).
+//
+// Fusing the phases per router is exact too. Inside a cycle routers affect
+// each other only through ring buckets due at cycle+1 or later and through
+// future scheduler events, never through state another router's Tick,
+// transmit or eject reads this cycle; arrivals and credits sit in separate
+// per-bucket lists, each still appended in ascending node order; and
+// ejections — which feed the order-sensitive latency accumulator and the
+// packet pool — still happen in ascending node order. What does change is
+// what an OnDeliver observer could see beyond its packet: higher-numbered
+// routers have not ticked yet, so the network is not settled mid-cycle (it
+// never was under Tiles).
 func (n *Network) Step() {
 	if n.tiles != nil {
 		panic("network: Step on a tiled network — use Run")
@@ -740,26 +787,20 @@ func (n *Network) Step() {
 	for w, word := range n.activeMask {
 		base := w << 6
 		for word != 0 {
-			r := n.Routers[base+bits.TrailingZeros64(word)]
+			node := base + bits.TrailingZeros64(word)
 			word &= word - 1
+			r := n.Routers[node]
 			r.Tick(now, n.Cfg.RouterPeriod)
 			ticked++
-		}
-	}
-	n.transmit(now)
-	n.eject(now)
-	if !n.noskip {
-		// Retire routers that went idle this cycle. Their bits re-arm on
-		// the next flit arrival (ring delivery, injection, or slow path).
-		for w, word := range n.activeMask {
-			base := w << 6
-			for word != 0 {
-				i := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if !n.Routers[i].Busy() {
-					n.activeMask[w] &^= 1 << (i & 63)
-					n.activeCount--
-				}
+			if r.LinkTxQueued() > 0 {
+				n.transmitNode(r, node, now)
+			}
+			n.ejectNode(r, now)
+			if !n.noskip && !r.Busy() {
+				// Idle: the bit re-arms on the next flit arrival (ring
+				// delivery, injection, or slow path).
+				n.activeMask[w] &^= 1 << (node & 63)
+				n.activeCount--
 			}
 		}
 	}
@@ -873,14 +914,16 @@ func (n *Network) dueCycle(at sim.Time) int64 {
 	return int64((at + p - 1) / p)
 }
 
-// enqueueArrival buffers a flit delivery at node's input port due at the
-// given instant. Delays beyond the ring span (impossible for link
-// serialization) fall back to the scheduler. Either path re-arms the
-// destination router when the flit lands.
-func (n *Network) enqueueArrival(node int, in *router.InputPort, f *flow.Flit, at sim.Time) {
-	due := n.dueCycle(at)
-	if due-n.cycle >= ringSize {
-		e := &slowEntry{at: at, node: node, in: in, flit: f}
+// enqueueArrival buffers a flit sent on this cycle's edge over a link at
+// level lvl, landing at the channel's far end lvlCycles[lvl] cycles later.
+// Delays beyond the ring span (impossible for the paper's link table) fall
+// back to the scheduler at the exact arrival instant. Either path re-arms
+// the destination router when the flit lands.
+func (n *Network) enqueueArrival(end *chanEnd, f *flow.Flit, lvl int) {
+	d := n.lvlCycles[lvl]
+	if d >= ringSize {
+		at := sim.Time(n.cycle)*n.Cfg.RouterPeriod + n.Table.Period[lvl]
+		e := &slowEntry{at: at, node: end.node, in: end.in, flit: f}
 		n.slow = append(n.slow, e)
 		e.seq = n.Sched.At(at, func() {
 			n.slowDrop(e)
@@ -889,17 +932,19 @@ func (n *Network) enqueueArrival(node int, in *router.InputPort, f *flow.Flit, a
 		})
 		return
 	}
-	b := &n.ring[due%ringSize]
-	b.arrivals = append(b.arrivals, arrivalMsg{in: in, flit: f, node: node})
+	b := &n.ring[(n.cycle+d)%ringSize]
+	b.arrivals = append(b.arrivals, arrivalMsg{in: end.in, flit: f, node: end.node})
 	n.ringCount++
 }
 
-// enqueueCredit buffers a credit return due at the given instant. Credits
-// need no active-list re-arm: a credit only unblocks a router that already
-// holds flits waiting to traverse, and such a router is busy by definition.
-func (n *Network) enqueueCredit(out *router.OutputPort, vc int, at sim.Time) {
-	due := n.dueCycle(at)
-	if due-n.cycle >= ringSize {
+// enqueueCredit buffers a credit returned on this cycle's edge over a
+// reverse link at level lvl. Credits need no active-list re-arm: a credit
+// only unblocks a router that already holds flits waiting to traverse, and
+// such a router is busy by definition.
+func (n *Network) enqueueCredit(out *router.OutputPort, vc int, lvl int) {
+	d := n.lvlCycles[lvl]
+	if d >= ringSize {
+		at := sim.Time(n.cycle)*n.Cfg.RouterPeriod + n.Table.Period[lvl]
 		e := &slowEntry{at: at, node: -1, out: out, vc: vc}
 		n.slow = append(n.slow, e)
 		e.seq = n.Sched.At(at, func() {
@@ -908,7 +953,7 @@ func (n *Network) enqueueCredit(out *router.OutputPort, vc int, at sim.Time) {
 		})
 		return
 	}
-	b := &n.ring[due%ringSize]
+	b := &n.ring[(n.cycle+d)%ringSize]
 	b.credits = append(b.credits, creditMsg{out: out, vc: vc})
 	n.ringCount++
 }
@@ -986,26 +1031,12 @@ func (n *Network) injectOne(node int, inj *injector, now sim.Time) {
 	in.Arrive(f, now)
 }
 
-// transmit drains output pipelines onto functional, idle links, scheduling
-// flit arrival at the downstream router after serialization. Only active
-// routers are visited: a router with queued tx entries is busy by
-// definition, and the deactivation sweep runs after this phase.
-func (n *Network) transmit(now sim.Time) {
-	for w, word := range n.activeMask {
-		base := w << 6
-		for word != 0 {
-			node := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			n.transmitNode(node, now)
-		}
-	}
-}
-
-// transmitNode drains one router's output pipelines onto its links. The
-// router's tx port mask names exactly the ports with queued entries, in
-// ascending port order, so empty ports cost nothing.
-func (n *Network) transmitNode(node int, now sim.Time) {
-	r := n.Routers[node]
+// transmitNode drains one router's output pipelines onto functional, idle
+// links, scheduling each flit's arrival at the channel's far end after
+// serialization. The router's tx port mask names exactly the ports with
+// queued entries, in ascending port order, so empty ports cost nothing.
+func (n *Network) transmitNode(r *router.Router, node int, now sim.Time) {
+	ends := n.chanEnds[node*n.Cfg.Router.Ports:]
 	for mask := r.TxPortMask() &^ 1; mask != 0; mask &= mask - 1 {
 		port := bits.TrailingZeros32(mask)
 		out := r.Outputs[port]
@@ -1022,44 +1053,30 @@ func (n *Network) transmitNode(node int, now sim.Time) {
 		if n.aud != nil {
 			n.aud.OnLinkSend(node, port, l, f, now, n.cycle)
 		}
-		d := l.Send(now)
-
-		dim, dir := n.Topo.DimDir(port)
-		dst, ok := n.Topo.Neighbor(node, dim, dir)
-		if !ok {
+		l.Send(now)
+		end := &ends[port]
+		if end.in == nil {
 			panic("network: flit routed off the mesh edge")
 		}
-		if f.Kind == flow.Head {
-			// Advance dateline state as the head crosses the channel.
-			cx := n.Topo.Coord(node, dim)
-			wrap := n.Topo.Torus() &&
-				((dir == topology.Plus && cx == n.Topo.K()-1) ||
-					(dir == topology.Minus && cx == 0))
-			st := routing.State{LastDim: f.Packet.LastDim, Wrapped: f.Packet.Wrapped}
-			st = st.Advance(dim, wrap)
-			f.Packet.LastDim, f.Packet.Wrapped = st.LastDim, st.Wrapped
-		}
-		inPort := n.Topo.PortFor(dim, 1-dir)
-		n.enqueueArrival(dst, n.Routers[dst].Inputs[inPort], f, now+d)
+		advanceDateline(f, end)
+		n.enqueueArrival(end, f, l.Level())
 	}
 }
 
-// eject drains local output pipelines: every ready flit leaves immediately
-// (the paper assumes immediate ejection), and tails complete packets. Like
-// transmit, it only visits active routers: queued ejection flits keep a
-// router busy until this phase drains them.
-func (n *Network) eject(now sim.Time) {
-	for w, word := range n.activeMask {
-		base := w << 6
-		for word != 0 {
-			node := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			n.ejectNode(n.Routers[node], now)
-		}
+// advanceDateline updates a packet's dateline state as its head flit
+// crosses a channel.
+func advanceDateline(f *flow.Flit, end *chanEnd) {
+	if f.Kind != flow.Head {
+		return
 	}
+	p := f.Packet
+	st := routing.State{LastDim: p.LastDim, Wrapped: p.Wrapped}.Advance(end.dim, end.wrap)
+	p.LastDim, p.Wrapped = st.LastDim, st.Wrapped
 }
 
-// ejectNode drains one router's local output pipeline.
+// ejectNode drains one router's local output pipeline: every ready flit
+// leaves immediately (the paper assumes immediate ejection), and tails
+// complete packets.
 func (n *Network) ejectNode(r *router.Router, now sim.Time) {
 	if r.LocalTxQueued() == 0 {
 		return

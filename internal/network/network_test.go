@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/flow"
@@ -32,15 +33,40 @@ func TestConfigValidation(t *testing.T) {
 	if err := NewConfig().Validate(); err != nil {
 		t.Errorf("paper config invalid: %v", err)
 	}
-	bad := NewConfig()
-	bad.Router.Ports = 7 // 2D mesh needs 5
-	if bad.Validate() == nil {
-		t.Error("port/topology mismatch accepted")
+	// Every case must come back as an error naming the problem; the last
+	// three used to validate and then panic inside the first RouteMask.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string // substring of the error
+	}{
+		{"port/topology mismatch", func(c *Config) { c.Router.Ports = 7 }, "ports"},
+		{"unknown routing", func(c *Config) { c.Routing = "bogus" }, "bogus"},
+		{"adaptive on a torus", func(c *Config) { c.Routing, c.Torus = "adaptive", true }, "adaptive routing on a torus"},
+		{"adaptive with one VC", func(c *Config) { c.Routing, c.Router.VCs = "adaptive", 1 }, "adaptive routing with 1 VC"},
+		{"torus with one VC", func(c *Config) { c.Torus, c.Router.VCs = true, 1 }, "torus with 1 VC"},
+	} {
+		cfg := NewConfig()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the config", tc.name)
+		}
 	}
-	bad2 := NewConfig()
-	bad2.Routing = "bogus"
-	if bad2.Validate() == nil {
-		t.Error("unknown routing accepted")
+	// The neighbouring legal platforms still validate.
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Torus = true },
+		func(c *Config) { c.Routing = "adaptive" },
+		func(c *Config) { c.Router.VCs = 1 },
+	} {
+		cfg := NewConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("legal config rejected: %v", err)
+		}
 	}
 }
 

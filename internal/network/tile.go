@@ -43,7 +43,7 @@
 //     deliveries and the merge replays them in (cycle, tile) order —
 //     which equals the sequential engine's (cycle, ascending node) order,
 //     because tiles own ascending contiguous node ranges and each tile's
-//     eject phase walks its routers in ascending order. Elision only defers
+//     step ejects at its routers in ascending order. Elision only defers
 //     the replay; the buffered (cycle, tile) keys are unchanged. Integer
 //     counters (injected, delivered, InFlight) merge additively.
 //   - Synchronized global machinery. DVS policy windows, probes and audit
@@ -88,7 +88,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/flow"
 	"repro/internal/router"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -109,8 +108,8 @@ const (
 // tileMsg is one cross-tile message parked in an outbox until the next
 // merge: a flit arrival when in is non-nil, otherwise a credit return.
 type tileMsg struct {
-	at   sim.Time
-	node int // arrival destination router; -1 for credits
+	due  int64 // router cycle that delivers it
+	node int   // arrival destination router; -1 for credits
 	in   *router.InputPort
 	flit *flow.Flit
 	out  *router.OutputPort
@@ -134,7 +133,7 @@ type borderPort struct {
 // own scheduler, delay ring, packet pool and activity masks — the per-tile
 // mirror of the Network fields the sequential engine uses. Masks are
 // full-length word slices (only bits in [lo, hi) are ever set) so the
-// tick/transmit/eject loops keep the sequential engine's shape.
+// per-router pass keeps the sequential engine's shape.
 type tileState struct {
 	n      *Network
 	id     int
@@ -234,8 +233,7 @@ func (n *Network) initTiles(count int) {
 	// The minimum cross-tile delay is one top-level link period (the
 	// fastest serialization and the fastest credit return); the window
 	// floor is its span in router cycles, at least one.
-	p := n.Cfg.RouterPeriod
-	n.lookahead = int64((n.Table.Period[n.Table.Top()] + p - 1) / p)
+	n.lookahead = n.lvlCycles[n.Table.Top()]
 	if n.lookahead < 1 {
 		n.lookahead = 1
 	}
@@ -372,10 +370,11 @@ func (t *tileState) slowDrop(e *slowEntry) {
 // enqueueArrival mirrors Network.enqueueArrival on the tile's ring and
 // scheduler, folding the arrival's boundary hazard into ringMin. Only
 // intra-tile messages come here; cross-tile ones go through the outbox.
-func (t *tileState) enqueueArrival(node int, in *router.InputPort, f *flow.Flit, at sim.Time) {
-	due := t.n.dueCycle(at)
-	if due-t.cycle >= ringSize {
-		e := &slowEntry{at: at, node: node, in: in, flit: f}
+func (t *tileState) enqueueArrival(end *chanEnd, f *flow.Flit, lvl int) {
+	d := t.n.lvlCycles[lvl]
+	if d >= ringSize {
+		at := sim.Time(t.cycle)*t.n.Cfg.RouterPeriod + t.n.Table.Period[lvl]
+		e := &slowEntry{at: at, node: end.node, in: end.in, flit: f}
 		t.slow = append(t.slow, e)
 		e.seq = t.sched.At(at, func() {
 			t.slowDrop(e)
@@ -384,10 +383,11 @@ func (t *tileState) enqueueArrival(node int, in *router.InputPort, f *flow.Flit,
 		})
 		return
 	}
+	due := t.cycle + d
 	b := &t.ring[due%ringSize]
-	b.arrivals = append(b.arrivals, arrivalMsg{in: in, flit: f, node: node})
+	b.arrivals = append(b.arrivals, arrivalMsg{in: end.in, flit: f, node: end.node})
 	t.ringCount++
-	if d := t.distB[node]; d < farDist {
+	if d := t.distB[end.node]; d < farDist {
 		if h := due + (t.pipeC+t.n.lookahead)*int64(d+1); h < t.ringMin {
 			t.ringMin = h
 		}
@@ -397,9 +397,10 @@ func (t *tileState) enqueueArrival(node int, in *router.InputPort, f *flow.Flit,
 // enqueueCredit mirrors Network.enqueueCredit on the tile's ring. Credits
 // carry no boundary hazard of their own: they only unblock buffered flits,
 // which the bound already counts at their positions.
-func (t *tileState) enqueueCredit(out *router.OutputPort, vc int, at sim.Time) {
-	due := t.n.dueCycle(at)
-	if due-t.cycle >= ringSize {
+func (t *tileState) enqueueCredit(out *router.OutputPort, vc int, lvl int) {
+	d := t.n.lvlCycles[lvl]
+	if d >= ringSize {
+		at := sim.Time(t.cycle)*t.n.Cfg.RouterPeriod + t.n.Table.Period[lvl]
 		e := &slowEntry{at: at, node: -1, out: out, vc: vc}
 		t.slow = append(t.slow, e)
 		e.seq = t.sched.At(at, func() {
@@ -408,7 +409,7 @@ func (t *tileState) enqueueCredit(out *router.OutputPort, vc int, at sim.Time) {
 		})
 		return
 	}
-	b := &t.ring[due%ringSize]
+	b := &t.ring[(t.cycle+d)%ringSize]
 	b.credits = append(b.credits, creditMsg{out: out, vc: vc})
 	t.ringCount++
 }
@@ -568,9 +569,10 @@ func (t *tileState) runTo(e int64) {
 }
 
 // step is Network.Step restricted to one tile: deliver the tile's pending
-// events, inject at the tile's sources, tick its active routers, transmit
-// and eject — identical phase order, identical instants. Policy windows,
-// probes and audit scans are window-end work and deliberately absent here.
+// events, inject at the tile's sources, then the same single pass over its
+// active routers (tick, transmit, eject, retire) at identical instants.
+// Policy windows, probes and audit scans are window-end work and
+// deliberately absent here.
 func (t *tileState) step() {
 	n := t.n
 	now := sim.Time(t.cycle) * n.Cfg.RouterPeriod
@@ -581,24 +583,18 @@ func (t *tileState) step() {
 	for w, word := range t.activeMask {
 		base := w << 6
 		for word != 0 {
-			r := n.Routers[base+bits.TrailingZeros64(word)]
+			node := base + bits.TrailingZeros64(word)
 			word &= word - 1
+			r := n.Routers[node]
 			r.Tick(now, n.Cfg.RouterPeriod)
 			ticked++
-		}
-	}
-	t.transmit(now)
-	t.eject(now)
-	if !n.noskip {
-		for w, word := range t.activeMask {
-			base := w << 6
-			for word != 0 {
-				i := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if !n.Routers[i].Busy() {
-					t.activeMask[w] &^= 1 << (i & 63)
-					t.activeCount--
-				}
+			if r.LinkTxQueued() > 0 {
+				t.transmitNode(r, node, now)
+			}
+			t.ejectNode(r, now)
+			if !n.noskip && !r.Busy() {
+				t.activeMask[w] &^= 1 << (node & 63)
+				t.activeCount--
 			}
 		}
 	}
@@ -676,23 +672,11 @@ func (t *tileState) injectOne(node int, inj *injector, now sim.Time) {
 	in.Arrive(f, now)
 }
 
-// transmit mirrors Network.transmit over the tile's active mask.
-func (t *tileState) transmit(now sim.Time) {
-	for w, word := range t.activeMask {
-		base := w << 6
-		for word != 0 {
-			node := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			t.transmitNode(node, now)
-		}
-	}
-}
-
 // transmitNode mirrors Network.transmitNode; arrivals bound for another
 // tile are parked in the outbox until the merge.
-func (t *tileState) transmitNode(node int, now sim.Time) {
+func (t *tileState) transmitNode(r *router.Router, node int, now sim.Time) {
 	n := t.n
-	r := n.Routers[node]
+	ends := n.chanEnds[node*n.Cfg.Router.Ports:]
 	for mask := r.TxPortMask() &^ 1; mask != 0; mask &= mask - 1 {
 		port := bits.TrailingZeros32(mask)
 		out := r.Outputs[port]
@@ -709,64 +693,44 @@ func (t *tileState) transmitNode(node int, now sim.Time) {
 		if n.aud != nil {
 			n.aud.OnLinkSend(node, port, l, f, now, t.cycle)
 		}
-		d := l.Send(now)
-
-		dim, dir := n.Topo.DimDir(port)
-		dst, ok := n.Topo.Neighbor(node, dim, dir)
-		if !ok {
+		l.Send(now)
+		end := &ends[port]
+		if end.in == nil {
 			panic("network: flit routed off the mesh edge")
 		}
-		if f.Kind == flow.Head {
-			cx := n.Topo.Coord(node, dim)
-			wrap := n.Topo.Torus() &&
-				((dir == topology.Plus && cx == n.Topo.K()-1) ||
-					(dir == topology.Minus && cx == 0))
-			st := routing.State{LastDim: f.Packet.LastDim, Wrapped: f.Packet.Wrapped}
-			st = st.Advance(dim, wrap)
-			f.Packet.LastDim, f.Packet.Wrapped = st.LastDim, st.Wrapped
-		}
-		inPort := n.Topo.PortFor(dim, 1-dir)
-		in := n.Routers[dst].Inputs[inPort]
-		if dt := n.tileOf[dst]; dt != t.id {
-			t.outbox[dt] = append(t.outbox[dt], tileMsg{at: now + d, node: dst, in: in, flit: f})
+		advanceDateline(f, end)
+		if dt := n.tileOf[end.node]; dt != t.id {
+			t.outbox[dt] = append(t.outbox[dt],
+				tileMsg{due: t.cycle + n.lvlCycles[l.Level()], node: end.node, in: end.in, flit: f})
 		} else {
-			t.enqueueArrival(dst, in, f, now+d)
+			t.enqueueArrival(end, f, l.Level())
 		}
 	}
 }
 
-// eject mirrors Network.eject over the tile's active mask; tails are
-// buffered for the merge's ordered replay instead of touching the global
-// accumulators.
-func (t *tileState) eject(now sim.Time) {
+// ejectNode mirrors Network.ejectNode; tails are buffered for the merge's
+// ordered replay instead of touching the global accumulators.
+func (t *tileState) ejectNode(r *router.Router, now sim.Time) {
+	if r.LocalTxQueued() == 0 {
+		return
+	}
 	n := t.n
-	for w, word := range t.activeMask {
-		base := w << 6
-		for word != 0 {
-			node := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			r := n.Routers[node]
-			if r.LocalTxQueued() == 0 {
-				continue
-			}
-			out := r.Outputs[topology.LocalPort]
-			for out.QueuedTx() > 0 && out.TxFront().ReadyAt() <= now {
-				e := out.PopTx()
-				f := e.Flit()
-				if n.aud != nil {
-					n.aud.OnEject(f, r.ID, t.cycle)
-				}
-				if f.Kind != flow.Tail {
-					continue
-				}
-				p := f.Packet
-				p.Delivered = now
-				if n.aud != nil {
-					n.aud.OnDeliver(p, t.cycle)
-				}
-				t.deliveries = append(t.deliveries, tileDelivery{cycle: t.cycle, p: p})
-			}
+	out := r.Outputs[topology.LocalPort]
+	for out.QueuedTx() > 0 && out.TxFront().ReadyAt() <= now {
+		e := out.PopTx()
+		f := e.Flit()
+		if n.aud != nil {
+			n.aud.OnEject(f, r.ID, t.cycle)
 		}
+		if f.Kind != flow.Tail {
+			continue
+		}
+		p := f.Packet
+		p.Delivered = now
+		if n.aud != nil {
+			n.aud.OnDeliver(p, t.cycle)
+		}
+		t.deliveries = append(t.deliveries, tileDelivery{cycle: t.cycle, p: p})
 	}
 }
 
@@ -1059,7 +1023,7 @@ func (n *Network) mergeTiles(e int64) {
 			}
 			dest := n.tiles[dt]
 			for i, m := range box {
-				due := n.dueCycle(m.at)
+				due := m.due
 				if verify && due < src.pledge {
 					n.laViolations++
 				}

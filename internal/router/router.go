@@ -82,11 +82,15 @@ type Router struct {
 	// the network installs it with topology and algorithm bound.
 	RouteFn func(p *flow.Packet, buf []routing.MaskCandidate) []routing.MaskCandidate
 
-	// Geometry, denormalized from Cfg for the hot loops.
+	// Geometry, denormalized from Cfg for the hot loops. portOf[g] is the
+	// port of global VC g (g / vcs, tabulated so no stage divides); txStages
+	// is the post-crossbar pipeline depth in router cycles.
 	ports    int
 	vcs      int
 	nvc      int // ports * vcs
 	bufPerVC int
+	portOf   []int32
+	txStages sim.Duration
 
 	// Input VC state, indexed by g. inBuf is one slab of per-VC ring
 	// segments: VC g owns inBuf[g*bufPerVC : (g+1)*bufPerVC], a circular
@@ -141,10 +145,12 @@ type Router struct {
 	saPorts uint32
 
 	// Per-tick scratch, reused to keep the hot loop allocation-free:
-	// vaReq[key] accumulates the VA request bitmap per output VC (always
-	// zeroed again within the stage), scNominee the SA input-stage winner
-	// per input port.
+	// vaReq[key] accumulates the VA request bitmap per output VC and
+	// saReq[p] the SA request bitmap (nominating input ports) per output
+	// port (both always zeroed again within their stage), scNominee the SA
+	// input-stage winner per input port.
 	vaReq     []uint64
+	saReq     []uint32
 	scNominee []int32
 
 	// vaWaiting counts input VCs in the vcWaitingVC stage, so the VA stage
@@ -214,8 +220,10 @@ func New(id int, cfg Config) (*Router, error) {
 		ID: id, Cfg: cfg,
 		ports: cfg.Ports, vcs: cfg.VCs, nvc: cfg.Ports * cfg.VCs,
 		bufPerVC: cfg.BufPerVC(),
+		txStages: sim.Duration(cfg.PipelineDepth - 3),
 	}
 	n := r.nvc
+	r.portOf = make([]int32, n)
 	r.inStage = make([]vcStage, n)
 	r.inHead = make([]int32, n)
 	r.inCount = make([]int32, n)
@@ -234,9 +242,11 @@ func New(id int, cfg Config) (*Router, error) {
 	r.vaPos = make([]int32, n)
 	r.saMask = make([]uint32, r.ports)
 	r.vaReq = make([]uint64, n)
+	r.saReq = make([]uint32, r.ports)
 	r.scNominee = make([]int32, r.ports)
 	r.inOcc = make([]int, r.ports)
 	for g := 0; g < n; g++ {
+		r.portOf[g] = int32(g / r.vcs)
 		r.outCredits[g] = int32(r.bufPerVC)
 		r.outHeldBy[g] = -1
 		r.vaPos[g] = -1
@@ -279,13 +289,14 @@ func (r *Router) hasCredit(port, vc int) bool {
 // in reverse order (SA, then VA, then RC) so a flit needs one cycle per
 // stage, as in a real pipeline. period is the router clock period.
 func (r *Router) Tick(now sim.Time, period sim.Duration) {
+	readyAt := now + r.txStages*period // when a flit switched now clears the output pipeline
 	if r.Ref {
-		r.refSwitchAllocation(now, period)
+		r.refSwitchAllocation(now, readyAt)
 		r.refVCAllocation()
 		r.refRouteComputation()
 		return
 	}
-	r.switchAllocation(now, period)
+	r.switchAllocation(now, readyAt)
 	r.vcAllocation()
 	r.routeComputation()
 }
@@ -342,13 +353,13 @@ func (r *Router) vaRemove(g int) {
 }
 
 func (r *Router) saOn(g int) {
-	p := g / r.vcs
+	p := int(r.portOf[g])
 	r.saMask[p] |= 1 << uint(g-p*r.vcs)
 	r.saPorts |= 1 << uint(p)
 }
 
 func (r *Router) saOff(g int) {
-	p := g / r.vcs
+	p := int(r.portOf[g])
 	m := r.saMask[p] &^ (1 << uint(g-p*r.vcs))
 	r.saMask[p] = m
 	if m == 0 {
@@ -362,17 +373,13 @@ func (r *Router) saOff(g int) {
 // buffer, consume a downstream credit, return an upstream credit, and enter
 // the output pipeline. Only ports flagged in saPorts are visited, and only
 // their flagged VCs are credit-checked — the stage never scans idle state.
-func (r *Router) switchAllocation(now sim.Time, period sim.Duration) {
-	// snapshot: traversal below flips saMask/saPorts bits (tail release,
-	// stream running dry); the output stage must see the input stage's view.
-	snapshot := r.saPorts
-	if snapshot == 0 {
+func (r *Router) switchAllocation(now, readyAt sim.Time) {
+	if r.saPorts == 0 {
 		return
 	}
-	nominee := r.scNominee // VC index per input port, -1 none
+	nominee := r.scNominee // VC index per nominating input port
 	var outWant uint32     // output ports targeted by at least one nominee
-	anyNominee := false
-	for pm := snapshot; pm != 0; pm &= pm - 1 {
+	for pm := r.saPorts; pm != 0; pm &= pm - 1 {
 		i := bits.TrailingZeros32(pm)
 		base := i * r.vcs
 		var req uint32
@@ -384,7 +391,6 @@ func (r *Router) switchAllocation(now sim.Time, period sim.Duration) {
 			}
 		}
 		if req == 0 {
-			nominee[i] = -1
 			continue
 		}
 		v := pick32(req, &r.inArbLast[i])
@@ -393,35 +399,31 @@ func (r *Router) switchAllocation(now sim.Time, period sim.Duration) {
 		}
 		r.Activity.ArbGrants++
 		nominee[i] = v
-		outWant |= 1 << uint(r.inOutPort[base+int(v)])
-		anyNominee = true
-	}
-	if !anyNominee {
-		return
+		p := r.inOutPort[base+int(v)]
+		r.saReq[p] |= 1 << uint(i)
+		outWant |= 1 << uint(p)
 	}
 	// Output stage: each output port with contenders grants one input port.
+	// The request bitmaps were fixed by the input stage above, so the
+	// traversals below (which flip saMask/saPorts bits on tail release and
+	// streams running dry) cannot disturb the arbitration.
 	for outWant != 0 {
 		p := bits.TrailingZeros32(outWant)
 		outWant &= outWant - 1
-		var outReq uint32
-		for pm := snapshot; pm != 0; pm &= pm - 1 {
-			i := bits.TrailingZeros32(pm)
-			if nominee[i] >= 0 && int(r.inOutPort[i*r.vcs+int(nominee[i])]) == p {
-				outReq |= 1 << uint(i)
-			}
-		}
+		outReq := r.saReq[p]
+		r.saReq[p] = 0
 		winner := pick32(outReq, &r.saArbLast[p])
 		if r.Asserts && outReq>>uint(winner)&1 == 0 {
 			panic(fmt.Sprintf("router %d: SA output arbiter granted port %d to input %d without a request", r.ID, p, winner))
 		}
 		r.Activity.ArbGrants++
-		r.traverse(int(winner)*r.vcs+int(nominee[winner]), now, period)
+		r.traverse(int(winner)*r.vcs+int(nominee[winner]), now, readyAt)
 	}
 }
 
 // refSwitchAllocation is the reference SA stage: a full scan over every
 // port and VC, mirroring the work-list path's arbitration exactly.
-func (r *Router) refSwitchAllocation(now sim.Time, period sim.Duration) {
+func (r *Router) refSwitchAllocation(now, readyAt sim.Time) {
 	nominee := r.scNominee
 	var outWant uint32
 	anyNominee := false
@@ -467,13 +469,14 @@ func (r *Router) refSwitchAllocation(now sim.Time, period sim.Duration) {
 			panic(fmt.Sprintf("router %d: SA output arbiter granted port %d to input %d without a request", r.ID, p, winner))
 		}
 		r.Activity.ArbGrants++
-		r.traverse(int(winner)*r.vcs+int(nominee[winner]), now, period)
+		r.traverse(int(winner)*r.vcs+int(nominee[winner]), now, readyAt)
 	}
 }
 
-// traverse moves the front flit of global input VC g through the crossbar.
-func (r *Router) traverse(g int, now sim.Time, period sim.Duration) {
-	i := g / r.vcs
+// traverse moves the front flit of global input VC g through the crossbar;
+// it clears the output pipeline at readyAt.
+func (r *Router) traverse(g int, now, readyAt sim.Time) {
+	i := int(r.portOf[g])
 	in := r.Inputs[i]
 	outPort, outVC := int(r.inOutPort[g]), int(r.inOutVC[g])
 	out := r.Outputs[outPort]
@@ -508,8 +511,7 @@ func (r *Router) traverse(g int, now sim.Time, period sim.Duration) {
 	}
 
 	f.VC = outVC
-	extra := sim.Duration(r.Cfg.PipelineDepth-3) * period
-	out.pushTx(TxEntry{flit: f, readyAt: now + extra})
+	out.pushTx(TxEntry{flit: f, readyAt: readyAt})
 	r.FlitsSwitched++
 	r.Activity.BufReads++
 	r.Activity.Crossbar++
@@ -599,8 +601,9 @@ func (r *Router) vaGrant(keys uint64) {
 		r.inStage[g] = vcActive
 		r.vaWaiting--
 		r.vaRemove(g)
-		r.inOutPort[g] = int32(key / r.vcs)
-		r.inOutVC[g] = int32(key % r.vcs)
+		p := r.portOf[key]
+		r.inOutPort[g] = p
+		r.inOutVC[g] = int32(key) - p*int32(r.vcs)
 		r.outHeldBy[key] = int32(g)
 		// A waiting VC holds at least its head flit, so it is SA-eligible
 		// the moment it becomes active.

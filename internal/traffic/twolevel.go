@@ -251,17 +251,21 @@ func (m *TwoLevel) startTask(sched *sim.Scheduler, horizon sim.Time, inject Inje
 		gap = 1
 	}
 
+	// Every source of the session starts ON with the same probability: the
+	// duty cycle clipped to what is left of the session after the horizon
+	// clamp. Computed once here, not once per source.
+	duty := m.P.dutyCycleOver(end - sched.Now())
 	for s := 0; s < m.P.SourcesPerTask; s++ {
-		m.startSource(sched, end, inject, rng.Split(), src, id, gap)
+		m.startSource(sched, end, inject, rng.Split(), src, id, gap, duty)
 	}
 }
 
 // startSource runs one Pareto ON/OFF chain for a session. During an ON
 // period packets leave with deterministic spacing `gap`, starting at a
-// uniform phase; OFF periods emit nothing. The chain dies at the session
-// end.
+// uniform phase; OFF periods emit nothing. The chain starts ON with
+// probability duty and dies at the session end.
 func (m *TwoLevel) startSource(sched *sim.Scheduler, end sim.Time, inject Injector,
-	rng *sim.RNG, src int, task int64, gap sim.Duration) {
+	rng *sim.RNG, src int, task int64, gap sim.Duration, duty float64) {
 
 	var on, off func()
 	on = func() {
@@ -302,7 +306,7 @@ func (m *TwoLevel) startSource(sched *sim.Scheduler, end sim.Time, inject Inject
 		}
 	}
 	// Start in steady state: ON with probability the clipped duty cycle.
-	if rng.Float64() < m.P.dutyCycleOver(end-sched.Now()) {
+	if rng.Float64() < duty {
 		on()
 	} else {
 		off()

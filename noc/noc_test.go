@@ -241,6 +241,31 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestUnroutablePlatformsAreErrors: platforms the routing algorithms cannot
+// serve (they used to pass validation and panic on the first routed packet)
+// come back as errors from both New and LoadConfig.
+func TestUnroutablePlatformsAreErrors(t *testing.T) {
+	dir := t.TempDir()
+	for name, mutate := range map[string]func(*Config){
+		"adaptive-torus": func(c *Config) { c.Routing, c.Torus = "adaptive", true },
+		"adaptive-1vc":   func(c *Config) { c.Routing, c.VCs = "adaptive", 1 },
+		"torus-1vc":      func(c *Config) { c.Torus, c.VCs = true, 1 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the config", name)
+		}
+		path := dir + "/" + name + ".json"
+		if err := SaveConfig(path, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); err == nil {
+			t.Errorf("%s: LoadConfig accepted the config", name)
+		}
+	}
+}
+
 func TestPatternAttachments(t *testing.T) {
 	for _, attach := range []struct {
 		name string
