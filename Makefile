@@ -1,19 +1,16 @@
 # Tier-1 verification plus the fast developer loop.
 #
 #   make check   # the pre-commit gate: vet + short tests + race on the fast
-#                # packages + a 10s fuzz smoke of each fuzz target
+#                # packages + a 10s fuzz smoke of each fuzz target + the
+#                # guard against names this tree has retired
 #   make test    # plain tier-1 tests (what the seed ran; includes the
 #                # quick-budget simulations and the golden-figure pin)
 #   make short   # go test -short ./... — structural tests only, < 60 s
 #   make race    # full test suite under the race detector
 #   make fuzz    # 10s per fuzz target (go test -fuzz takes one at a time)
-#   make bench   # end-to-end Step + tiled-core + run-cache +
-#                # checkpoint-sweep + trace-store + scheduler + packet-alloc
-#                # benchmarks; set BENCH_COUNT=10 for benchstat samples
-#   make bench-json # regenerate the committed BENCH_pr10.json trajectory
-#   make bench-diff # bench-json + per-benchmark deltas vs BENCH_pr9.json
-#                # (the previous PR's committed baseline); fails on a >10%
-#                # ns/op or allocs/op regression
+#   make bench   # the scheduler and packet-pool alloc-count benchmarks;
+#                # set BENCH_COUNT=10 for benchstat samples. Everything
+#                # else is measured by the benchmark module (benchmarks/)
 #   make benchmark-smoke # vet + unit-test the benchmark module (benchmarks/,
 #                # a Go module of its own that `go build ./...` never sees)
 #                # and run one 3-second traced point, failing if any
@@ -38,9 +35,9 @@ RACE_FAST = ./internal/sim ./internal/stats ./internal/runcache ./noc ./internal
 # Repetitions for `make bench`; benchstat wants >= 10 samples.
 BENCH_COUNT ?= 1
 
-.PHONY: check vet build test short race race-fast fuzz bench bench-json bench-diff benchmark-smoke golden
+.PHONY: check vet build test short race race-fast fuzz retired bench benchmark-smoke golden
 
-check: vet build short race-fast fuzz
+check: vet build short race-fast fuzz retired
 
 vet:
 	$(GO) vet ./...
@@ -73,23 +70,20 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run xxx -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/checkpoint -run xxx -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/traffic/tracestore -run xxx -fuzz FuzzTraceDecode -fuzztime 10s -fuzzminimizetime=10x
+	$(GO) test ./noc -run xxx -fuzz FuzzLoadConfig -fuzztime 10s -fuzzminimizetime=10x
+
+# Names that must not come back: the second warm-key namespace and the raw
+# store pass-throughs it needed (one run pipeline, exp.Warmed), and the
+# first benchmark system (benchmarks/ replaced it).
+retired:
+	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
+	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.
 bench:
-	$(GO) test . -run xxx -bench 'BenchmarkStep(LowLoad|Saturation)' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkStepTiled' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkRunAll(Cold|Warm)Cache' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkSweep(Straight|Checkpointed)' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkTrace(CaptureCold|DecodeWarm)|BenchmarkStoreOpenIndexed' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/sim -run xxx -bench BenchmarkSchedulerPushPop -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/flow -run xxx -bench BenchmarkPacketAlloc -benchmem -count=$(BENCH_COUNT)
-
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json
-
-bench-diff:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json -baseline BENCH_pr9.json
 
 # The benchmark (BENCHMARK.json, benchmarks/) builds its driver and sixteen
 # per-layer probes from source against this tree's packages, so a change

@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per artifact, on the quick cycle budget), the ablation
-// studies from DESIGN.md, and micro-benchmarks of each substrate.
+// (one benchmark per artifact, on the quick cycle budget) and the ablation
+// studies from DESIGN.md. Unit costs of each substrate — router tick, link
+// send, policy window, trace capture, a network cycle, the stores — are the
+// per-layer metrics of the benchmark module (benchmarks/README.md).
 //
 // Macro benchmarks use a fresh seed per iteration so the experiment
 // harness's memoization cannot shortcut repeated iterations; flagship
@@ -10,17 +12,8 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/flow"
-	"repro/internal/link"
 	"repro/internal/network"
-	"repro/internal/router"
-	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // benchExp runs one experiment per iteration with per-iteration seeds.
@@ -125,220 +118,3 @@ func BenchmarkFiguresSequential(b *testing.B) { benchFigures(b, 1) }
 // multi-core machine it approaches min(GOMAXPROCS, points) before memory
 // bandwidth intervenes).
 func BenchmarkFiguresParallel(b *testing.B) { benchFigures(b, 0) }
-
-// BenchmarkRunAllColdCache measures a fig10 regeneration on the tiny test
-// budget with every point missing the persistent run cache (a fresh cache
-// generation per iteration), i.e. the simulate-and-store path.
-func BenchmarkRunAllColdCache(b *testing.B) { bench.FiguresRunAll(b, false) }
-
-// BenchmarkRunAllWarmCache is the same regeneration replayed entirely from
-// disk; the cold/warm ratio is the headline number of the result cache.
-func BenchmarkRunAllWarmCache(b *testing.B) { bench.FiguresRunAll(b, true) }
-
-// BenchmarkSweepStraight runs the fig13 threshold sweep with every point
-// paying for its own warmup — the pre-checkpoint baseline.
-func BenchmarkSweepStraight(b *testing.B) { bench.Sweep(b, true) }
-
-// BenchmarkSweepCheckpointed is the same sweep with the six settings at
-// each rate forking one shared policy-frozen warmup; the ratio against
-// BenchmarkSweepStraight is the headline number of the checkpoint
-// subsystem (cmd/benchjson records both in BENCH_pr7.json).
-func BenchmarkSweepCheckpointed(b *testing.B) { bench.Sweep(b, false) }
-
-// --- Trace store benchmarks ----------------------------------------------
-
-// BenchmarkTraceCaptureCold measures the live path a point pays without
-// the trace store: build the two-level model and capture its arrivals.
-func BenchmarkTraceCaptureCold(b *testing.B) { bench.TraceCaptureCold(b) }
-
-// BenchmarkTraceDecodeWarm measures the store-backed replacement — decode,
-// validate and replay the same workload's compressed encoding; the ratio
-// against BenchmarkTraceCaptureCold is the headline number of the trace
-// store (cmd/benchjson records it in BENCH_pr9.json).
-func BenchmarkTraceDecodeWarm(b *testing.B) { bench.TraceDecodeWarm(b) }
-
-// BenchmarkStoreOpenIndexed opens a 1000-entry cache directory through its
-// index sidecar: one sidecar read, zero per-entry stats.
-func BenchmarkStoreOpenIndexed(b *testing.B) { bench.StoreOpenIndexed(b, 1000) }
-
-// --- Activity-driven core benchmarks -------------------------------------
-
-// BenchmarkStepLowLoad measures router-cycle throughput at a near-idle
-// operating point (rate 0.05), where the activity-driven core elides almost
-// every router tick. Compare against BenchmarkStepLowLoadNoSkip for the
-// speedup; cmd/benchjson records both in BENCH_pr4.json.
-func BenchmarkStepLowLoad(b *testing.B) { bench.Step(b, bench.LowLoadRate, false) }
-
-// BenchmarkStepLowLoadNoSkip is the same point on the always-tick path.
-func BenchmarkStepLowLoadNoSkip(b *testing.B) { bench.Step(b, bench.LowLoadRate, true) }
-
-// BenchmarkStepSaturation measures the saturated platform (rate 4.0), where
-// the active list is dense and its bookkeeping must cost (almost) nothing.
-func BenchmarkStepSaturation(b *testing.B) { bench.Step(b, bench.SaturationRate, false) }
-
-// BenchmarkStepSaturationNoSkip is the saturated always-tick baseline.
-func BenchmarkStepSaturationNoSkip(b *testing.B) { bench.Step(b, bench.SaturationRate, true) }
-
-// --- Tile-parallel core benchmarks ---------------------------------------
-
-// BenchmarkStepTiled1 runs the saturated platform on the tiled engine
-// degenerated to a single tile: its delta against BenchmarkStepSaturation
-// is the pure bookkeeping overhead of the tile machinery (bounded at 5% by
-// the acceptance criteria; cmd/benchjson records it in BENCH_pr8.json).
-func BenchmarkStepTiled1(b *testing.B) { bench.StepTiled(b, 1) }
-
-// BenchmarkStepTiled2 adds cross-tile message queues between two tiles,
-// advanced through extracted-lookahead windows with merge elision; output
-// stays byte-identical. Reports barriers/cycle and barrier-elision-frac.
-func BenchmarkStepTiled2(b *testing.B) { bench.StepTiled(b, 2) }
-
-// BenchmarkStepTiled4 is the four-tile point: maximum cross-tile traffic
-// on the 8x8 platform's row blocks.
-func BenchmarkStepTiled4(b *testing.B) { bench.StepTiled(b, 4) }
-
-// BenchmarkStepTiled2LowLoad is the two-tile near-idle point, where sparse
-// cross-tile traffic lets elision skip most window merges.
-func BenchmarkStepTiled2LowLoad(b *testing.B) { bench.StepTiledRate(b, bench.LowLoadRate, 2) }
-
-// --- Substrate micro-benchmarks ------------------------------------------
-
-// BenchmarkNetworkStep8x8 measures the cost of one router cycle of the
-// paper's full 8x8 platform under load.
-func BenchmarkNetworkStep8x8(b *testing.B) {
-	cfg := network.NewConfig()
-	n, err := network.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := traffic.NewTwoLevelParams(1.5)
-	m, err := traffic.NewTwoLevel(p, n.Topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.Launch(m, sim.Time(1e12))
-	n.Run(5000) // prime the pipelines
-	b.ResetTimer()
-	n.Run(int64(b.N))
-}
-
-// BenchmarkRouterTick measures one allocation cycle of a loaded router.
-func BenchmarkRouterTick(b *testing.B) {
-	cfg := router.NewConfig(5)
-	r, err := router.New(0, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.RouteFn = func(_ *flow.Packet, buf []routing.MaskCandidate) []routing.MaskCandidate {
-		return append(buf, routing.MaskCandidate{Port: 2, VCMask: 0b11})
-	}
-	pkt := flow.NewPacket(1, 0, 1, 0, -1)
-	refill := func(now sim.Time) {
-		for _, f := range flow.NewPacketFlits(pkt) {
-			f.VC = 0
-			r.Inputs[1].Arrive(f, now)
-		}
-	}
-	refill(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := sim.Time(i) * sim.Nanosecond
-		r.Tick(now, sim.Nanosecond)
-		if r.Inputs[1].Occupied() == 0 {
-			b.StopTimer()
-			for _, ov := range []int{0, 1} {
-				for r.Outputs[2].OccupiedSlots() > 0 {
-					r.Outputs[2].ReturnCredit(ov, now)
-				}
-			}
-			refill(now)
-			b.StartTimer()
-		}
-	}
-}
-
-// BenchmarkLinkSend measures flit serialization bookkeeping.
-func BenchmarkLinkSend(b *testing.B) {
-	table := link.MustTable(link.NewParams())
-	var sched sim.Scheduler
-	l := link.NewDVSLink(table, &sched, table.Top())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Send(sim.Time(i) * sim.Nanosecond)
-	}
-}
-
-// BenchmarkLinkTransition measures a full down-and-up DVS transition pair.
-func BenchmarkLinkTransition(b *testing.B) {
-	table := link.MustTable(link.NewParams())
-	var sched sim.Scheduler
-	l := link.NewDVSLink(table, &sched, table.Top())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Walk down the table and bounce back up, one completed
-		// transition per iteration.
-		l.RequestStep(sched.Now(), l.Level() == 0)
-		sched.RunUntil(sched.Now() + 15*sim.Microsecond)
-	}
-}
-
-// BenchmarkPolicyDecide measures one history window of Algorithm 1.
-func BenchmarkPolicyDecide(b *testing.B) {
-	h, err := core.NewHistoryDVS(core.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Decide(core.Measures{LinkUtil: float64(i%100) / 100, BufUtil: float64(i%50) / 100})
-	}
-}
-
-// BenchmarkPolicyDecideHW measures the fixed-point hardware model.
-func BenchmarkPolicyDecideHW(b *testing.B) {
-	h := &core.HWHistoryDVS{P: core.DefaultParams()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Decide(core.Measures{LinkUtil: float64(i%100) / 100, BufUtil: float64(i%50) / 100})
-	}
-}
-
-// BenchmarkTwoLevelGeneration measures workload generation alone.
-func BenchmarkTwoLevelGeneration(b *testing.B) {
-	topo := topology.NewMesh2D(8)
-	p := traffic.NewTwoLevelParams(1.0)
-	m, err := traffic.NewTwoLevel(p, topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sched sim.Scheduler
-	count := 0
-	m.Launch(&sched, sim.Time(1e12), func(int, int, sim.Time, int64) { count++ })
-	b.ResetTimer()
-	start := sched.Now()
-	sched.RunUntil(start + sim.Time(b.N)*sim.Nanosecond)
-	if count == 0 {
-		b.Fatal("no injections generated")
-	}
-}
-
-// BenchmarkDORRoute measures one dimension-order route computation.
-func BenchmarkDORRoute(b *testing.B) {
-	topo := topology.NewMesh2D(8)
-	alg := routing.DimensionOrder{}
-	st := routing.NewState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alg.Route(topo, i%64, (i+37)%64, 2, st)
-	}
-}
-
-// BenchmarkAdaptiveRoute measures one minimal-adaptive route computation.
-func BenchmarkAdaptiveRoute(b *testing.B) {
-	topo := topology.NewMesh2D(8)
-	alg := routing.MinimalAdaptive{}
-	st := routing.NewState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alg.Route(topo, i%64, (i+37)%64, 2, st)
-	}
-}

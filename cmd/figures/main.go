@@ -42,8 +42,7 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		auditFlag  = flag.Bool("audit", false, "run every simulation under the runtime invariant checker (slower, same output)")
 		noskip     = flag.Bool("noskip", false, "disable the activity-driven simulation core (slower, same output)")
-		ckpt       = flag.Bool("checkpoint", true, "share one policy-frozen warmup per (seed, rate) across policy variants via checkpoint/fork (same output)")
-		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup (slower, same output)")
+		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup instead of forking the one policy-frozen warmup its (seed, rate) shares (slower, same output)")
 		jobs       = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		tiles      = flag.Int("tiles", 0, "tile-parallel blocks per simulation (0/1 = single scheduler; output is byte-identical at every tile count)")
 		prefetch   = flag.Bool("prefetch", false, "report which run-cache keys the selected experiments would hit or miss; no simulations run")
@@ -85,7 +84,7 @@ func main() {
 		}
 	}
 	if *cacheStats {
-		defer printCacheStats()
+		defer noc.FprintCacheStats(os.Stderr)
 	}
 
 	if *cpuprofile != "" {
@@ -103,7 +102,7 @@ func main() {
 
 	o := noc.ExperimentOptions{
 		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag, NoSkip: *noskip,
-		NoCheckpoint: *noCkpt || !*ckpt, Tiles: *tiles,
+		NoCheckpoint: *noCkpt, Tiles: *tiles,
 	}
 	var ids []string
 	switch {
@@ -172,27 +171,5 @@ func main() {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 		}
 		f.Close()
-	}
-}
-
-// printCacheStats emits the run-cache counters in a stable, greppable
-// one-line format (CI asserts on hits/misses after a warm rerun).
-func printCacheStats() {
-	s := noc.RunCacheStats()
-	fmt.Fprintf(os.Stderr,
-		"runcache: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f\n",
-		s.Hits, s.Misses, s.Puts, s.CorruptDropped, s.Evictions,
-		s.BytesRead, s.BytesWritten, s.HitRate())
-	t := noc.TraceStoreStats()
-	fmt.Fprintf(os.Stderr,
-		"tracestore: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f\n",
-		t.Hits, t.Misses, t.Puts, t.CorruptDropped, t.Evictions,
-		t.BytesRead, t.BytesWritten, t.HitRate())
-	// Only tiled recomputes plan windows, so this line appears exactly when
-	// -tiles > 1 did real simulation work (cache hits contribute nothing).
-	if tb := noc.ExperimentTileBarrierStats(); tb.Windows > 0 {
-		fmt.Fprintf(os.Stderr,
-			"tilebarriers: windows=%d merges=%d elided=%d elision-frac=%.2f\n",
-			tb.Windows, tb.Barriers, tb.Elided, float64(tb.Elided)/float64(tb.Windows))
 	}
 }

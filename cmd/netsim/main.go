@@ -11,9 +11,10 @@
 // windows open only once measurement starts), which makes the warmed-up
 // state policy-independent: with a run cache enabled, invocations that
 // differ only in -policy, thresholds or transition latencies share one
-// persisted warmup snapshot instead of each re-simulating it. A forked
-// warmup is byte-identical to a simulated one; -no-checkpoint disables the
-// reuse without changing any result.
+// persisted warmup snapshot instead of each re-simulating it — and share
+// it with cmd/figures, whose sweeps run the same stage under the same key.
+// A forked warmup is byte-identical to a simulated one; -no-checkpoint
+// disables the reuse without changing any result.
 package main
 
 import (
@@ -47,8 +48,7 @@ func main() {
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
 		noskip   = flag.Bool("noskip", false, "disable the activity-driven core (tick every router every cycle); identical results, slower")
 		tiles    = flag.Int("tiles", 0, "tile-parallel blocks with conservative lookahead (0/1 = single scheduler); identical results at every count")
-		ckpt     = flag.Bool("checkpoint", true, "reuse a persisted policy-frozen warmup snapshot across runs (twolevel traffic, cache enabled); identical results")
-		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup; identical results, slower across policy sweeps")
+		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup instead of forking the persisted policy-frozen snapshot (twolevel traffic, cache enabled); identical results, slower across policy sweeps")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
 		levels   = flag.Bool("levels", false, "print the final DVS level histogram")
 		traceN   = flag.Int("trace", 0, "dump the last N trace events after the run")
@@ -132,7 +132,7 @@ func main() {
 		}
 	}
 	if *cacheStats {
-		defer printCacheStats()
+		defer noc.FprintCacheStats(os.Stderr)
 	}
 	// A summary is cacheable only when nothing live-only was requested:
 	// profiles, traces, level histograms, skip statistics and audit counters
@@ -181,11 +181,11 @@ func main() {
 	var err error
 	if *traffic == "twolevel" {
 		// The warmup runs policy-frozen on a captured trace; with the run
-		// cache enabled and -checkpoint (the default), it forks a persisted
+		// cache enabled (and no -no-checkpoint), it forks a persisted
 		// snapshot when a compatible invocation already simulated it.
 		n, err = noc.NewWarmedTwoLevel(cfg, noc.TwoLevelWorkload{
 			Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur, Seed: *seed,
-		}, *warmup, *measure, *ckpt && !*noCkpt)
+		}, *warmup, *measure, !*noCkpt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "netsim:", err)
 			os.Exit(1)
@@ -286,21 +286,6 @@ func printSummary(r noc.Results, inFlight int64, mesh int, torus bool, policy, r
 	fmt.Printf("throughput : %.3f packets/cycle\n", r.ThroughputPkts)
 	fmt.Printf("power      : %.1f W avg (%.3f of non-DVS baseline, %.2fX savings)\n",
 		r.AvgPowerW, r.NormalizedPower, r.PowerSavingsX)
-}
-
-// printCacheStats emits the run-cache counters in a stable, greppable
-// one-line format.
-func printCacheStats() {
-	s := noc.RunCacheStats()
-	fmt.Fprintf(os.Stderr,
-		"runcache: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f\n",
-		s.Hits, s.Misses, s.Puts, s.CorruptDropped, s.Evictions,
-		s.BytesRead, s.BytesWritten, s.HitRate())
-	t := noc.TraceStoreStats()
-	fmt.Fprintf(os.Stderr,
-		"tracestore: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f\n",
-		t.Hits, t.Misses, t.Puts, t.CorruptDropped, t.Evictions,
-		t.BytesRead, t.BytesWritten, t.HitRate())
 }
 
 // printSkipStats summarizes the activity-driven core's work avoidance.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/traffic"
 )
@@ -62,23 +63,34 @@ func Fork(s *Snapshot, cfg network.Config, tr *traffic.Trace) (*network.Network,
 	return n, nil
 }
 
+// Neutral returns c with every field a policy-frozen warm-up is provably
+// independent of set to zero. This is the definition of policy
+// independence, and the only one: CompatibleConfig compares two configs
+// through it, and the experiment harness keys stored warm snapshots on a
+// full serialization of it (exp.Warmed), so a field is shareable across
+// forks exactly when it is zeroed here. What is zeroed: the DVS policy
+// selection and its parameters (decision windows never close under hold);
+// the link transition latencies (no transition ever starts under hold, so
+// no captured timer depends on them); Audit.OnViolation (an observer, not
+// state — func values cannot be compared, and restore separately requires
+// checker presence to match); and Tiles and VerifyLookahead (an execution
+// strategy and its self-check: snapshots are captured and restored
+// untiled, and results are tile-independent).
+func Neutral(c network.Config) network.Config {
+	c.Policy = 0
+	c.DVS = core.Params{}
+	c.Link.VoltTransition, c.Link.FreqTransitionCycles = 0, 0
+	c.Audit.OnViolation = nil
+	c.Tiles, c.VerifyLookahead = 0, false
+	return c
+}
+
 // CompatibleConfig reports whether a snapshot captured under base may be
-// forked into a network built from fork. Everything that shapes captured
-// state must be identical; only what the frozen warmup never consulted may
-// differ: the DVS policy selection and its parameters (windows never close
-// under hold), and the link transition latencies (no transition ever
-// starts under hold, so no captured timer depends on them).
+// forked into a network built from fork: everything that shapes captured
+// state must be identical, i.e. the two must agree on all that Neutral
+// keeps.
 func CompatibleConfig(base, fork network.Config) error {
-	a, b := base, fork
-	// Neutralize the fields a held warmup is provably independent of.
-	a.Policy, b.Policy = 0, 0
-	a.DVS, b.DVS = base.DVS, base.DVS
-	a.Link.VoltTransition, b.Link.VoltTransition = 0, 0
-	a.Link.FreqTransitionCycles, b.Link.FreqTransitionCycles = 0, 0
-	// Audit.OnViolation is an observer, not state; func values cannot be
-	// compared, and restore separately requires checker presence to match.
-	a.Audit.OnViolation, b.Audit.OnViolation = nil, nil
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(Neutral(base), Neutral(fork)) {
 		return fmt.Errorf("checkpoint: fork config differs from capture config beyond policy, DVS parameters and link transition latencies")
 	}
 	return nil

@@ -1,13 +1,15 @@
-// Warmup checkpointing: experiment sweeps ablate the DVS policy across
-// many variants at each (seed, rate) operating point, and every variant
-// used to pay for its own warmup from cycle 0. Warmups now run
-// policy-frozen (network.SetDVSHold) — the policy is a measurement-time
-// concern, and freezing it makes the warmed-up state provably
-// policy-independent — so the harness captures the warmed state once per
-// warm key (internal/checkpoint) and forks it per variant. The fork is
-// byte-identical to an uninterrupted run (the conformance suite pins
-// this), so results are the same with the path disabled
-// (Options.NoCheckpoint); only warmup work is saved.
+// The warm-up stage every client runs: figures' sweeps ablate the DVS
+// policy across many variants at one operating point, netsim and the
+// benchmark driver run one variant at a time, and all of them want the
+// same thing — a network at the end of its warm-up, paid for as few times
+// as possible. Warm-ups run policy-frozen (network.SetDVSHold): the policy
+// is a measurement-time concern, and freezing it makes the warmed-up state
+// independent of exactly the fields checkpoint.Neutral zeroes. So the
+// stage is trace -> warm snapshot -> fork: the workload's shared trace,
+// one snapshot of the held warm-up per warm key (internal/checkpoint),
+// restored into each variant's own network. A fork is byte-identical to
+// an uninterrupted run (the conformance suite pins this), so the stage
+// changes how much warm-up work is done, never a result.
 package exp
 
 import (
@@ -17,7 +19,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/network"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -54,58 +55,138 @@ func TileBarrierStats() TileBarrierCounters {
 	}
 }
 
-// warmSnap is one warm-key cache slot: the captured warmed-up state and
-// the trace it ran under (forks re-attach the same trace; the snapshot
-// itself carries only the replay's progress). Both nil when the point
-// cannot be checkpointed — its workload exceeds the trace budget — in
-// which case every variant runs straight.
-type warmSnap struct {
-	snap *checkpoint.Snapshot
-	tr   *traffic.Trace
+// warmSnaps deduplicates warm snapshots inside a sweeping process, one
+// slot per warm key: the first variant at an operating point loads or
+// simulates the snapshot, the rest fork the same decoded state without
+// touching the store. A nil slot means the warm-up could not be captured;
+// every variant then runs straight.
+var warmSnaps = newSFCache[string, *checkpoint.Snapshot](64)
+
+// warmKey identifies everything a held warm-up depends on, by construction
+// rather than by list: it prints every field of the policy-neutral config
+// (checkpoint.Neutral is the one place that says what a held warm-up does
+// not depend on), every workload parameter, and both budgets (the trace
+// horizon spans warm-up and measurement, so both shape the replay state).
+// Equal keys therefore imply checkpoint.CompatibleConfig, and a field
+// added to either struct is keyed without anyone remembering to. It is
+// computed only inside a result miss, so its cost never reaches a warm
+// regeneration.
+func warmKey(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64) string {
+	return fmt.Sprintf("warm|v%d|%#v|%#v|warm=%d|meas=%d", SchemaVersion, checkpoint.Neutral(cfg), w, warm, meas)
 }
 
-// warmSnapCache deduplicates warmup simulations inside the process, one
-// slot per warm key.
-var warmSnapCache = newSFCache[string, *warmSnap](64)
-
-// warmKey identifies everything a frozen warmup depends on: budgets (the
-// traffic horizon spans warmup and measurement, so both matter), workload,
-// platform shape and the simulation-core toggles. The policy selection,
-// its thresholds and window parameters, and the link transition latencies
-// are deliberately absent — a held warmup never consults them, which is
-// exactly what lets policy ablations share one snapshot.
-func (s spec) warmKey(o Options) string {
-	warm, meas := o.budget()
-	return fmt.Sprintf("ckpt|v%d|warm=%d|meas=%d|audit=%t|noskip=%t|seed=%d|"+
-		"rate=%g|tasks=%d|taskdur=%d|routing=%s|specseed=%d|levels=%d|k=%d|n=%d|torus=%t",
-		SchemaVersion, warm, meas, o.Audit, o.NoSkip, o.seed(),
-		s.rate, s.tasks, int64(s.taskDur), s.routing, s.seed, s.levels, s.k, s.n, s.torus)
+// Warmed builds cfg's network under the two-level workload w and brings it
+// to the end of a policy-frozen warm-up of warm cycles, the hold released,
+// ready for BeginMeasurement and Run(meas). With reuse, the warmed-up
+// state forks from the snapshot stored under the warm key when any earlier
+// run — of this client or another, under any policy — already paid for the
+// warm-up, and is simulated, captured and stored otherwise. Without reuse,
+// for a tiled config (a tiled network refuses capture and restore), for a
+// workload that must run live (see workload), after a capture refusal
+// or a failed restore, the warm-up simulates straight; nothing is captured
+// or encoded on that path. Both paths release the hold at the same
+// instant, so what is measured afterwards is identical either way.
+func Warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse bool) (*network.Network, error) {
+	return warmed(cfg, w, warm, meas, reuse, false)
 }
 
-// simulate executes warmup + measurement for one point. The warmup always
-// runs policy-frozen, on both paths, so the two are step-for-step
-// identical until measurement begins: straight runs hold, warm up and
-// release; checkpointed runs fork a snapshot captured at the same held
-// instant and release. Fallbacks (untraceable workload, capture refusal,
-// restore failure) land on the straight path.
-func simulate(s spec, o Options) network.Results {
-	warm, meas := o.budget()
-	// Tiled points always run straight: a tiled network refuses checkpoint
-	// capture and restore (see network.CaptureCheckpoint), and the straight
-	// path is byte-identical to the forked one anyway.
-	if !o.NoCheckpoint && o.Tiles <= 1 {
-		if ws := warmSnapshot(s, o); ws.snap != nil {
-			if r, ok := forkAndMeasure(s, o, ws, meas); ok {
-				return r
+// warmed is Warmed with the sweep's in-process layer selectable: memo puts
+// warmSnaps above the store, so the variants of one sweep share a decoded
+// snapshot (and a sweep shares warm-ups with no store installed at all).
+// One-shot callers go without: each of their calls stands for a process
+// of its own, and a snapshot nobody will fork again is not worth holding.
+func warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse, memo bool) (*network.Network, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
+	m, tr, err := workload(&cfg, w, horizon)
+	if err != nil {
+		return nil, err
+	}
+	if reuse && tr != nil && cfg.Tiles <= 1 {
+		key := warmKey(cfg, w, warm, meas)
+		load := func() *checkpoint.Snapshot { return warmSnapshot(key, cfg, tr, horizon, warm) }
+		var snap *checkpoint.Snapshot
+		if memo {
+			snap = warmSnaps.do(key, load)
+		} else {
+			snap = load()
+		}
+		if snap != nil {
+			n, err := checkpoint.Fork(snap, cfg, tr)
+			if err == nil {
+				n.SetDVSHold(false)
+				return n, nil
+			}
+			// Decodes but does not restore — a stale or foreign payload
+			// whose shape does not fit this platform: quarantine it so the
+			// next process re-captures, and run straight.
+			if ds := diskStore.Load(); ds != nil {
+				ds.Drop(key)
 			}
 		}
 	}
-	n, m, horizon := s.build(o, warm+meas+1)
+	n, err := heldWarmup(cfg, m, horizon, warm)
+	if err != nil {
+		return nil, err
+	}
+	n.SetDVSHold(false)
+	return n, nil
+}
+
+// heldWarmup builds cfg's network, launches the workload and runs the
+// policy-frozen warm-up. The hold is still on when it returns.
+func heldWarmup(cfg network.Config, m traffic.Model, horizon sim.Time, warm int64) (*network.Network, error) {
+	n, err := network.New(cfg)
+	if err != nil {
+		return nil, err
+	}
 	n.Launch(m, horizon)
 	n.SetDVSHold(true)
 	n.Run(warm)
 	warmupCycles.Add(warm)
-	n.SetDVSHold(false)
+	return n, nil
+}
+
+// warmSnapshot returns the snapshot for a warm key: the store's when it
+// holds one that decodes (one that does not is dropped), else a held
+// warm-up simulated here, captured and stored. nil means the warm-up
+// cannot be captured — a refusal is a correctness escape hatch, not an
+// error — and the caller runs straight.
+func warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim.Time, warm int64) *checkpoint.Snapshot {
+	ds := diskStore.Load()
+	if ds != nil {
+		if b, ok := ds.Get(key); ok {
+			if snap, err := checkpoint.Decode(b); err == nil {
+				return snap
+			}
+			ds.Drop(key)
+		}
+	}
+	n, err := heldWarmup(cfg, tr, horizon, warm)
+	if err != nil {
+		return nil
+	}
+	snap, err := checkpoint.Capture(n)
+	if err != nil {
+		return nil
+	}
+	if ds != nil {
+		if b, err := checkpoint.Encode(snap); err == nil {
+			ds.Put(key, b) // a failed put is counted and reported by the store
+		}
+	}
+	return snap
+}
+
+// simulate executes warm-up + measurement for one point of a sweep.
+func simulate(s spec, o Options) network.Results {
+	warm, meas := o.budget()
+	n, err := warmed(s.config(o), s.twoLevelParams(o), warm, meas, !o.NoCheckpoint, true)
+	if err != nil {
+		panic(err)
+	}
 	n.BeginMeasurement()
 	n.Run(meas)
 	if n.Tiled() {
@@ -115,76 +196,4 @@ func simulate(s spec, o Options) network.Results {
 		tileBarriersElided.Add(st.TileBarriersElided)
 	}
 	return n.Snapshot()
-}
-
-// forkAndMeasure builds this variant's network from the shared warmed-up
-// snapshot and runs its measurement interval. ok is false when the
-// snapshot does not restore (a stale or foreign disk payload whose bytes
-// decode but whose shape does not fit this platform); the caller falls
-// back to a straight run.
-func forkAndMeasure(s spec, o Options, ws *warmSnap, meas int64) (network.Results, bool) {
-	n, err := checkpoint.Fork(ws.snap, s.config(o), ws.tr)
-	if err != nil {
-		return network.Results{}, false
-	}
-	n.SetDVSHold(false)
-	n.BeginMeasurement()
-	n.Run(meas)
-	return n.Snapshot(), true
-}
-
-// warmSnapshot returns the warmed-up snapshot for a point's warm key,
-// computing it on first use: memory -> disk -> simulate, with the
-// in-memory singleflight covering both lower layers. The caller already
-// holds a simulation slot, so the warmup runs inside it.
-func warmSnapshot(s spec, o Options) *warmSnap {
-	wkey := s.warmKey(o)
-	return warmSnapCache.do(wkey, func() *warmSnap {
-		if noTraceMemo {
-			return &warmSnap{} // forks need a shared trace to re-attach
-		}
-		warm, meas := o.budget()
-		cfg := s.config(o)
-		// Warmups are captured untiled regardless of o.Tiles: the warm key
-		// excludes the tile count, and a tiled network refuses capture.
-		// (simulate never reaches here for tiled points; this guards any
-		// future caller.)
-		cfg.Tiles = 0
-		horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
-		topo := topology.New(cfg.K, cfg.N, cfg.Torus)
-		tr, _ := traffic.SharedTwoLevelTrace(s.twoLevelParams(o), topo, horizon)
-		if tr == nil {
-			// Workload exceeds the trace budget: run live, straight.
-			// build already emitted the fallback note for this point.
-			return &warmSnap{}
-		}
-		if ds := diskStore.Load(); ds != nil {
-			if b, ok := ds.Get(wkey); ok {
-				if snap, err := checkpoint.Decode(b); err == nil {
-					return &warmSnap{snap: snap, tr: tr}
-				}
-				ds.Drop(wkey)
-			}
-		}
-		n, err := network.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		n.Launch(tr, horizon)
-		n.SetDVSHold(true)
-		n.Run(warm)
-		warmupCycles.Add(warm)
-		snap, err := checkpoint.Capture(n)
-		if err != nil {
-			// Refusals are a correctness escape hatch, not an error: the
-			// point simply runs straight (and pays its own warmups).
-			return &warmSnap{}
-		}
-		if ds := diskStore.Load(); ds != nil {
-			if b, err := checkpoint.Encode(snap); err == nil {
-				ds.Put(wkey, b)
-			}
-		}
-		return &warmSnap{snap: snap, tr: tr}
-	})
 }

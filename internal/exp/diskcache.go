@@ -28,9 +28,11 @@ import (
 // field, a cached payload shape, or the meaning of any serialized value
 // changes — stale entries from older schemas then become unreachable.
 //
-// v2: warmups run policy-frozen (network.SetDVSHold) and a new "ckpt|"
-// payload kind persists warmed-up snapshots; both change what every
-// cached result means, so v1 entries are unreachable.
+// v2: warmups run policy-frozen (network.SetDVSHold) and warmed-up
+// snapshots are persisted beside results; both change what every cached
+// result means, so v1 entries are unreachable. A change to the warm key
+// alone ("warm|", see warmKey) needs no bump: results stay valid, and
+// snapshots under an old key are unreachable and age out.
 const SchemaVersion = 2
 
 // diskStore is the process-wide persistent cache; nil (the default) means
@@ -109,7 +111,7 @@ func cached[T any](key string, compute func() T) T {
 	}
 	v := compute()
 	if b, err := json.Marshal(v); err == nil {
-		s.Put(key, b) // a failed put costs a future recompute, nothing else
+		s.Put(key, b) // a failed put costs a recompute; the store counts and reports it
 	}
 	return v
 }
@@ -141,30 +143,5 @@ func CacheStoreJSON(key string, v any) {
 	}
 	if b, err := json.Marshal(v); err == nil {
 		s.Put(key, b)
-	}
-}
-
-// CacheLookupRaw, CacheStoreRaw and CacheDropRaw are the binary-payload
-// variants for artifacts that are not JSON (noc's warmed-up checkpoint
-// snapshots). The store still checksums payloads; semantic validation —
-// does it decode, does it fit this platform — is the caller's, and a
-// payload that fails it should be dropped so the slot recomputes.
-func CacheLookupRaw(key string) ([]byte, bool) {
-	s := diskStore.Load()
-	if s == nil {
-		return nil, false
-	}
-	return s.Get(key)
-}
-
-func CacheStoreRaw(key string, b []byte) {
-	if s := diskStore.Load(); s != nil {
-		s.Put(key, b)
-	}
-}
-
-func CacheDropRaw(key string) {
-	if s := diskStore.Load(); s != nil {
-		s.Drop(key)
 	}
 }

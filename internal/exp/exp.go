@@ -55,18 +55,13 @@ type Options struct {
 }
 
 // tinyBudget, when set, shrinks cycle budgets far below -quick. It exists
-// only for harness tests and benchmarks (determinism across parallelism
-// levels, cache cold/warm timing) that need many full sweeps without
+// only for this package's harness tests (determinism across parallelism
+// levels, cache cold/warm behaviour) that need many full sweeps without
 // caring about statistical quality. The resolved budget is folded into
-// every cache key, so tiny runs can never collide with real ones; callers
+// every cache key, so tiny runs can never collide with real ones; tests
 // still ResetCaches around toggling to drop the memory the tiny sweep
 // occupied.
 var tinyBudget bool
-
-// SetTinyBudget toggles the tiny test/benchmark budget from outside the
-// package (internal/bench uses it for the cold-vs-warm cache benchmarks);
-// tests inside this package set tinyBudget directly.
-func SetTinyBudget(v bool) { tinyBudget = v }
 
 // budget reports (warmup, measure) cycles for the options.
 func (o Options) budget() (warm, meas int64) {
@@ -240,62 +235,54 @@ var noTraceMemo bool
 // scheduler horizon for the caller's Launch. horizonCycles is the number
 // of router cycles the caller will run (plus slack); the model's event
 // chains are armed against exactly this horizon, so it participates in
-// trace identity. When the two-level workload at this operating point fits
-// the trace budget, the returned model is a memoized arrival trace shared
-// read-only across every sweep at the same (seed, rate, horizon) — policy
-// ablations then pay for workload generation once instead of per variant.
-// Oversized points fall back to the live model.
+// trace identity.
 func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.Model, sim.Time) {
 	cfg := s.config(o)
-	p := s.twoLevelParams(o)
 	horizon := sim.Time(horizonCycles) * cfg.RouterPeriod
-	// The workload decision comes before network construction: a tiled
-	// network replays recorded traces only, so a point that must run its
-	// model live (memoization disabled, or trace over budget) degrades to
-	// the untiled engine — same bytes, one scheduler.
-	var tr *traffic.Trace
-	if !noTraceMemo {
-		var reason string
-		tr, reason = traffic.SharedTwoLevelTrace(p, topology.New(cfg.K, cfg.N, cfg.Torus), horizon)
-		if tr == nil {
-			noteTraceFallback(s, reason)
-		}
-	}
-	if tr == nil {
-		cfg.Tiles = 0
-	}
-	n, err := network.New(cfg)
+	m, _, err := workload(&cfg, s.twoLevelParams(o), horizon)
 	if err != nil {
 		panic(err)
 	}
-	if tr != nil {
-		return n, tr, horizon
-	}
-	m, err := traffic.NewTwoLevel(p, n.Topo)
+	n, err := network.New(cfg)
 	if err != nil {
 		panic(err)
 	}
 	return n, m, horizon
 }
 
-// traceFallbackNotes dedupes the live-model fallback notes: a sweep asks
-// for the same oversized workload once per policy variant, and the user
-// needs the fact once per point, not per variant.
+// workload returns the traffic model a run launches. It is the memoized
+// arrival trace (returned a second time under its own type), shared
+// read-only across every run at the same (parameters, shape, horizon) —
+// policy ablations pay for workload generation once instead of per
+// variant — unless the run must drive the model live: memoization is
+// disabled, or the workload exceeds the trace budget; the trace is then
+// nil. The decision comes before network construction
+// because a tiled network replays recorded traces only: a live run
+// degrades cfg to the untiled engine — same bytes, one scheduler — with
+// one stderr note per workload and reason (silent fallback hid exactly the
+// -full points users most expect to parallelize).
+func workload(cfg *network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
+	topo := topology.New(cfg.K, cfg.N, cfg.Torus)
+	if !noTraceMemo {
+		tr, reason := traffic.SharedTwoLevelTrace(p, topo, horizon)
+		if tr != nil {
+			return tr, tr, nil
+		}
+		if _, dup := traceFallbackNotes.LoadOrStore(fmt.Sprintf("%g|%d|%s", p.TotalRate, p.Seed, reason), true); !dup {
+			fmt.Fprintf(os.Stderr, "exp: workload rate=%g seed=%d: live workload (trace and tile eligibility lost): %s\n",
+				p.TotalRate, p.Seed, reason)
+		}
+	}
+	cfg.Tiles = 0
+	m, err := traffic.NewTwoLevel(p, topo)
+	return m, nil, err
+}
+
+// traceFallbackNotes dedupes workload's notes: a sweep asks for the
+// same oversized workload once per policy variant, and the user needs the
+// fact once.
 var traceFallbackNotes sync.Map
 
-// noteTraceFallback emits one stderr note when a point must run its
-// traffic model live — losing trace replay and, with it, tile eligibility
-// (tiled networks replay recorded traces only) — naming the point and the
-// reason, mirroring the tiled-degrade notes in the cmds. Silent fallback
-// hid exactly the -full points users most expect to parallelize.
-func noteTraceFallback(s spec, reason string) {
-	key := fmt.Sprintf("%v|%g|%d|%s", s.policy, s.rate, s.seed, reason)
-	if _, dup := traceFallbackNotes.LoadOrStore(key, true); dup {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "exp: point policy=%v rate=%g: live workload (trace and tile eligibility lost): %s\n",
-		s.policy, s.rate, reason)
-}
 func (s spec) config(o Options) network.Config {
 	cfg := network.NewConfig()
 	cfg.Policy = s.policy

@@ -231,7 +231,7 @@ var measureCache = newSFCache[Options, *measureSet](16)
 func ResetCaches() {
 	runCache.reset()
 	measureCache.reset()
-	warmSnapCache.reset()
+	warmSnaps.reset()
 	traffic.ResetTraceCache()
 }
 

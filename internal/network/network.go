@@ -123,6 +123,10 @@ type Config struct {
 	Audit audit.Options
 }
 
+// maxNodes bounds K^N in Validate: a 256x256 mesh, a thousand times the
+// paper's platform.
+const maxNodes = 1 << 16
+
 // NewConfig returns the paper's experimental platform: 8x8 mesh, 1 GHz
 // 13-stage routers with 2 VCs and 128 flit buffers per port, ten-level DVS
 // links, Table 1 policy parameters.
@@ -146,6 +150,16 @@ func NewConfig() Config {
 func (c Config) Validate() error {
 	if c.K < 2 || c.N < 1 {
 		return fmt.Errorf("network: invalid cube %d-ary %d", c.K, c.N)
+	}
+	// K^N, refusing before the product can overflow or the build can
+	// exhaust memory (a router costs ~19 kB; trace arrivals carry node ids
+	// as int32).
+	nodes := 1
+	for i := 0; i < c.N; i++ {
+		if nodes > maxNodes/c.K {
+			return fmt.Errorf("network: %d-ary %d-cube has more than %d routers, the supported maximum", c.K, c.N, maxNodes)
+		}
+		nodes *= c.K
 	}
 	if want := 1 + 2*c.N; c.Router.Ports != want {
 		return fmt.Errorf("network: router has %d ports, topology needs %d", c.Router.Ports, want)
@@ -180,19 +194,10 @@ func (c Config) Validate() error {
 	if c.Tiles < 0 {
 		return fmt.Errorf("network: negative tile count %d", c.Tiles)
 	}
-	if nodes := c.nodes(); c.Tiles > nodes {
+	if c.Tiles > nodes {
 		return fmt.Errorf("network: %d tiles over %d routers", c.Tiles, nodes)
 	}
 	return nil
-}
-
-// nodes reports the cube's node count without building the topology.
-func (c Config) nodes() int {
-	nodes := 1
-	for i := 0; i < c.N; i++ {
-		nodes *= c.K
-	}
-	return nodes
 }
 
 // portCtl is the per-output-port DVS machinery: the policy instance and the

@@ -32,6 +32,15 @@ func NewConfig(ports int) Config {
 	return Config{Ports: ports, VCs: 2, BufPerPort: 128, PipelineDepth: 13}
 }
 
+// Buffers and the output pipeline are allocated per port up front, so a
+// config file asking for 10^12 of either must be an error, not an
+// allocation. Both bounds are two orders of magnitude above the paper's
+// router (128 buffers, 13 stages).
+const (
+	maxBufPerPort    = 1 << 14
+	maxPipelineDepth = 1 << 10
+)
+
 // Validate reports whether the configuration is usable. The allocators
 // arbitrate over bitmasks — input ports and per-port VCs in 32-bit words,
 // global input VCs in a 64-bit word — so port and VC counts are bounded
@@ -48,8 +57,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: mask allocators support <= 64 total VCs, got %d*%d", c.Ports, c.VCs)
 	case c.BufPerPort < c.VCs:
 		return fmt.Errorf("router: %d buffers cannot cover %d VCs", c.BufPerPort, c.VCs)
+	case c.BufPerPort > maxBufPerPort:
+		return fmt.Errorf("router: %d buffers per port, the supported maximum is %d", c.BufPerPort, maxBufPerPort)
 	case c.PipelineDepth < 4:
 		return fmt.Errorf("router: pipeline depth %d < 4 (RC+VA+SA+ST)", c.PipelineDepth)
+	case c.PipelineDepth > maxPipelineDepth:
+		return fmt.Errorf("router: pipeline depth %d, the supported maximum is %d", c.PipelineDepth, maxPipelineDepth)
 	}
 	return nil
 }

@@ -62,6 +62,7 @@ type Stats struct {
 	Evictions      int64
 	BytesRead      int64 // payload bytes returned by hits
 	BytesWritten   int64 // entry bytes written by puts
+	PutFailures    int64 // puts that returned an error: nothing was persisted
 }
 
 // HitRate reports hits / (hits + misses), or 0 with no lookups.
@@ -92,6 +93,7 @@ type Store struct {
 
 	hits, misses, puts      atomic.Int64
 	corrupt, evictions      atomic.Int64
+	putFails                atomic.Int64
 	bytesRead, bytesWritten atomic.Int64
 }
 
@@ -161,9 +163,23 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // Put stores payload under key, atomically: the entry is written to a
 // temporary file in the cache directory and renamed into place, so a
 // concurrent Get in any process sees either the old entry, the new entry,
-// or nothing — never a partial write. Errors are returned but a failed Put
-// only loses caching, never correctness.
+// or nothing — never a partial write. A failed Put only loses caching,
+// never correctness, so callers discard the error; but a directory that
+// cannot be written (full, read-only, replaced) would then re-simulate
+// everything forever and say nothing, so failures are counted in Stats and
+// the first one of a Store is reported on stderr.
 func (s *Store) Put(key string, payload []byte) error {
+	err := s.put(key, payload)
+	if err == nil {
+		return nil
+	}
+	if s.putFails.Add(1) == 1 {
+		fmt.Fprintf(os.Stderr, "run cache: cannot write to %s: %v; results are not being persisted\n", s.dir, err)
+	}
+	return fmt.Errorf("runcache: %w", err)
+}
+
+func (s *Store) put(key string, payload []byte) error {
 	entry := make([]byte, 0, headerLen+len(payload))
 	entry = append(entry, magic...)
 	sum := sha256.Sum256(payload)
@@ -172,7 +188,7 @@ func (s *Store) Put(key string, payload []byte) error {
 
 	tmp, err := os.CreateTemp(s.dir, tmpPattern)
 	if err != nil {
-		return fmt.Errorf("runcache: %w", err)
+		return err
 	}
 	_, werr := tmp.Write(entry)
 	cerr := tmp.Close()
@@ -181,11 +197,11 @@ func (s *Store) Put(key string, payload []byte) error {
 		if werr == nil {
 			werr = cerr
 		}
-		return fmt.Errorf("runcache: %w", werr)
+		return werr
 	}
 	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("runcache: %w", err)
+		return err
 	}
 	s.puts.Add(1)
 	s.bytesWritten.Add(int64(len(entry)))
@@ -224,6 +240,7 @@ func (s *Store) Stats() Stats {
 		Evictions:      s.evictions.Load(),
 		BytesRead:      s.bytesRead.Load(),
 		BytesWritten:   s.bytesWritten.Load(),
+		PutFailures:    s.putFails.Load(),
 	}
 }
 

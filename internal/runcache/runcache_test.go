@@ -350,3 +350,50 @@ func TestOpenSweepsOnlyAbandonedTmpFiles(t *testing.T) {
 		t.Errorf("abandoned tmp file survived the sweep (err=%v)", err)
 	}
 }
+
+// TestUnwritableDirIsCountedAndReportedOnce: a directory that stops
+// accepting writes after Open (full, read-only, replaced) must not fail
+// silently — callers discard Put's error by design, so the store counts
+// every failed put and says so on stderr exactly once. chmod does not bind
+// root, so the directory is replaced by a regular file instead.
+func TestUnwritableDirIsCountedAndReportedOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	s := open(t, dir, Options{Fingerprint: "fp"})
+	if err := s.Put("before", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	errFile := filepath.Join(t.TempDir(), "stderr")
+	f, err := os.Create(errFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = f
+	for i := 0; i < 3; i++ {
+		if s.Put(fmt.Sprintf("k%d", i), []byte("payload")) == nil {
+			t.Error("Put into a directory replaced by a file succeeded")
+		}
+	}
+	os.Stderr = saved
+	f.Close()
+
+	if st := s.Stats(); st.PutFailures != 3 || st.Puts != 1 {
+		t.Errorf("stats = %+v; want PutFailures=3, Puts=1", st)
+	}
+	out, err := os.ReadFile(errFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "run cache: cannot write to "+dir+": ") ||
+		!strings.HasSuffix(lines[0], "; results are not being persisted") {
+		t.Errorf("stderr = %q; want exactly one 'run cache: cannot write to %s: ...' line", out, dir)
+	}
+}

@@ -188,30 +188,3 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	h.lo, h.hi, h.counts, h.total = w.Lo, w.Hi, w.Counts, w.Total
 	return nil
 }
-
-// Series is a fixed-capacity append-only series of float64 samples, the
-// input to the Hurst estimators and variance profiles.
-type Series struct {
-	xs []float64
-}
-
-// Append adds one sample.
-func (s *Series) Append(x float64) { s.xs = append(s.xs, x) }
-
-// Len reports the sample count.
-func (s *Series) Len() int { return len(s.xs) }
-
-// At reports sample i.
-func (s *Series) At(i int) float64 { return s.xs[i] }
-
-// Values returns the backing slice (not a copy; callers must not modify).
-func (s *Series) Values() []float64 { return s.xs }
-
-// Moments reports the series mean and sample variance.
-func (s *Series) Moments() (mean, variance float64) {
-	var st Stream
-	for _, x := range s.xs {
-		st.Add(x)
-	}
-	return st.Mean(), st.Var()
-}

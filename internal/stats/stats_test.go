@@ -92,17 +92,6 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
-func TestSeriesMoments(t *testing.T) {
-	var s Series
-	for i := 1; i <= 5; i++ {
-		s.Append(float64(i))
-	}
-	mean, v := s.Moments()
-	if mean != 3 || math.Abs(v-2.5) > 1e-12 {
-		t.Errorf("moments = %g, %g; want 3, 2.5", mean, v)
-	}
-}
-
 // TestHurstWhiteNoise: i.i.d. noise has H ~ 0.5.
 func TestHurstWhiteNoise(t *testing.T) {
 	rng := sim.NewRNG(42)

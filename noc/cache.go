@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -46,7 +48,8 @@ func EnableRunCache(dir string, maxBytes int64) error {
 // the in-process memo, exactly the pre-cache behavior.
 func DisableRunCache() { exp.SetDiskCache(nil) }
 
-// CacheStats snapshots the persistent cache's counters.
+// CacheStats snapshots a persistent store's counters (field for field
+// runcache.Stats, which both stores report).
 type CacheStats struct {
 	Hits, Misses   int64 // lookups served from disk vs not found
 	Puts           int64 // entries written
@@ -54,6 +57,7 @@ type CacheStats struct {
 	Evictions      int64 // entries removed by the size cap
 	BytesRead      int64 // payload bytes served from disk
 	BytesWritten   int64 // payload bytes written to disk
+	PutFailures    int64 // writes that failed: those results were not persisted
 }
 
 // HitRate reports hits / (hits + misses), or 0 with no lookups.
@@ -66,12 +70,23 @@ func (s CacheStats) HitRate() float64 {
 
 // RunCacheStats reports the persistent cache's counters since
 // EnableRunCache (all zero when no cache is enabled).
-func RunCacheStats() CacheStats {
-	st := exp.DiskCacheStats()
-	return CacheStats{
-		Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
-		CorruptDropped: st.CorruptDropped, Evictions: st.Evictions,
-		BytesRead: st.BytesRead, BytesWritten: st.BytesWritten,
+func RunCacheStats() CacheStats { return CacheStats(exp.DiskCacheStats()) }
+
+// FprintCacheStats writes the run-cache and trace-store counters to w, one
+// stable greppable line per store (CI asserts on hits and misses after a
+// warm rerun), plus the tile-barrier line when a tiled experiment point
+// did real simulation work in this process (cache hits plan no windows).
+func FprintCacheStats(w io.Writer) {
+	line := func(name string, s CacheStats) {
+		fmt.Fprintf(w, "%s: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f put-failures=%d\n",
+			name, s.Hits, s.Misses, s.Puts, s.CorruptDropped, s.Evictions,
+			s.BytesRead, s.BytesWritten, s.HitRate(), s.PutFailures)
+	}
+	line("runcache", RunCacheStats())
+	line("tracestore", TraceStoreStats())
+	if tb := ExperimentTileBarrierStats(); tb.Windows > 0 {
+		fmt.Fprintf(w, "tilebarriers: windows=%d merges=%d elided=%d elision-frac=%.2f\n",
+			tb.Windows, tb.Barriers, tb.Elided, float64(tb.Elided)/float64(tb.Windows))
 	}
 }
 
@@ -112,12 +127,7 @@ func TraceStoreStats() CacheStats {
 	if s == nil {
 		return CacheStats{}
 	}
-	st := s.Stats()
-	return CacheStats{
-		Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
-		CorruptDropped: st.CorruptDropped, Evictions: st.Evictions,
-		BytesRead: st.BytesRead, BytesWritten: st.BytesWritten,
-	}
+	return CacheStats(s.Stats())
 }
 
 // RunCacheLookup and RunCacheStore expose the persistent layer to

@@ -199,12 +199,9 @@ type TwoLevelWorkload struct {
 	Seed uint64
 }
 
-// AttachTwoLevel arms the two-level workload for the rest of the
-// simulation (one full second of simulated time, effectively unbounded).
-func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
-	if n.inner.Tiled() {
-		return errors.New("noc: a tiled network replays recorded traces only; use NewWarmedTwoLevel (or Config.Tiles <= 1)")
-	}
+// params lowers the public workload onto the traffic model's parameters;
+// seed is the platform's, used when the workload names none.
+func (w TwoLevelWorkload) params(seed uint64) traffic.TwoLevelParams {
 	p := traffic.NewTwoLevelParams(w.Rate)
 	if w.Tasks > 0 {
 		p.AvgTasks = w.Tasks
@@ -214,9 +211,18 @@ func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
 	}
 	p.Seed = w.Seed
 	if p.Seed == 0 {
-		p.Seed = n.inner.Cfg.Seed
+		p.Seed = seed
 	}
-	m, err := traffic.NewTwoLevel(p, n.inner.Topo)
+	return p
+}
+
+// AttachTwoLevel arms the two-level workload for the rest of the
+// simulation (one full second of simulated time, effectively unbounded).
+func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
+	if n.inner.Tiled() {
+		return errors.New("noc: a tiled network replays recorded traces only; use NewWarmedTwoLevel (or Config.Tiles <= 1)")
+	}
+	m, err := traffic.NewTwoLevel(w.params(n.inner.Cfg.Seed), n.inner.Topo)
 	if err != nil {
 		return err
 	}

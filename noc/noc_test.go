@@ -266,6 +266,32 @@ func TestUnroutablePlatformsAreErrors(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsOversized: sizes that pass every shape check but
+// that no machine can build — 2^40 routers, 10^12 buffers per port — are
+// errors from LoadConfig, at once, not an allocation attempt (the first
+// used to be killed by a timeout).
+func TestLoadConfigRejectsOversized(t *testing.T) {
+	dir := t.TempDir()
+	for name, js := range map[string]string{
+		"mesh-2^40": `{"MeshSize": 1048576}`,
+		"cube-3^15": `{"MeshSize": 3, "Dims": 15}`,
+		"buffers":   `{"BufPerPort": 1000000000000}`,
+		"pipeline":  `{"PipelineDepth": 1000000000}`,
+	} {
+		path := dir + "/" + name + ".json"
+		if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := LoadConfig(path); err == nil {
+			t.Errorf("%s: LoadConfig accepted %s", name, js)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: LoadConfig took %v to refuse", name, d)
+		}
+	}
+}
+
 func TestPatternAttachments(t *testing.T) {
 	for _, attach := range []struct {
 		name string
