@@ -64,6 +64,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validateBudget(*warmup, *measure, *traceN, *traceK); err != nil {
+		fail(err)
+	}
+
 	if *jobs > 0 {
 		runtime.GOMAXPROCS(*jobs)
 	}
@@ -72,8 +76,7 @@ func main() {
 	if *cfgPath != "" {
 		loaded, err := noc.LoadConfig(*cfgPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		cfg = loaded
 	}
@@ -152,8 +155,7 @@ func main() {
 		keyCfg.VerifyLookahead = false
 		cfgJSON, err := json.Marshal(keyCfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		cacheKey = fmt.Sprintf("netsim|cfg=%s|traffic=%s|rate=%g|tasks=%d|taskdur=%d|warmup=%d|cycles=%d|seed=%d",
 			cfgJSON, *traffic, *rate, *tasks, int64(*taskDur), *warmup, *measure, *seed)
@@ -168,12 +170,10 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 
@@ -187,8 +187,7 @@ func main() {
 			Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur, Seed: *seed,
 		}, *warmup, *measure, !*noCkpt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if *traceN > 0 {
 			n.EnableTrace(*traceN) // measurement events only; warmup is pre-trace
@@ -196,8 +195,7 @@ func main() {
 	} else {
 		n, err = noc.New(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if *traceN > 0 {
 			n.EnableTrace(*traceN)
@@ -231,8 +229,7 @@ func main() {
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
@@ -260,9 +257,29 @@ func main() {
 	if *traceN > 0 {
 		fmt.Println("trace      :")
 		if err := n.DumpTrace(os.Stdout, *traceK); err != nil {
-			fmt.Fprintln(os.Stderr, "netsim:", err)
+			fail(err)
 		}
 	}
+}
+
+// validateBudget refuses run lengths and trace requests that could only
+// produce an empty or misleading summary, before anything simulates.
+func validateBudget(warmup, measure int64, traceN int, traceKind string) error {
+	switch {
+	case measure < 1:
+		return fmt.Errorf("-cycles %d: need at least one measured cycle", measure)
+	case warmup < 0:
+		return fmt.Errorf("-warmup %d: must not be negative", warmup)
+	case traceN < 0:
+		return fmt.Errorf("-trace %d: must not be negative", traceN)
+	}
+	return noc.ValidTraceKind(traceKind)
+}
+
+// fail prints one diagnostic line and exits with status 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "netsim:", err)
+	os.Exit(1)
 }
 
 // cachedSummary is the persistent form of one run's summary: everything the
@@ -290,8 +307,13 @@ func printSummary(r noc.Results, inFlight int64, mesh int, torus bool, policy, r
 
 // printSkipStats summarizes the activity-driven core's work avoidance.
 func printSkipStats(s noc.SkipStats) {
-	fmt.Printf("skipping   : %d cycles stepped, %d fast-forwarded in %d jumps, %.1f%% router ticks elided\n",
-		s.CyclesExecuted, s.CyclesFastForwarded, s.FastForwards, 100*s.ElisionRatio)
+	var idle, waiting float64
+	if total := s.RouterTicks + s.RouterTicksElided; total > 0 {
+		waiting = 100 * float64(s.RouterTicksSlept) / float64(total)
+		idle = 100*s.ElisionRatio - waiting
+	}
+	fmt.Printf("skipping   : %d cycles stepped, %d fast-forwarded in %d jumps, %.1f%% router ticks elided (%.1f%% idle, %.1f%% waiting)\n",
+		s.CyclesExecuted, s.CyclesFastForwarded, s.FastForwards, 100*s.ElisionRatio, idle, waiting)
 	if s.CyclesExecuted == 0 {
 		return
 	}

@@ -15,6 +15,7 @@ package audit
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/flow"
@@ -323,6 +324,29 @@ func (c *Checker) OnLinkSend(node, port int, l *link.DVSLink, f *flow.Flit, now 
 		return Violation{Rule: "dvs-legality", Cycle: cycle, Node: node, Port: port, VC: f.VC,
 			Msg: fmt.Sprintf("flit %d of packet %d sent at %v while the previous flit still occupies the serializer", f.Seq, f.Packet.ID, now)}
 	})
+}
+
+// OnSleepSkip checks a router the network is skipping this cycle as asleep
+// (busy, but only waiting out its output pipeline or a slow link). The
+// skip is exact only if a visit would have been a no-op: no buffered flit
+// for the allocators to move, no queued link port whose front has cleared
+// the pipeline while its link can send, no ready flit to eject. A wake
+// instant computed too late breaks one of the three.
+func (c *Checker) OnSleepSkip(node int, now sim.Time, cycle int64) {
+	r := c.w.Routers[node]
+	c.check(r.BufferedFlits() == 0, func() Violation {
+		return Violation{Rule: "late-wake", Cycle: cycle, Node: node, Port: -1, VC: -1,
+			Msg: fmt.Sprintf("skipped as asleep with %d buffered flits", r.BufferedFlits())}
+	})
+	for mask := r.TxPortMask(); mask != 0; mask &= mask - 1 {
+		port := bits.TrailingZeros32(mask)
+		out := r.Outputs[port]
+		blocked := out.TxFront().ReadyAt() > now || (out.Link != nil && !out.Link.CanSend(now))
+		c.check(blocked, func() Violation {
+			return Violation{Rule: "late-wake", Cycle: cycle, Node: node, Port: port, VC: -1,
+				Msg: fmt.Sprintf("skipped as asleep at %v while its front flit, ready since %v, could leave", now, out.TxFront().ReadyAt())}
+		})
+	}
 }
 
 // ScanEvery reports the structural scan period in router cycles. The

@@ -21,7 +21,7 @@ import (
 // SchemaVersion identifies the snapshot wire format. Bump it whenever any
 // captured struct changes shape; persisted snapshots from other schemas
 // fail to decode and are re-captured.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 var magic = [8]byte{'n', 'o', 'c', 'c', 'k', 'p', 't', '1'}
 

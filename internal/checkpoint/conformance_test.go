@@ -168,6 +168,68 @@ func TestForkEquivalence(t *testing.T) {
 	}
 }
 
+// TestForkEquivalenceWithSleepers forks at a point that provably has
+// sleeping routers, so the suite cannot pass with the wake state
+// unexercised: restore re-derives which routers sleep and until when, and
+// a fork that woke them all (or woke one late) would visit different
+// routers than the uninterrupted run — visible in Skips.RouterTicks, or in
+// the results. Bottom-level links make waiting the common state; the
+// capture lands on the first warm cycle with a sleeper, wherever that is.
+func TestForkEquivalenceWithSleepers(t *testing.T) {
+	cfg := confScenario{policy: network.PolicyHistory}.config()
+	cfg.StartLevel = 0
+	tr, horizon := confTrace(t, 0.3, cfg)
+
+	warm, err := network.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Launch(tr, horizon)
+	warm.SetDVSHold(true)
+	warm.Run(confWarm / 2)
+	for warm.Sleeping() == 0 && warm.Cycle() < confWarm {
+		warm.Run(1)
+	}
+	asleep := warm.Sleeping()
+	if asleep == 0 {
+		t.Fatalf("no router asleep anywhere in cycles %d..%d", confWarm/2, confWarm)
+	}
+	snap, err := checkpoint.Capture(warm)
+	if err != nil {
+		t.Fatalf("Capture: %v", err)
+	}
+	forked, err := checkpoint.Fork(snap, cfg, tr)
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	// The fork may park fewer: a router due on the very next cycle is not
+	// worth parking, and restore applies that rule to sleepers the captured
+	// run parked when they still had longer to go. Both visit it next cycle.
+	if got := forked.Sleeping(); got == 0 || got > asleep {
+		t.Fatalf("fork restored %d sleeping routers, the capture had %d", got, asleep)
+	}
+
+	// The straight run keeps going from the capture point itself.
+	for _, n := range []*network.Network{warm, forked} {
+		n.SetDVSHold(false)
+		n.BeginMeasurement()
+		n.Run(confMeas)
+	}
+	if sj, fj := resultsJSON(t, warm), resultsJSON(t, forked); sj != fj {
+		t.Errorf("results diverged:\nstraight: %s\nforked:   %s", sj, fj)
+	}
+	d, err := checkpoint.Diff(warm, forked)
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if d != "" {
+		t.Errorf("final state diverged: %s", d)
+	}
+	if s := forked.SkipStats(); s.RouterTicksSlept == 0 {
+		t.Error("the forked run never skipped a sleeping router")
+	}
+}
+
 // TestForkSharedAcrossPolicies pins what makes the warm snapshot shareable:
 // a warmup captured under one policy forks into every other variant (the
 // held warmup never consults the policy), and each fork still matches its

@@ -106,6 +106,7 @@ type SkipStatsState struct {
 	FastForwards        int64
 	RouterTicks         int64
 	RouterTicksElided   int64
+	RouterTicksSlept    int64
 	ActiveHist          []int64
 }
 
@@ -246,6 +247,7 @@ func (n *Network) captureState() (*CheckpointState, error) {
 			FastForwards:        n.skips.FastForwards,
 			RouterTicks:         n.skips.RouterTicks,
 			RouterTicksElided:   n.skips.RouterTicksElided,
+			RouterTicksSlept:    n.skips.RouterTicksSlept,
 			ActiveHist:          append([]int64(nil), n.skips.ActiveHist...),
 		},
 	}
@@ -639,6 +641,7 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 	n.skips.FastForwards = st.Skips.FastForwards
 	n.skips.RouterTicks = st.Skips.RouterTicks
 	n.skips.RouterTicksElided = st.Skips.RouterTicksElided
+	n.skips.RouterTicksSlept = st.Skips.RouterTicksSlept
 	copy(n.skips.ActiveHist, st.Skips.ActiveHist)
 
 	if st.Audit != nil {
@@ -657,12 +660,21 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 	}
 
 	// Activity masks: at a step boundary the active set is exactly the
-	// busy routers and the injector set exactly the nodes with source
-	// work. With NoSkip every bit is already permanently set.
+	// busy routers and the injector set exactly the nodes with source work.
+	// Sleepers are re-derived, not serialized: every busy router with no
+	// buffered flits is offered to sleep, which parks it unless it is due on
+	// the next cycle (when parked or not makes no difference). No link
+	// transition can have started before a capture (it refuses once a policy
+	// window closed), so sleepUntil reads the same tx fronts and link clocks
+	// the captured run's last visit did. With NoSkip every bit is already
+	// permanently set.
 	if !n.noskip {
 		for id, r := range n.Routers {
 			if r.Busy() {
 				n.markActive(id)
+				if r.BufferedFlits() == 0 {
+					n.sleep(id, r, st.Now)
+				}
 			}
 		}
 		for node, inj := range n.injectors {

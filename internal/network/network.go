@@ -8,6 +8,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/audit"
@@ -343,18 +344,33 @@ type Network struct {
 	ring [ringSize]ringBucket
 
 	// Activity tracking: the simulation core is activity-driven. activeMask
-	// marks routers whose state a Tick could change (occupied input VCs or
-	// draining output pipelines); Step iterates only set bits, in ascending
-	// node order so the event sequence matches the tick-everything baseline
+	// marks the routers Step visits — those whose state a Tick could change
+	// (occupied input VCs or draining output pipelines) — in ascending node
+	// order, so the event sequence matches the tick-everything baseline
 	// exactly. injMask marks nodes whose source injector holds work. Flit
 	// arrivals (ring, slow path, injection) re-arm a router; Step retires a
 	// router at the end of its own pass once its Busy predicate went false.
 	// With Cfg.NoSkip every bit stays permanently set and both masks
 	// degenerate to the original tick-everything loops.
+	//
+	// Waiting routers sleep: a busy router with no buffered flits can do
+	// nothing before wakeAt[node], the earliest instant a queued tx front is
+	// both out of the output pipeline and facing a free link (sleepUntil).
+	// Step parks it in sleepMask, off activeMask but still counted in
+	// activeCount — to quiescence and fast-forward it is as busy as ever —
+	// until markActive (a flit arrived) or the clock reaching nextWake, the
+	// minimum over sleepers, moves it back. Nobody sleeps under NoSkip or on
+	// a tiled network.
 	activeMask  []uint64
 	activeCount int
-	injMask     []uint64
-	injCount    int
+	sleepMask   []uint64
+	wakeAt      []sim.Time
+	nextWake    sim.Time
+	// oversleep is added to every computed wake instant. Test hook: one
+	// router period of it must trip the audit's late-wake invariant.
+	oversleep sim.Duration
+	injMask   []uint64
+	injCount  int
 	// ringCount totals messages buffered across ring buckets, so the
 	// quiescence test is one compare instead of a bucket scan.
 	ringCount int
@@ -447,6 +463,11 @@ type SkipStats struct {
 	// the active list or a fast-forward skipped.
 	RouterTicks       int64
 	RouterTicksElided int64
+	// RouterTicksSlept is the part of RouterTicksElided skipped because the
+	// router, though busy, was asleep waiting out its output pipeline or a
+	// slow link; the rest were idle. Zero on tiled networks, whose engine
+	// does not sleep.
+	RouterTicksSlept int64
 	// ActiveHist[k] counts executed cycles that ticked exactly k routers.
 	ActiveHist []int64
 	// Tile-parallel barrier accounting (zero on untiled networks).
@@ -489,12 +510,95 @@ func (n *Network) TransitionsInFlight() int {
 	return c
 }
 
-// markActive arms one router on the active list.
+// Sleeping counts routers currently asleep: busy, but holding only tx
+// entries that must wait out the output pipeline or a slow link.
+func (n *Network) Sleeping() int {
+	c := 0
+	for _, word := range n.sleepMask {
+		c += bits.OnesCount64(word)
+	}
+	return c
+}
+
+// markActive arms one router on the active list: every flit arrival path
+// (ring bucket, injection, scheduler slow path) comes through here. A
+// sleeper is woken — it is already counted as active.
 func (n *Network) markActive(node int) {
 	w, b := node>>6, uint64(1)<<(node&63)
 	if n.activeMask[w]&b == 0 {
 		n.activeMask[w] |= b
-		n.activeCount++
+		if n.sleepMask[w]&b != 0 {
+			n.sleepMask[w] &^= b
+		} else {
+			n.activeCount++
+		}
+	}
+}
+
+// never is a wake instant no clock reaches: nextWake while nobody sleeps.
+const never = sim.Time(math.MaxInt64)
+
+// sleepUntil reports the earliest instant a router holding nothing but
+// queued tx entries can act: the minimum over its queued output ports of
+// the front entry clearing the output pipeline and — on link ports — the
+// link being able to send. Only the router's own pass pushes or pops its
+// tx queues and sends on its links, and DVS transitions only push a link's
+// EarliestSend later, so the instant can be early, never late.
+func sleepUntil(r *router.Router) sim.Time {
+	wake := never
+	for mask := r.TxPortMask(); mask != 0; mask &= mask - 1 {
+		out := r.Outputs[bits.TrailingZeros32(mask)]
+		at := out.TxFront().ReadyAt()
+		if out.Link != nil {
+			at = max(at, out.Link.EarliestSend())
+		}
+		wake = min(wake, at)
+	}
+	return wake
+}
+
+// sleep parks an active router that is busy with no buffered flits until
+// sleepUntil — unless that is the very next cycle, when parking would skip
+// no visit and only cost the bookkeeping (at saturation most waits are that
+// short). now is the instant of the cycle just executed.
+func (n *Network) sleep(node int, r *router.Router, now sim.Time) {
+	at := sleepUntil(r) + n.oversleep
+	if at <= now+n.Cfg.RouterPeriod {
+		return
+	}
+	w, b := node>>6, uint64(1)<<(node&63)
+	n.activeMask[w] &^= b
+	n.sleepMask[w] |= b
+	n.wakeAt[node] = at
+	if at < n.nextWake {
+		n.nextWake = at
+	}
+}
+
+// wakeSleepers moves every sleeper whose instant has come back to the
+// active mask and re-derives nextWake over the rest. A sleeper markActive
+// woke early may leave nextWake stale-early; the scan that provokes is a
+// no-op that fixes it.
+func (n *Network) wakeSleepers(now sim.Time) {
+	n.nextWake = never
+	for w, word := range n.sleepMask {
+		for ; word != 0; word &= word - 1 {
+			node := w<<6 + bits.TrailingZeros64(word)
+			if at := n.wakeAt[node]; at <= now {
+				n.sleepMask[w] &^= 1 << (node & 63)
+				n.activeMask[w] |= 1 << (node & 63)
+			} else if at < n.nextWake {
+				n.nextWake = at
+			}
+		}
+	}
+}
+
+// auditSleepers shows the audit every router of one mask word that this
+// cycle's pass skips as asleep.
+func (n *Network) auditSleepers(base int, asleep uint64, now sim.Time) {
+	for ; asleep != 0; asleep &= asleep - 1 {
+		n.aud.OnSleepSkip(base+bits.TrailingZeros64(asleep), now, n.cycle)
 	}
 }
 
@@ -621,6 +725,9 @@ func New(cfg Config) (*Network, error) {
 	words := (nodes + 63) / 64
 	n.activeMask = make([]uint64, words)
 	n.injMask = make([]uint64, words)
+	n.sleepMask = make([]uint64, words)
+	n.wakeAt = make([]sim.Time, nodes)
+	n.nextWake = never
 	n.skips.ActiveHist = make([]int64, nodes+1)
 	n.noskip = cfg.NoSkip
 	if n.noskip && n.tiles == nil {
@@ -768,7 +875,9 @@ func (n *Network) Now() sim.Time { return n.Sched.Now() }
 // list if that left it idle — and finally the DVS policy when a history
 // window closes. Routers not on the active list are skipped; skipping them
 // is exact, because an idle router's Tick, transmit and eject are provable
-// no-ops (see Router.Busy).
+// no-ops (see Router.Busy) — and so are those of a sleeping one, busy but
+// with no buffered flits, before its wake instant (see sleepUntil; under
+// Audit every such skip is checked).
 //
 // Fusing the phases per router is exact too. Inside a cycle routers affect
 // each other only through ring buckets due at cycle+1 or later and through
@@ -788,9 +897,18 @@ func (n *Network) Step() {
 	n.Sched.RunUntil(now)
 	n.drainRing(now)
 	n.injectFlits(now)
-	ticked := 0
+	if now >= n.nextWake {
+		n.wakeSleepers(now)
+	}
+	ticked, slept := 0, 0
 	for w, word := range n.activeMask {
 		base := w << 6
+		if s := n.sleepMask[w]; s != 0 {
+			slept += bits.OnesCount64(s)
+			if n.aud != nil {
+				n.auditSleepers(base, s, now)
+			}
+		}
 		for word != 0 {
 			node := base + bits.TrailingZeros64(word)
 			word &= word - 1
@@ -801,7 +919,14 @@ func (n *Network) Step() {
 				n.transmitNode(r, node, now)
 			}
 			n.ejectNode(r, now)
-			if !n.noskip && !r.Busy() {
+			if r.BufferedFlits() != 0 || n.noskip {
+				continue
+			}
+			if r.Busy() {
+				// Only queued tx left: nothing to do until a front clears
+				// the output pipeline and its link frees.
+				n.sleep(node, r, now)
+			} else {
 				// Idle: the bit re-arms on the next flit arrival (ring
 				// delivery, injection, or slow path).
 				n.activeMask[w] &^= 1 << (node & 63)
@@ -812,6 +937,7 @@ func (n *Network) Step() {
 	n.skips.CyclesExecuted++
 	n.skips.RouterTicks += int64(ticked)
 	n.skips.RouterTicksElided += int64(len(n.Routers) - ticked)
+	n.skips.RouterTicksSlept += int64(slept)
 	n.skips.ActiveHist[ticked]++
 	n.cycle++
 	if !n.dvsHold && n.cycle%int64(n.Cfg.DVS.H) == 0 {

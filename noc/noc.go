@@ -371,6 +371,10 @@ type SkipStats struct {
 	RouterTicks       int64
 	RouterTicksElided int64
 	ElisionRatio      float64
+	// RouterTicksSlept is the part of RouterTicksElided spent on routers
+	// that were busy but asleep, waiting out their output pipeline or a slow
+	// link; the rest were idle. Zero when Config.Tiles > 1.
+	RouterTicksSlept int64
 	// ActiveHist[k] counts executed cycles that ticked exactly k routers.
 	ActiveHist []int64
 	// Tile-parallel barrier accounting (zero unless Config.Tiles > 1).
@@ -394,6 +398,7 @@ func (n *Network) SkipStats() SkipStats {
 		RouterTicks:         s.RouterTicks,
 		RouterTicksElided:   s.RouterTicksElided,
 		ElisionRatio:        s.ElisionRatio(),
+		RouterTicksSlept:    s.RouterTicksSlept,
 		ActiveHist:          s.ActiveHist,
 		TileWindows:         s.TileWindows,
 		TileBarriers:        s.TileBarriers,
@@ -424,19 +429,33 @@ func (n *Network) DumpTrace(w io.Writer, kind string) error {
 	if n.inner.Trace == nil {
 		return errors.New("noc: tracing not enabled")
 	}
-	k := -1
-	switch kind {
-	case "":
-	case "inject":
-		k = int(trace.PacketInjected)
-	case "deliver":
-		k = int(trace.PacketDelivered)
-	case "transition":
-		k = int(trace.LinkTransition)
-	case "policy":
-		k = int(trace.PolicyDecision)
-	default:
-		return fmt.Errorf("noc: unknown trace kind %q", kind)
+	k, err := traceKind(kind)
+	if err != nil {
+		return err
 	}
 	return n.inner.Trace.Dump(w, k)
+}
+
+// ValidTraceKind reports whether kind is a filter DumpTrace accepts, so a
+// command can refuse a bad one before it simulates.
+func ValidTraceKind(kind string) error {
+	_, err := traceKind(kind)
+	return err
+}
+
+// traceKind maps a DumpTrace filter name to its event kind, -1 for all.
+func traceKind(kind string) (int, error) {
+	switch kind {
+	case "":
+		return -1, nil
+	case "inject":
+		return int(trace.PacketInjected), nil
+	case "deliver":
+		return int(trace.PacketDelivered), nil
+	case "transition":
+		return int(trace.LinkTransition), nil
+	case "policy":
+		return int(trace.PolicyDecision), nil
+	}
+	return 0, fmt.Errorf("noc: unknown trace kind %q", kind)
 }
