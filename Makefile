@@ -8,9 +8,10 @@
 #   make short   # go test -short ./... — structural tests only, < 60 s
 #   make race    # full test suite under the race detector
 #   make fuzz    # 10s per fuzz target (go test -fuzz takes one at a time)
-#   make bench   # the scheduler and packet-pool alloc-count benchmarks;
-#                # set BENCH_COUNT=10 for benchstat samples. Everything
-#                # else is measured by the benchmark module (benchmarks/)
+#   make bench   # the scheduler, packet-pool and trace-capture benchmarks
+#                # (alloc counts, ns per arrival); set BENCH_COUNT=10 for
+#                # benchstat samples. Everything else is measured by the
+#                # benchmark module (benchmarks/)
 #   make benchmark-smoke # vet + unit-test the benchmark module (benchmarks/,
 #                # a Go module of its own that `go build ./...` never sees)
 #                # and run one 3-second traced point, failing if any
@@ -84,6 +85,7 @@ retired:
 bench:
 	$(GO) test ./internal/sim -run xxx -bench BenchmarkSchedulerPushPop -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/flow -run xxx -bench BenchmarkPacketAlloc -benchmem -count=$(BENCH_COUNT)
+	$(GO) test ./internal/traffic -run xxx -bench BenchmarkCapture -benchmem -count=$(BENCH_COUNT)
 
 # The benchmark (BENCHMARK.json, benchmarks/) builds its driver and sixteen
 # per-layer probes from source against this tree's packages, so a change

@@ -113,6 +113,10 @@ func main() {
 	if set["tiles"] || *cfgPath == "" {
 		cfg.Tiles = *tiles
 	}
+	workload := noc.TwoLevelWorkload{Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur, Seed: *seed}
+	if err := validateWorkload(cfg, *traffic, workload); err != nil {
+		fail(err)
+	}
 	// The tiled engine replays recorded traces only; live traffic models and
 	// event tracing need the single-scheduler core. Results are identical at
 	// every tile count, so degrading costs nothing but speed.
@@ -183,9 +187,7 @@ func main() {
 		// The warmup runs policy-frozen on a captured trace; with the run
 		// cache enabled (and no -no-checkpoint), it forks a persisted
 		// snapshot when a compatible invocation already simulated it.
-		n, err = noc.NewWarmedTwoLevel(cfg, noc.TwoLevelWorkload{
-			Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur, Seed: *seed,
-		}, *warmup, *measure, !*noCkpt)
+		n, err = noc.NewWarmedTwoLevel(cfg, workload, *warmup, *measure, !*noCkpt)
 		if err != nil {
 			fail(err)
 		}
@@ -202,20 +204,20 @@ func main() {
 		}
 		switch *traffic {
 		case "uniform":
-			n.AttachUniform(*rate)
+			err = n.AttachUniform(*rate)
 		case "transpose":
-			n.AttachTranspose(*rate)
+			err = n.AttachTranspose(*rate)
 		case "bitreverse":
-			n.AttachBitReverse(*rate)
+			err = n.AttachBitReverse(*rate)
 		case "shuffle":
-			n.AttachShuffle(*rate)
+			err = n.AttachShuffle(*rate)
 		case "tornado":
-			n.AttachTornado(*rate)
+			err = n.AttachTornado(*rate)
 		case "hotspot":
-			n.AttachHotspot(*rate, 0, 0.2)
-		default:
-			fmt.Fprintf(os.Stderr, "netsim: unknown traffic %q\n", *traffic)
-			os.Exit(1)
+			err = n.AttachHotspot(*rate, 0, 0.2)
+		}
+		if err != nil {
+			fail(err)
 		}
 		n.Warmup(*warmup)
 	}
@@ -274,6 +276,20 @@ func validateBudget(warmup, measure int64, traceN int, traceKind string) error {
 		return fmt.Errorf("-trace %d: must not be negative", traceN)
 	}
 	return noc.ValidTraceKind(traceKind)
+}
+
+// validateWorkload refuses an unknown -traffic and a -rate its workload
+// cannot run at — NaN, an infinity, zero or less, more than one packet per
+// node per cycle — with one line before anything simulates, where the model
+// would otherwise never finish (a zero or NaN emission gap) or panic.
+func validateWorkload(cfg noc.Config, traffic string, w noc.TwoLevelWorkload) error {
+	switch traffic {
+	case "twolevel":
+		return w.Validate(cfg)
+	case "uniform", "transpose", "bitreverse", "shuffle", "tornado", "hotspot":
+		return noc.ValidNodeRate(w.Rate)
+	}
+	return fmt.Errorf("unknown traffic %q", traffic)
 }
 
 // fail prints one diagnostic line and exits with status 1.

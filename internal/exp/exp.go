@@ -260,9 +260,14 @@ func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.M
 // because a tiled network replays recorded traces only: a live run
 // degrades cfg to the untiled engine — same bytes, one scheduler — with
 // one stderr note per workload and reason (silent fallback hid exactly the
-// -full points users most expect to parallelize).
+// -full points users most expect to parallelize). Parameters the model
+// rejects are an error before either path, never a note.
 func workload(cfg *network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
 	topo := topology.New(cfg.K, cfg.N, cfg.Torus)
+	m, err := traffic.NewTwoLevel(p, topo)
+	if err != nil {
+		return nil, nil, err
+	}
 	if !noTraceMemo {
 		tr, reason := traffic.SharedTwoLevelTrace(p, topo, horizon)
 		if tr != nil {
@@ -274,8 +279,7 @@ func workload(cfg *network.Config, p traffic.TwoLevelParams, horizon sim.Time) (
 		}
 	}
 	cfg.Tiles = 0
-	m, err := traffic.NewTwoLevel(p, topo)
-	return m, nil, err
+	return m, nil, nil
 }
 
 // traceFallbackNotes dedupes workload's notes: a sweep asks for the

@@ -13,6 +13,14 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets the generator in place to the stream NewRNG(seed) starts. A
+// generator held by value then draws exactly what an allocated one would:
+// child.Seed(parent.Uint64()) is parent.Split() without the allocation.
+func (r *RNG) Seed(seed uint64) {
 	// splitmix64 expansion of the seed, per Blackman & Vigna's
 	// recommendation for initializing xoshiro state.
 	x := seed
@@ -23,7 +31,6 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives an independent child stream. The child is seeded from the

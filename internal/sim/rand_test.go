@@ -133,6 +133,24 @@ func TestSplitIndependent(t *testing.T) {
 	}
 }
 
+// A generator re-seeded in place from its parent's next word must draw
+// exactly what Split's allocated child draws, and re-seeding must forget
+// all earlier state.
+func TestSeedMatchesSplit(t *testing.T) {
+	a, b := NewRNG(37), NewRNG(37)
+	var child RNG
+	child.Uint64() // state that Seed must overwrite
+	for k := 0; k < 3; k++ {
+		split := a.Split()
+		child.Seed(b.Uint64())
+		for i := 0; i < 16; i++ {
+			if x, y := split.Uint64(), child.Uint64(); x != y {
+				t.Fatalf("child %d draw %d: Split %d, Seed %d", k, i, x, y)
+			}
+		}
+	}
+}
+
 func TestUniformRange(t *testing.T) {
 	r := NewRNG(29)
 	for i := 0; i < 1000; i++ {

@@ -66,7 +66,7 @@ func (h *Hotspot) Name() string { return "hotspot" }
 // Launch implements Model.
 func (h *Hotspot) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector) {
 	root := sim.NewRNG(h.Seed)
-	meanGap := float64(h.CyclePeriod) / h.RatePerNode
+	meanGap := nodeGap(h.CyclePeriod, h.RatePerNode)
 	for n := 0; n < h.Topo.Nodes(); n++ {
 		n := n
 		if n == h.Hot {

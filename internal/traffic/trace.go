@@ -1,9 +1,8 @@
-// Memoized traffic traces. Generating two-level self-similar traffic is
-// the dominant steady-state allocator in a sweep (per-session RNGs, ON/OFF
-// chain closures, sphere caches), and every policy-ablation point at one
-// (seed, rate, horizon) regenerates the identical arrival sequence — the
-// model's randomness is independent of the network it drives. Capture runs
-// the model once against a private scheduler and encodes the arrivals
+// Memoized traffic traces. Generating two-level self-similar traffic costs
+// Pareto draws and heap work for every ON/OFF period of every session, and
+// every policy-ablation point at one (seed, rate, horizon) regenerates the
+// identical arrival sequence — the model's randomness is independent of
+// the network it drives. Capture runs the model once and encodes the arrivals
 // directly into the tracestore wire form (delta varints, ~5 bytes per
 // arrival instead of a 24-byte struct); the resulting Trace is an
 // immutable Model that replays them with zero steady-state allocation,
@@ -122,14 +121,21 @@ func (c *cursor) load(block int) {
 	c.base = block * c.enc.BlockLen()
 }
 
-// Capture runs m against a private scheduler and records every injection
-// up to horizon, encoding incrementally — the raw arrival slice is never
-// materialized. The recorded sequence is exactly the sequence the model
-// would deliver to a live network: model event chains consume only their
-// own RNG state and their own event times, never network state.
+// Capture records every injection m makes up to horizon, encoding
+// incrementally (a two-level model drains straight into the encoder, any
+// other runs against a private scheduler). The recorded sequence is exactly
+// the sequence the model would deliver to a live network: models consume
+// only their own RNG state and their own event times, never network state.
 func Capture(m Model, horizon sim.Time) *Trace {
-	var sched sim.Scheduler
 	e := tracestore.NewEncoder(m.Name(), horizon)
+	if tl, ok := m.(*TwoLevel); ok {
+		g := tl.start(0, horizon)
+		for a, ok := g.next(); ok; a, ok = g.next() {
+			e.Append(a)
+		}
+		return &Trace{enc: e.Finish()}
+	}
+	var sched sim.Scheduler
 	m.Launch(&sched, horizon, func(src, dst int, now sim.Time, task int64) {
 		e.Append(Arrival{At: now, Task: task, Src: int32(src), Dst: int32(dst)})
 	})

@@ -8,6 +8,8 @@
 package traffic
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -22,15 +24,33 @@ type Model interface {
 	// Launch arms the model's event chains. Events beyond horizon are not
 	// scheduled. inject may be called many times per event.
 	//
-	// Every model must pre-schedule its next injection as a scheduler
-	// event chain (each event arms the next) rather than drawing lazily
-	// inside the network's cycle loop. The network's quiescent
-	// fast-forward depends on this: the scheduler's earliest pending event
-	// time bounds the jump, so the next injection is visible via PeekTime
-	// without consuming any RNG state.
+	// Every model must keep its next injection instant pending as a
+	// scheduler event chain (each firing arms the next), never decide inside
+	// the network's cycle loop: quiescent fast-forward bounds its jumps by
+	// the earliest pending event, so that instant must be visible via
+	// PeekTime. How far ahead of simulated time a model draws its own
+	// private random stream is unobservable.
 	Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector)
 	// Name identifies the model in experiment output.
 	Name() string
+}
+
+// ValidNodeRate reports whether ratePerNode, in packets per cycle, suits
+// the per-node models (Uniform, Permutation, Hotspot): finite, in (0, 1].
+func ValidNodeRate(ratePerNode float64) error {
+	if !(ratePerNode > 0 && ratePerNode <= 1) {
+		return fmt.Errorf("traffic: per-node rate %g outside (0, 1] packets/cycle", ratePerNode)
+	}
+	return nil
+}
+
+// nodeGap is a per-node model's mean Poisson gap. It panics on a rate
+// ValidNodeRate rejects rather than arm a chain that could never end.
+func nodeGap(period sim.Duration, ratePerNode float64) float64 {
+	if err := ValidNodeRate(ratePerNode); err != nil {
+		panic(err)
+	}
+	return float64(period) / ratePerNode
 }
 
 // Uniform injects packets at each node as an independent Poisson process
@@ -53,7 +73,7 @@ func (u *Uniform) Name() string { return "uniform" }
 // Launch implements Model.
 func (u *Uniform) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector) {
 	root := sim.NewRNG(u.Seed)
-	meanGap := float64(u.CyclePeriod) / u.RatePerNode
+	meanGap := nodeGap(u.CyclePeriod, u.RatePerNode)
 	for n := 0; n < u.Topo.Nodes(); n++ {
 		n := n
 		rng := root.Split()
@@ -95,7 +115,7 @@ func (p *Permutation) Name() string { return "permutation" }
 // Launch implements Model.
 func (p *Permutation) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector) {
 	root := sim.NewRNG(p.Seed)
-	meanGap := float64(p.CyclePeriod) / p.RatePerNode
+	meanGap := nodeGap(p.CyclePeriod, p.RatePerNode)
 	for n := 0; n < p.Topo.Nodes(); n++ {
 		n := n
 		dst := p.Pattern(n)

@@ -82,8 +82,8 @@ func (p TwoLevelParams) Validate() error {
 		return fmt.Errorf("traffic: AvgTasks = %d", p.AvgTasks)
 	case p.AvgTaskDuration <= 0:
 		return fmt.Errorf("traffic: AvgTaskDuration = %v", p.AvgTaskDuration)
-	case p.TotalRate <= 0:
-		return fmt.Errorf("traffic: TotalRate = %g", p.TotalRate)
+	case !(p.TotalRate > 0) || math.IsInf(p.TotalRate, 1):
+		return fmt.Errorf("traffic: TotalRate = %g, want a finite rate > 0 packets/cycle", p.TotalRate)
 	case p.CyclePeriod <= 0:
 		return fmt.Errorf("traffic: CyclePeriod = %v", p.CyclePeriod)
 	case p.SphereProb < 0 || p.SphereProb > 1:
@@ -136,27 +136,22 @@ type TwoLevel struct {
 	P    TwoLevelParams
 	Topo *topology.Cube
 
-	// shells caches NodesAtDistance per source for sphere-of-locality
-	// sampling.
-	inSphere  map[int][]int
-	outSphere map[int][]int
-
-	nextTask int64
-	// TasksStarted counts spawned sessions (instrumentation).
-	TasksStarted int64
+	// inSphere and outSphere cache NodesAtDistance per source node for
+	// sphere-of-locality sampling, filled on first use.
+	inSphere  [][]int
+	outSphere [][]int
 }
 
-// NewTwoLevel validates p and returns the model.
+// NewTwoLevel validates p against topo and returns the model.
 func NewTwoLevel(p TwoLevelParams, topo *topology.Cube) (*TwoLevel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &TwoLevel{
-		P:         p,
-		Topo:      topo,
-		inSphere:  make(map[int][]int),
-		outSphere: make(map[int][]int),
-	}, nil
+	n := topo.Nodes()
+	if p.TotalRate > float64(n) {
+		return nil, fmt.Errorf("traffic: TotalRate = %g exceeds one packet per node per cycle (%d nodes)", p.TotalRate, n)
+	}
+	return &TwoLevel{P: p, Topo: topo, inSphere: make([][]int, n), outSphere: make([][]int, n)}, nil
 }
 
 // Name implements Model.
@@ -164,19 +159,17 @@ func (m *TwoLevel) Name() string { return "two-level" }
 
 // sphere returns the (inside, outside) node lists for a source.
 func (m *TwoLevel) sphere(src int) (in, out []int) {
-	if got, ok := m.inSphere[src]; ok {
-		return got, m.outSphere[src]
-	}
-	for h := 1; h <= m.Topo.MaxDistance(); h++ {
-		nodes := m.Topo.NodesAtDistance(src, h)
-		if h <= m.P.SphereRadius {
-			in = append(in, nodes...)
-		} else {
-			out = append(out, nodes...)
+	if m.inSphere[src] == nil && m.outSphere[src] == nil {
+		for h := 1; h <= m.Topo.MaxDistance(); h++ {
+			nodes := m.Topo.NodesAtDistance(src, h)
+			if h <= m.P.SphereRadius {
+				m.inSphere[src] = append(m.inSphere[src], nodes...)
+			} else {
+				m.outSphere[src] = append(m.outSphere[src], nodes...)
+			}
 		}
 	}
-	m.inSphere[src], m.outSphere[src] = in, out
-	return in, out
+	return m.inSphere[src], m.outSphere[src]
 }
 
 // pickDst applies the sphere-of-locality rule.
@@ -189,44 +182,137 @@ func (m *TwoLevel) pickDst(src int, rng *sim.RNG) int {
 	return pool[rng.Intn(len(pool))]
 }
 
-// Launch implements Model: it arms the Poisson task spawner, which in turn
-// arms each session's ON/OFF source chains.
+// Launch implements Model. It advances the machine Capture drains behind
+// one chained scheduler event per distinct arrival instant, the shape of a
+// trace replay, so a live run injects exactly what its trace replays.
 func (m *TwoLevel) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector) {
-	rng := sim.NewRNG(m.P.Seed)
-	meanGap := float64(m.P.AvgTaskDuration) / float64(m.P.AvgTasks)
-	var spawn func()
-	spawn = func() {
-		m.startTask(sched, horizon, inject, rng.Split(), false)
-		next := sched.Now() + sim.Time(rng.Exp(meanGap))
-		if next <= horizon {
-			sched.At(next, spawn)
+	g := m.start(sched.Now(), horizon)
+	a, ok := g.next()
+	var step func()
+	step = func() {
+		for at := a.At; ok && a.At == at; a, ok = g.next() {
+			inject(int(a.Src), int(a.Dst), at, a.Task)
+		}
+		if ok {
+			sched.At(a.At, step)
 		}
 	}
+	if ok {
+		sched.At(a.At, step)
+	}
+}
+
+// The model runs as one event machine: sources are recycled slab slots
+// holding their random streams by value, pending events a pointer-free
+// heap, so generation allocates nothing per session, source or ON period.
+// Seq follows arming order and every source draws from a private stream,
+// so the arrivals depend on the parameters and horizon alone (DESIGN.md
+// §9; TestTwoLevelTraceDigests pins them).
+
+// Machine event kinds.
+const (
+	evSpawn int32 = iota // the Poisson spawner starts a session
+	evOn                 // a source's OFF period ends
+	evOff                // a source's ON period ends
+	evEmit               // a source emits one packet
+)
+
+// event is one pending machine event.
+type event struct {
+	at   sim.Time
+	seq  int64
+	src  int32 // slab slot of the source; unused by evSpawn
+	kind int32
+}
+
+func (a *event) less(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// source is one Pareto ON/OFF source of a session.
+type source struct {
+	rng     sim.RNG
+	node    int32 // the session's source node
+	pending int32 // queued events; the slot is recycled at zero
+	task    int64
+	gap     sim.Duration // emission spacing while ON
+	end     sim.Time     // session end, clamped to the horizon
+	onEnd   sim.Time     // end of the current ON period
+}
+
+// machine generates one launch of a TwoLevel model.
+type machine struct {
+	m        *TwoLevel
+	horizon  sim.Time
+	rng      sim.RNG // the spawner's stream; sessions split off it
+	meanGap  float64 // mean session inter-arrival time
+	nextTask int64
+	seq      int64
+	queue    []event // 4-ary min-heap on (at, seq)
+	slab     []source
+	free     []int32
+}
+
+// start arms a machine at instant now.
+func (m *TwoLevel) start(now, horizon sim.Time) *machine {
+	g := &machine{m: m, horizon: horizon,
+		meanGap: float64(m.P.AvgTaskDuration) / float64(m.P.AvgTasks)}
+	g.rng.Seed(m.P.Seed)
 	// Pre-populate: at t=0 the steady state already has ~AvgTasks sessions
 	// in flight; start them immediately with residual lifetimes so the
 	// simulation needs no multi-millisecond warmup to reach Little's-law
 	// equilibrium.
 	for i := 0; i < m.P.AvgTasks; i++ {
-		m.startTask(sched, horizon, inject, rng.Split(), true)
+		g.startTask(now, true)
 	}
-	first := sim.Time(rng.Exp(meanGap))
-	if first <= horizon {
-		sched.At(first, spawn)
+	if first := sim.Time(g.rng.Exp(g.meanGap)); first <= horizon {
+		g.push(first, -1, evSpawn)
 	}
+	return g
+}
+
+// next runs the machine up to its next arrival; ok is false once the
+// workload is exhausted.
+func (g *machine) next() (a Arrival, ok bool) {
+	for len(g.queue) > 0 && !ok {
+		ev := g.pop()
+		switch ev.kind {
+		case evSpawn:
+			g.startTask(ev.at, false)
+			if next := ev.at + sim.Time(g.rng.Exp(g.meanGap)); next <= g.horizon {
+				g.push(next, -1, evSpawn)
+			}
+		case evOn, evOff:
+			g.period(ev.src, ev.at, ev.kind == evOn)
+		case evEmit:
+			s := &g.slab[ev.src]
+			a, ok = Arrival{At: ev.at, Task: s.task, Src: s.node,
+				Dst: int32(g.m.pickDst(int(s.node), &s.rng))}, true
+			if next := ev.at + s.gap; next < s.onEnd {
+				g.push(next, ev.src, evEmit)
+			}
+		}
+		if ev.kind != evSpawn {
+			g.release(ev.src)
+		}
+	}
+	return a, ok
 }
 
 // startTask creates one communication session: a source node, a duration,
-// a target rate, and SourcesPerTask ON/OFF chains. Destinations are drawn
+// a target rate, and SourcesPerTask ON/OFF sources. Destinations are drawn
 // per packet from the sphere of locality around the source (Reed &
 // Grunwald model a per-message destination distribution), so a session
 // spreads its load across its neighborhood rather than hammering one path.
-func (m *TwoLevel) startTask(sched *sim.Scheduler, horizon sim.Time, inject Injector, rng *sim.RNG, initial bool) {
-	id := m.nextTask
-	m.nextTask++
-	m.TasksStarted++
+func (g *machine) startTask(now sim.Time, initial bool) {
+	p := &g.m.P
+	var rng sim.RNG
+	rng.Seed(g.rng.Uint64())
+	task := g.nextTask
+	g.nextTask++
 
-	src := rng.Intn(m.Topo.Nodes())
-	dur := sim.Time(rng.UniformRange(0.5, 1.5) * float64(m.P.AvgTaskDuration))
+	node := rng.Intn(g.m.Topo.Nodes())
+	dur := sim.Time(rng.UniformRange(0.5, 1.5) * float64(p.AvgTaskDuration))
 	if initial {
 		// A session already in flight at t=0 has only its residual
 		// lifetime left.
@@ -235,18 +321,18 @@ func (m *TwoLevel) startTask(sched *sim.Scheduler, horizon sim.Time, inject Inje
 			return
 		}
 	}
-	end := sched.Now() + dur
-	if end > horizon {
-		end = horizon
+	end := now + dur
+	if end > g.horizon {
+		end = g.horizon
 	}
 
 	// Session rate (packets/cycle), jittered around the per-session mean.
-	mean := m.P.TotalRate / float64(m.P.AvgTasks)
-	rate := rng.UniformRange(1-m.P.RateJitter, 1+m.P.RateJitter) * mean
+	mean := p.TotalRate / float64(p.AvgTasks)
+	rate := rng.UniformRange(1-p.RateJitter, 1+p.RateJitter) * mean
 	// Per-source emission rate while ON, such that SourcesPerTask sources
 	// at the session's clipped duty cycle average out to the session rate.
-	perSourceOn := rate / (float64(m.P.SourcesPerTask) * m.P.dutyCycleOver(dur))
-	gap := sim.Time(float64(m.P.CyclePeriod) / perSourceOn)
+	perSourceOn := rate / (float64(p.SourcesPerTask) * p.dutyCycleOver(dur))
+	gap := sim.Time(float64(p.CyclePeriod) / perSourceOn)
 	if gap <= 0 {
 		gap = 1
 	}
@@ -254,61 +340,97 @@ func (m *TwoLevel) startTask(sched *sim.Scheduler, horizon sim.Time, inject Inje
 	// Every source of the session starts ON with the same probability: the
 	// duty cycle clipped to what is left of the session after the horizon
 	// clamp. Computed once here, not once per source.
-	duty := m.P.dutyCycleOver(end - sched.Now())
-	for s := 0; s < m.P.SourcesPerTask; s++ {
-		m.startSource(sched, end, inject, rng.Split(), src, id, gap, duty)
+	duty := p.dutyCycleOver(end - now)
+	for k := 0; k < p.SourcesPerTask; k++ {
+		i := int32(len(g.slab))
+		if n := len(g.free); n > 0 {
+			i, g.free = g.free[n-1], g.free[:n-1]
+		} else {
+			g.slab = append(g.slab, source{})
+		}
+		s := &g.slab[i]
+		*s = source{node: int32(node), pending: 1, task: task, gap: gap, end: end}
+		s.rng.Seed(rng.Uint64())
+		// Start in steady state: ON with probability the clipped duty.
+		g.period(i, now, s.rng.Float64() < duty)
+		g.release(i) // the start itself
 	}
 }
 
-// startSource runs one Pareto ON/OFF chain for a session. During an ON
-// period packets leave with deterministic spacing `gap`, starting at a
-// uniform phase; OFF periods emit nothing. The chain starts ON with
-// probability duty and dies at the session end.
-func (m *TwoLevel) startSource(sched *sim.Scheduler, end sim.Time, inject Injector,
-	rng *sim.RNG, src int, task int64, gap sim.Duration, duty float64) {
+// period starts an ON period — a packet train at spacing gap from a
+// uniform phase, and the OFF period at its end — or an OFF period, which
+// emits nothing. Nothing outlives the session.
+func (g *machine) period(i int32, now sim.Time, on bool) {
+	s, p := &g.slab[i], &g.m.P
+	if now >= s.end {
+		return
+	}
+	if !on {
+		if next := now + sim.Time(s.rng.Pareto(p.OffShape, float64(p.OffLocation))); next < s.end {
+			g.push(next, i, evOn)
+		}
+		return
+	}
+	s.onEnd = now + sim.Time(s.rng.Pareto(p.OnShape, float64(p.OnLocation)))
+	if s.onEnd > s.end {
+		s.onEnd = s.end
+	}
+	if first := now + sim.Time(s.rng.Float64()*float64(s.gap)); first < s.onEnd {
+		g.push(first, i, evEmit)
+	}
+	if s.onEnd < s.end {
+		g.push(s.onEnd, i, evOff)
+	}
+}
 
-	var on, off func()
-	on = func() {
-		now := sched.Now()
-		if now >= end {
-			return
-		}
-		onEnd := now + sim.Time(rng.Pareto(m.P.OnShape, float64(m.P.OnLocation)))
-		if onEnd > end {
-			onEnd = end
-		}
-		// Packet train during the ON period.
-		first := now + sim.Time(rng.Float64()*float64(gap))
-		var emit func()
-		emit = func() {
-			inject(src, m.pickDst(src, rng), sched.Now(), task)
-			next := sched.Now() + gap
-			if next < onEnd {
-				sched.At(next, emit)
+// release retires one of slot i's pending events, recycling the slot once
+// none is left.
+func (g *machine) release(i int32) {
+	if g.slab[i].pending--; g.slab[i].pending == 0 {
+		g.free = append(g.free, i)
+	}
+}
+
+// push queues an event under the next sequence number, so events of one
+// instant fire in the order the model armed them.
+func (g *machine) push(at sim.Time, src, kind int32) {
+	g.seq++
+	if src >= 0 {
+		g.slab[src].pending++
+	}
+	e := event{at: at, seq: g.seq, src: src, kind: kind}
+	g.queue = append(g.queue, e)
+	i := len(g.queue) - 1
+	for ; i > 0 && e.less(&g.queue[(i-1)/4]); i = (i - 1) / 4 {
+		g.queue[i] = g.queue[(i-1)/4]
+	}
+	g.queue[i] = e
+}
+
+// pop removes and returns the earliest event.
+func (g *machine) pop() event {
+	top, n := g.queue[0], len(g.queue)-1
+	last := g.queue[n]
+	if g.queue = g.queue[:n]; n > 0 {
+		g.siftDown(last)
+	}
+	return top
+}
+
+// siftDown puts e in the root slot and restores heap order below it.
+func (g *machine) siftDown(e event) {
+	q, i := g.queue, 0
+	for c := 1; c < len(q); c = 4*i + 1 {
+		best := c
+		for j := c + 1; j < min(c+4, len(q)); j++ {
+			if q[j].less(&q[best]) {
+				best = j
 			}
 		}
-		if first < onEnd {
-			sched.At(first, emit)
+		if !q[best].less(&e) {
+			break
 		}
-		offStart := onEnd
-		if offStart < end {
-			sched.At(offStart, off)
-		}
+		q[i], i = q[best], best
 	}
-	off = func() {
-		now := sched.Now()
-		if now >= end {
-			return
-		}
-		next := now + sim.Time(rng.Pareto(m.P.OffShape, float64(m.P.OffLocation)))
-		if next < end {
-			sched.At(next, on)
-		}
-	}
-	// Start in steady state: ON with probability the clipped duty cycle.
-	if rng.Float64() < duty {
-		on()
-	} else {
-		off()
-	}
+	q[i] = e
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -216,6 +217,23 @@ func (w TwoLevelWorkload) params(seed uint64) traffic.TwoLevelParams {
 	return p
 }
 
+// Validate reports whether the workload can drive a network built from c —
+// the checks AttachTwoLevel and NewWarmedTwoLevel apply, among them a
+// finite rate in (0, nodes] packets/cycle — without building either.
+func (w TwoLevelWorkload) Validate(c Config) error {
+	lowered, err := c.lower()
+	if err != nil {
+		return err
+	}
+	_, err = traffic.NewTwoLevel(w.params(lowered.Seed), topology.New(lowered.K, lowered.N, lowered.Torus))
+	return err
+}
+
+// ValidNodeRate reports whether ratePerNode is usable by the per-node
+// workloads (AttachUniform, the permutation patterns, AttachHotspot):
+// finite and in (0, 1] packets per cycle.
+func ValidNodeRate(ratePerNode float64) error { return traffic.ValidNodeRate(ratePerNode) }
+
 // AttachTwoLevel arms the two-level workload for the rest of the
 // simulation (one full second of simulated time, effectively unbounded).
 func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
@@ -231,8 +249,11 @@ func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
 }
 
 // AttachUniform arms uniform-random Poisson traffic at ratePerNode packets
-// per cycle per node.
-func (n *Network) AttachUniform(ratePerNode float64) {
+// per cycle per node. It refuses a rate ValidNodeRate rejects.
+func (n *Network) AttachUniform(ratePerNode float64) error {
+	if err := ValidNodeRate(ratePerNode); err != nil {
+		return err
+	}
 	u := &traffic.Uniform{
 		Topo:        n.inner.Topo,
 		RatePerNode: ratePerNode,
@@ -240,32 +261,37 @@ func (n *Network) AttachUniform(ratePerNode float64) {
 		Seed:        n.inner.Cfg.Seed,
 	}
 	n.inner.Launch(u, sim.Time(1e12))
+	return nil
 }
 
-// AttachTranspose arms matrix-transpose permutation traffic.
-func (n *Network) AttachTranspose(ratePerNode float64) {
-	n.attachPermutation(ratePerNode, traffic.Transpose(n.inner.Topo))
+// AttachTranspose arms matrix-transpose permutation traffic. Like every
+// permutation pattern, it refuses a rate ValidNodeRate rejects.
+func (n *Network) AttachTranspose(ratePerNode float64) error {
+	return n.attachPermutation(ratePerNode, traffic.Transpose(n.inner.Topo))
 }
 
 // AttachBitReverse arms bit-reversal permutation traffic (power-of-two
 // node counts only).
-func (n *Network) AttachBitReverse(ratePerNode float64) {
-	n.attachPermutation(ratePerNode, traffic.BitReverse(n.inner.Topo))
+func (n *Network) AttachBitReverse(ratePerNode float64) error {
+	return n.attachPermutation(ratePerNode, traffic.BitReverse(n.inner.Topo))
 }
 
 // AttachShuffle arms perfect-shuffle permutation traffic (power-of-two
 // node counts only).
-func (n *Network) AttachShuffle(ratePerNode float64) {
-	n.attachPermutation(ratePerNode, traffic.Shuffle(n.inner.Topo))
+func (n *Network) AttachShuffle(ratePerNode float64) error {
+	return n.attachPermutation(ratePerNode, traffic.Shuffle(n.inner.Topo))
 }
 
 // AttachTornado arms tornado traffic: each node sends halfway around its
 // row, the worst case for rings and tori.
-func (n *Network) AttachTornado(ratePerNode float64) {
-	n.attachPermutation(ratePerNode, traffic.Tornado(n.inner.Topo))
+func (n *Network) AttachTornado(ratePerNode float64) error {
+	return n.attachPermutation(ratePerNode, traffic.Tornado(n.inner.Topo))
 }
 
-func (n *Network) attachPermutation(ratePerNode float64, pattern func(int) int) {
+func (n *Network) attachPermutation(ratePerNode float64, pattern func(int) int) error {
+	if err := ValidNodeRate(ratePerNode); err != nil {
+		return err
+	}
 	p := &traffic.Permutation{
 		Topo:        n.inner.Topo,
 		RatePerNode: ratePerNode,
@@ -274,11 +300,15 @@ func (n *Network) attachPermutation(ratePerNode float64, pattern func(int) int) 
 		Pattern:     pattern,
 	}
 	n.inner.Launch(p, sim.Time(1e12))
+	return nil
 }
 
 // AttachHotspot arms uniform traffic in which `fraction` of all packets
-// target the hot node.
-func (n *Network) AttachHotspot(ratePerNode float64, hot int, fraction float64) {
+// target the hot node. It refuses a rate ValidNodeRate rejects.
+func (n *Network) AttachHotspot(ratePerNode float64, hot int, fraction float64) error {
+	if err := ValidNodeRate(ratePerNode); err != nil {
+		return err
+	}
 	h := &traffic.Hotspot{
 		Topo:        n.inner.Topo,
 		RatePerNode: ratePerNode,
@@ -288,6 +318,7 @@ func (n *Network) AttachHotspot(ratePerNode float64, hot int, fraction float64) 
 		Fraction:    fraction,
 	}
 	n.inner.Launch(h, sim.Time(1e12))
+	return nil
 }
 
 // Inject enqueues a single packet (for hand-driven simulations).

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -71,6 +72,43 @@ func TestUniformAndPermutationAttach(t *testing.T) {
 	r2 := m.Measure(10_000)
 	if r2.DeliveredPackets == 0 {
 		t.Error("transpose: nothing delivered")
+	}
+}
+
+// Every workload refuses a rate it cannot run at with an error, before it
+// arms anything, instead of hanging or panicking inside the scheduler.
+func TestAttachRejectsBadRates(t *testing.T) {
+	for _, rate := range []float64{0, -0.1, 1.5, 1e300, math.NaN(), math.Inf(1)} {
+		for name, attach := range map[string]func(*Network) error{
+			"uniform":   func(n *Network) error { return n.AttachUniform(rate) },
+			"transpose": func(n *Network) error { return n.AttachTranspose(rate) },
+			"hotspot":   func(n *Network) error { return n.AttachHotspot(rate, 5, 0.25) },
+		} {
+			n, err := New(smallCfg(PolicyNone))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attach(n) == nil {
+				t.Errorf("%s accepted rate %g", name, rate)
+			}
+		}
+	}
+	cfg := smallCfg(PolicyNone) // 16 nodes
+	for _, rate := range []float64{0, 17, 1e300, math.NaN(), math.Inf(1)} {
+		w := TwoLevelWorkload{Rate: rate, Tasks: 20, TaskDuration: time.Microsecond}
+		if w.Validate(cfg) == nil {
+			t.Errorf("two-level rate %g validated", rate)
+		}
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.AttachTwoLevel(w) == nil {
+			t.Errorf("AttachTwoLevel accepted rate %g", rate)
+		}
+	}
+	if err := (TwoLevelWorkload{Rate: 16, Tasks: 20, TaskDuration: time.Microsecond}).Validate(cfg); err != nil {
+		t.Errorf("two-level rate 16 on 16 nodes: %v", err)
 	}
 }
 
