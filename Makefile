@@ -75,10 +75,15 @@ fuzz:
 
 # Names that must not come back: the second warm-key namespace and the raw
 # store pass-throughs it needed (one run pipeline, exp.Warmed), and the
-# first benchmark system (benchmarks/ replaced it).
+# first benchmark system (benchmarks/ replaced it). The reference paths the
+# equivalence tests compare against (the tick-everything core, the full-scan
+# allocators, lookahead verification) are test hooks and stay out of
+# production Go and CI.
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE 'RefAllocators|VerifyLookahead|Cfg\.NoSkip|NoSkip:|"noskip"|-noskip' -- '*.go' .github ':!*_test.go' ':!benchmarks'; then \
+	  echo 'test-only oracles are reachable outside the tests again (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

@@ -41,7 +41,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed family")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		auditFlag  = flag.Bool("audit", false, "run every simulation under the runtime invariant checker (slower, same output)")
-		noskip     = flag.Bool("noskip", false, "disable the activity-driven simulation core (slower, same output)")
 		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup instead of forking the one policy-frozen warmup its (seed, rate) shares (slower, same output)")
 		jobs       = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		tiles      = flag.Int("tiles", 0, "tile-parallel blocks per simulation (0/1 = single scheduler; output is byte-identical at every tile count)")
@@ -101,7 +100,7 @@ func main() {
 	}
 
 	o := noc.ExperimentOptions{
-		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag, NoSkip: *noskip,
+		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag,
 		NoCheckpoint: *noCkpt, Tiles: *tiles,
 	}
 	var ids []string

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	var (
-		cfgPath  = flag.String("config", "", "JSON config file (see noc.SaveConfig); flags override")
+		cfgPath  = flag.String("config", "", "JSON config file (see noc.SaveConfig); flags given explicitly override it")
 		mesh     = flag.Int("mesh", 8, "mesh size k (k-ary 2-cube)")
 		torus    = flag.Bool("torus", false, "wraparound (torus) channels")
 		policy   = flag.String("policy", "history", "DVS policy: history | none | link-util-only | adaptive-thresholds")
@@ -46,7 +47,6 @@ func main() {
 		measure  = flag.Int64("cycles", 150_000, "measured cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
-		noskip   = flag.Bool("noskip", false, "disable the activity-driven core (tick every router every cycle); identical results, slower")
 		tiles    = flag.Int("tiles", 0, "tile-parallel blocks with conservative lookahead (0/1 = single scheduler); identical results at every count")
 		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup instead of forking the persisted policy-frozen snapshot (twolevel traffic, cache enabled); identical results, slower across policy sweeps")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
@@ -72,48 +72,18 @@ func main() {
 		runtime.GOMAXPROCS(*jobs)
 	}
 
-	cfg := noc.DefaultConfig()
-	if *cfgPath != "" {
-		loaded, err := noc.LoadConfig(*cfgPath)
-		if err != nil {
-			fail(err)
-		}
-		cfg = loaded
-	}
-	// Flags override the config file only when given explicitly.
+	flagCfg := noc.DefaultConfig()
+	flagCfg.MeshSize, flagCfg.Torus = *mesh, *torus
+	flagCfg.Policy, flagCfg.Routing = *policy, *routing
+	flagCfg.VoltTransition, flagCfg.FreqTransitionCycles = *voltTran, *freqTran
+	flagCfg.Seed, flagCfg.Audit, flagCfg.Tiles = *seed, *audit, *tiles
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["mesh"] || *cfgPath == "" {
-		cfg.MeshSize = *mesh
+	cfg, workload, err := resolve(*cfgPath, set, flagCfg,
+		noc.TwoLevelWorkload{Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur})
+	if err != nil {
+		fail(err)
 	}
-	if set["torus"] || *cfgPath == "" {
-		cfg.Torus = *torus
-	}
-	if set["policy"] || *cfgPath == "" {
-		cfg.Policy = *policy
-	}
-	if set["routing"] || *cfgPath == "" {
-		cfg.Routing = *routing
-	}
-	if set["volttran"] || *cfgPath == "" {
-		cfg.VoltTransition = *voltTran
-	}
-	if set["freqtran"] || *cfgPath == "" {
-		cfg.FreqTransitionCycles = *freqTran
-	}
-	if set["seed"] || *cfgPath == "" {
-		cfg.Seed = *seed
-	}
-	if set["audit"] || *cfgPath == "" {
-		cfg.Audit = *audit
-	}
-	if set["noskip"] || *cfgPath == "" {
-		cfg.NoSkip = *noskip
-	}
-	if set["tiles"] || *cfgPath == "" {
-		cfg.Tiles = *tiles
-	}
-	workload := noc.TwoLevelWorkload{Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur, Seed: *seed}
 	if err := validateWorkload(cfg, *traffic, workload); err != nil {
 		fail(err)
 	}
@@ -152,21 +122,17 @@ func main() {
 	if cacheable {
 		// Tile count never changes output bytes, so it is deliberately
 		// neutralized in the key: -tiles variants share one cache entry.
-		// VerifyLookahead is a speed-only debug check, neutralized for the
-		// same reason.
 		keyCfg := cfg
 		keyCfg.Tiles = 0
-		keyCfg.VerifyLookahead = false
 		cfgJSON, err := json.Marshal(keyCfg)
 		if err != nil {
 			fail(err)
 		}
 		cacheKey = fmt.Sprintf("netsim|cfg=%s|traffic=%s|rate=%g|tasks=%d|taskdur=%d|warmup=%d|cycles=%d|seed=%d",
-			cfgJSON, *traffic, *rate, *tasks, int64(*taskDur), *warmup, *measure, *seed)
+			cfgJSON, *traffic, workload.Rate, workload.Tasks, int64(workload.TaskDuration), *warmup, *measure, workload.Seed)
 		var cs cachedSummary
 		if noc.RunCacheLookup(cacheKey, &cs) {
-			printSummary(cs.Results, cs.InFlight, *mesh, *torus, *policy, *routing,
-				*traffic, *rate, *tasks, *taskDur, *warmup)
+			printSummary(os.Stdout, cs.Results, cs.InFlight, cfg, *traffic, workload, *warmup)
 			return
 		}
 	}
@@ -182,7 +148,6 @@ func main() {
 	}
 
 	var n *noc.Network
-	var err error
 	if *traffic == "twolevel" {
 		// The warmup runs policy-frozen on a captured trace; with the run
 		// cache enabled (and no -no-checkpoint), it forks a persisted
@@ -240,8 +205,7 @@ func main() {
 		f.Close()
 	}
 
-	printSummary(r, n.InFlight(), *mesh, *torus, *policy, *routing,
-		*traffic, *rate, *tasks, *taskDur, *warmup)
+	printSummary(os.Stdout, r, n.InFlight(), cfg, *traffic, workload, *warmup)
 	if s, ok := n.AuditStats(); ok {
 		fmt.Printf("audit      : %d scans, %d checks, %d violations\n",
 			s.Scans, s.Checks, s.Violations)
@@ -262,6 +226,38 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// resolve builds the run's platform and workload. Without a config file the
+// flag values are the platform; with one, only the flags given explicitly
+// (set) override the file. The two-level workload draws from the resolved
+// seed.
+func resolve(path string, set map[string]bool, flags noc.Config, w noc.TwoLevelWorkload) (noc.Config, noc.TwoLevelWorkload, error) {
+	cfg := flags
+	if path != "" {
+		loaded, err := noc.LoadConfig(path)
+		if err != nil {
+			return cfg, w, err
+		}
+		cfg = loaded
+		for name, override := range map[string]func(){
+			"mesh":     func() { cfg.MeshSize = flags.MeshSize },
+			"torus":    func() { cfg.Torus = flags.Torus },
+			"policy":   func() { cfg.Policy = flags.Policy },
+			"routing":  func() { cfg.Routing = flags.Routing },
+			"volttran": func() { cfg.VoltTransition = flags.VoltTransition },
+			"freqtran": func() { cfg.FreqTransitionCycles = flags.FreqTransitionCycles },
+			"seed":     func() { cfg.Seed = flags.Seed },
+			"audit":    func() { cfg.Audit = flags.Audit },
+			"tiles":    func() { cfg.Tiles = flags.Tiles },
+		} {
+			if set[name] {
+				override()
+			}
+		}
+	}
+	w.Seed = cfg.Seed
+	return cfg, w, nil
 }
 
 // validateBudget refuses run lengths and trace requests that could only
@@ -305,19 +301,20 @@ type cachedSummary struct {
 	InFlight int64
 }
 
-// printSummary renders the standard result block for a live or cached run.
-func printSummary(r noc.Results, inFlight int64, mesh int, torus bool, policy, routing,
-	traffic string, rate float64, tasks int, taskDur time.Duration, warmup int64) {
-	fmt.Printf("platform   : %dx%d mesh(torus=%v), policy=%s, routing=%s\n",
-		mesh, mesh, torus, policy, routing)
-	fmt.Printf("workload   : %s rate=%.2f (tasks=%d, dur=%v)\n", traffic, rate, tasks, taskDur)
-	fmt.Printf("cycles     : %d measured after %d warmup\n", r.Cycles, warmup)
-	fmt.Printf("packets    : %d injected, %d delivered, %d in flight\n",
+// printSummary renders the standard result block for a live or cached run
+// of the resolved platform cfg and workload w.
+func printSummary(out io.Writer, r noc.Results, inFlight int64, cfg noc.Config,
+	traffic string, w noc.TwoLevelWorkload, warmup int64) {
+	fmt.Fprintf(out, "platform   : %dx%d mesh(torus=%v), policy=%s, routing=%s\n",
+		cfg.MeshSize, cfg.MeshSize, cfg.Torus, cfg.Policy, cfg.Routing)
+	fmt.Fprintf(out, "workload   : %s rate=%.2f (tasks=%d, dur=%v)\n", traffic, w.Rate, w.Tasks, w.TaskDuration)
+	fmt.Fprintf(out, "cycles     : %d measured after %d warmup\n", r.Cycles, warmup)
+	fmt.Fprintf(out, "packets    : %d injected, %d delivered, %d in flight\n",
 		r.InjectedPackets, r.DeliveredPackets, inFlight)
-	fmt.Printf("latency    : %.1f cycles mean (P50 %.0f, P99 %.0f)\n",
+	fmt.Fprintf(out, "latency    : %.1f cycles mean (P50 %.0f, P99 %.0f)\n",
 		r.MeanLatencyCycles, r.P50LatencyCycles, r.P99LatencyCycles)
-	fmt.Printf("throughput : %.3f packets/cycle\n", r.ThroughputPkts)
-	fmt.Printf("power      : %.1f W avg (%.3f of non-DVS baseline, %.2fX savings)\n",
+	fmt.Fprintf(out, "throughput : %.3f packets/cycle\n", r.ThroughputPkts)
+	fmt.Fprintf(out, "power      : %.1f W avg (%.3f of non-DVS baseline, %.2fX savings)\n",
 		r.AvgPowerW, r.NormalizedPower, r.PowerSavingsX)
 }
 

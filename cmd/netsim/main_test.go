@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +74,42 @@ func TestValidateWorkload(t *testing.T) {
 		w := noc.TwoLevelWorkload{Rate: tc.rate, Tasks: 100, TaskDuration: time.Millisecond}
 		if err := validateWorkload(cfg, tc.traffic, w); (err == nil) != tc.ok {
 			t.Errorf("-traffic %s -rate %g: err = %v, want ok=%v", tc.traffic, tc.rate, err, tc.ok)
+		}
+	}
+}
+
+// TestResolve: a -config file is the platform and only the flags given
+// explicitly override it; the two-level workload draws from the resolved
+// seed, and the summary header prints the resolved platform.
+func TestResolve(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(`{"Seed": 5, "MeshSize": 4}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flags := noc.DefaultConfig()
+	flags.Seed = 7
+	w := noc.TwoLevelWorkload{Rate: 1, Tasks: 100, TaskDuration: time.Millisecond}
+	for _, tc := range []struct {
+		name       string
+		path       string
+		set        map[string]bool
+		seed, mesh int
+	}{
+		{"flags only", "", nil, 7, 8},
+		{"config seed without -seed", path, nil, 5, 4},
+		{"-seed overrides the config", path, map[string]bool{"seed": true}, 7, 4},
+	} {
+		cfg, got, err := resolve(tc.path, tc.set, flags, w)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if cfg.Seed != uint64(tc.seed) || got.Seed != uint64(tc.seed) {
+			t.Errorf("%s: config seed %d, workload seed %d; want %d", tc.name, cfg.Seed, got.Seed, tc.seed)
+		}
+		var out bytes.Buffer
+		printSummary(&out, noc.Results{}, 0, cfg, "twolevel", got, 0)
+		if header, _, _ := strings.Cut(out.String(), "\n"); !strings.Contains(header, fmt.Sprintf(" %dx%d mesh", tc.mesh, tc.mesh)) {
+			t.Errorf("%s: header %q, want a %dx%d mesh", tc.name, header, tc.mesh, tc.mesh)
 		}
 	}
 }

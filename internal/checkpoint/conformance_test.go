@@ -347,15 +347,13 @@ func TestCompatibleConfigRejectsStructuralDrift(t *testing.T) {
 	}
 
 	for name, mutate := range map[string]func(*network.Config){
-		"topology":  func(c *network.Config) { c.K = 4 },
-		"vcs":       func(c *network.Config) { c.Router.VCs = 4 },
-		"levels":    func(c *network.Config) { c.Link.Levels = 4 },
-		"noskip":    func(c *network.Config) { c.NoSkip = true },
-		"audit":     func(c *network.Config) { c.Audit.Enabled = true },
-		"seed":      func(c *network.Config) { c.Seed = 99 },
-		"routing":   func(c *network.Config) { c.Routing = "adaptive" },
-		"startlvl":  func(c *network.Config) { c.StartLevel = 0 },
-		"refallocs": func(c *network.Config) { c.RefAllocators = true },
+		"topology": func(c *network.Config) { c.K = 4 },
+		"vcs":      func(c *network.Config) { c.Router.VCs = 4 },
+		"levels":   func(c *network.Config) { c.Link.Levels = 4 },
+		"audit":    func(c *network.Config) { c.Audit.Enabled = true },
+		"seed":     func(c *network.Config) { c.Seed = 99 },
+		"routing":  func(c *network.Config) { c.Routing = "adaptive" },
+		"startlvl": func(c *network.Config) { c.StartLevel = 0 },
 	} {
 		bad := base
 		mutate(&bad)

@@ -73,15 +73,14 @@ func Fork(s *Snapshot, cfg network.Config, tr *traffic.Trace) (*network.Network,
 // the link transition latencies (no transition ever starts under hold, so
 // no captured timer depends on them); Audit.OnViolation (an observer, not
 // state — func values cannot be compared, and restore separately requires
-// checker presence to match); and Tiles and VerifyLookahead (an execution
-// strategy and its self-check: snapshots are captured and restored
-// untiled, and results are tile-independent).
+// checker presence to match); and Tiles (an execution strategy: snapshots
+// are captured and restored untiled, and results are tile-independent).
 func Neutral(c network.Config) network.Config {
 	c.Policy = 0
 	c.DVS = core.Params{}
 	c.Link.VoltTransition, c.Link.FreqTransitionCycles = 0, 0
 	c.Audit.OnViolation = nil
-	c.Tiles, c.VerifyLookahead = 0, false
+	c.Tiles = 0
 	return c
 }
 

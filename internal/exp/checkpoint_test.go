@@ -211,7 +211,7 @@ func TestWarmKeyIsComplete(t *testing.T) {
 	})
 	wantNeutral := []string{"Link.VoltTransition", "Link.FreqTransitionCycles", "Policy",
 		"DVS.W", "DVS.H", "DVS.BCongested", "DVS.TLLow", "DVS.TLHigh", "DVS.THLow", "DVS.THHigh",
-		"Tiles", "VerifyLookahead", "Audit.OnViolation"}
+		"Tiles", "Audit.OnViolation"}
 	if !reflect.DeepEqual(neutral, wantNeutral) {
 		t.Errorf("policy-neutral fields = %v\nwant %v", neutral, wantNeutral)
 	}

@@ -33,10 +33,6 @@ type Options struct {
 	// (internal/audit), which panics on the first violation. Results are
 	// identical with or without it; only speed differs.
 	Audit bool
-	// NoSkip disables the activity-driven simulation core (idle-router
-	// skipping and quiescent fast-forward). Results are identical with or
-	// without it; only speed differs.
-	NoSkip bool
 	// NoCheckpoint disables the warmup checkpoint/fork fast path: every
 	// simulation point then executes its own warmup from cycle 0 instead of
 	// forking a shared warmed-up snapshot. Results are identical either way
@@ -314,7 +310,6 @@ func (s spec) config(o Options) network.Config {
 	}
 	cfg.Torus = s.torus
 	cfg.Audit.Enabled = o.Audit
-	cfg.NoSkip = o.NoSkip
 	if o.Tiles > 1 {
 		cfg.Tiles = o.Tiles
 	}
@@ -339,18 +334,18 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 // the test-only tiny budget cannot collide) and seeds normalized. It is
 // both the in-memory singleflight key and — fingerprint-prefixed by the
 // store — the persistent cache key, so any parameter edit re-simulates
-// exactly the points it touches and nothing else. Audit and NoSkip are
-// proven not to change results, but they stay in the key to keep it a
-// plain serialization of the run spec rather than an equivalence claim.
+// exactly the points it touches and nothing else. Audit is proven not to
+// change results, but it stays in the key to keep it a plain serialization
+// of the run spec rather than an equivalence claim.
 // Tiles is deliberately absent (like NoCheckpoint): tile counts are an
 // execution strategy, not part of the run spec, and keying them would
 // split the cache across identical results.
 func (s spec) cacheKey(o Options) string {
 	warm, meas := o.budget()
-	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|noskip=%t|seed=%d|"+
+	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|seed=%d|"+
 		"policy=%d|rate=%g|tasks=%d|taskdur=%d|volttran=%d|freqtran=%d|routing=%s|specseed=%d|"+
 		"tllow=%g|tlhigh=%g|dvsh=%d|dvsw=%d|levels=%d|k=%d|n=%d|torus=%t",
-		SchemaVersion, warm, meas, o.Audit, o.NoSkip, o.seed(),
+		SchemaVersion, warm, meas, o.Audit, o.seed(),
 		s.policy, s.rate, s.tasks, int64(s.taskDur), int64(s.voltTran), s.freqTran, s.routing, s.seed,
 		s.tlLow, s.tlHigh, s.dvsH, s.dvsW, s.levels, s.k, s.n, s.torus)
 }

@@ -1,11 +1,13 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/flow"
 	"repro/internal/link"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // Closed-form anchors: where the simulator's behaviour is plain arithmetic
@@ -40,7 +42,8 @@ func zeroLoadLatency(n *Network, lvl, hops int) int64 {
 // TestZeroLoadLatencyClosedForm (ROADMAP D.2) sends one packet per distance
 // across the 8x8 mesh and a 4x4 torus with every link pinned at each level in
 // turn, and requires every latency to equal zeroLoadLatency: under the
-// sleeping core, under NoSkip, and once under the audit.
+// sleeping core, on the tick-everything core (useNoSkip), and once under the
+// audit.
 func TestZeroLoadLatencyClosedForm(t *testing.T) {
 	levels := NewConfig().Link.Levels
 	for _, plat := range []struct {
@@ -55,10 +58,12 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 				cfg := NewConfig()
 				cfg.Policy = PolicyNone
 				cfg.StartLevel = lvl
-				cfg.NoSkip = mode == "noskip"
 				cfg.Audit.Enabled = mode == "audit"
 				plat.mutate(&cfg)
 				n := mustNew(t, cfg)
+				if mode == "noskip" {
+					useNoSkip(t, n)
+				}
 				var got sim.Duration
 				n.OnDeliver = func(p *flow.Packet) { got = p.Latency() }
 				for h := 1; h <= n.Topo.MaxDistance(); h++ {
@@ -149,6 +154,76 @@ func TestDescentClosedForm(t *testing.T) {
 	for i := 1; i < len(want); i++ {
 		if d := want[i].req - want[i-1].req; d < 10_200*sim.Nanosecond || d > 10_800*sim.Nanosecond {
 			t.Errorf("step %d lasts %v; EXPERIMENTS note 3 says 10.2 to 10.8 µs", i, d)
+		}
+	}
+}
+
+// TestPowerCeilingClosedForm (ROADMAP D.1): with every link held at the
+// bottom level under load, the savings factor is the top level's channel
+// power over the bottom level's, 200/23.6 mW per serial link: the 8.5X
+// ceiling EXPERIMENTS.md cites.
+func TestPowerCeilingClosedForm(t *testing.T) {
+	const cycles = 4_000
+	cfg := NewConfig()
+	cfg.Policy = PolicyNone
+	cfg.StartLevel = 0
+	n := mustNew(t, cfg)
+	m, err := traffic.NewTwoLevel(traffic.NewTwoLevelParams(1.0), n.Topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Launch(m, sim.Time(2*cycles+1)*cfg.RouterPeriod)
+	n.Run(cycles)
+	n.BeginMeasurement()
+	n.Run(cycles)
+	for i, l := range n.Links() {
+		if l.Level() != 0 || l.StatsAt(n.Now()).Transitions != 0 {
+			t.Fatalf("link %d left level 0: now at %d", i, l.Level())
+		}
+	}
+	res := n.Snapshot()
+	want := cfg.Link.MaxPowerW / cfg.Link.MinPowerW
+	if res.DeliveredPkts == 0 || math.Abs(res.SavingsX-want) > 1e-12*want {
+		t.Errorf("%d packets delivered, savings %.15gX; closed form %.15gX", res.DeliveredPkts, res.SavingsX, want)
+	}
+	if math.Round(100*want) != 847 {
+		t.Errorf("ceiling %.4gX; EXPERIMENTS.md says 8.47X", want)
+	}
+}
+
+// TestTransitionCostClosedForm (ROADMAP D.2): one level step, down from the
+// top and back up, keeps the link dead for exactly 100 cycles of the target
+// level's clock and books exactly the Stratakos regulator energy
+// (1-eta)*C*|V2^2-V1^2| with C = 5 uF and eta = 0.9, once per step.
+func TestTransitionCostClosedForm(t *testing.T) {
+	cfg := NewConfig()
+	cfg.Policy = PolicyNone
+	n := mustNew(t, cfg)
+	l, top := n.Links()[0], n.Table.Top()
+	volt := func(lvl int) float64 {
+		return cfg.Link.MinVolt + float64(lvl)/float64(top)*(cfg.Link.MaxVolt-cfg.Link.MinVolt)
+	}
+	for i, step := range []struct {
+		up       bool
+		from, to int
+	}{{false, top, top - 1}, {true, top - 1, top}} {
+		before := l.StatsAt(n.Now())
+		l.TakeUtilization(n.Now())
+		if !l.RequestStep(n.Now(), step.up) {
+			t.Fatalf("step %d refused", i)
+		}
+		n.Run(20_000)
+		if l.Transitioning() || l.Level() != step.to {
+			t.Fatalf("step %d: link at level %d (%v) after 20 µs, want %d", i, l.Level(), l.State(), step.to)
+		}
+		if _, dead := l.TakeUtilization(n.Now()); dead != 100*n.Table.Period[step.to] {
+			t.Errorf("step %d: dead %v, want 100 cycles of %v", i, dead, n.Table.Period[step.to])
+		}
+		v1, v2 := volt(step.from), volt(step.to)
+		want := before.TransitionEnergy + (1-0.9)*5e-6*math.Abs(v2*v2-v1*v1)
+		if after := l.StatsAt(n.Now()); after.TransitionEnergy != want || after.Transitions != before.Transitions+1 {
+			t.Errorf("step %d: transition energy %.17g J over %d transitions; closed form %.17g J over %d",
+				i, after.TransitionEnergy, after.Transitions, want, before.Transitions+1)
 		}
 	}
 }

@@ -666,7 +666,7 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 	// the next cycle (when parked or not makes no difference). No link
 	// transition can have started before a capture (it refuses once a policy
 	// window closed), so sleepUntil reads the same tx fronts and link clocks
-	// the captured run's last visit did. With NoSkip every bit is already
+	// the captured run's last visit did. Under noskip every bit is already
 	// permanently set.
 	if !n.noskip {
 		for id, r := range n.Routers {

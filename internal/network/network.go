@@ -82,19 +82,6 @@ type Config struct {
 	// Seed feeds the traffic model when one is attached via Run.
 	Seed uint64
 
-	// NoSkip disables the activity-driven core: every router ticks every
-	// cycle and quiescent intervals execute cycle by cycle, exactly as the
-	// pre-activity-tracking simulator did. A debugging escape hatch — the
-	// skipping path is proven byte-identical to this one by the equivalence
-	// tests, so the only observable difference is speed.
-	NoSkip bool
-
-	// RefAllocators selects the routers' retained full-scan reference
-	// allocator stages instead of the incremental work-list path. Another
-	// debugging escape hatch: the two paths are proven byte-identical by
-	// the equivalence tests, so the only observable difference is speed.
-	RefAllocators bool
-
 	// Tiles partitions the mesh into that many contiguous blocks of
 	// routers, each advanced by its own scheduler between conservative
 	// lookahead barriers, so one simulation can use several cores. Output
@@ -108,14 +95,6 @@ type Config struct {
 	// model — losing tile eligibility — with a one-time stderr note from
 	// the harness naming the point and reason.
 	Tiles int
-
-	// VerifyLookahead cross-checks the tile engine's extracted lookahead: at
-	// every barrier merge, each cross-tile message's due cycle is compared
-	// against the bound its source tile promised when the window was
-	// planned, and violations are counted (LookaheadViolations). The same
-	// check runs under Audit. A test knob — verification never changes
-	// output bytes, only adds the per-message comparison.
-	VerifyLookahead bool
 
 	// Audit configures the runtime invariant checker (internal/audit).
 	// Disabled by default; when Audit.Enabled, the platform verifies flit
@@ -350,7 +329,7 @@ type Network struct {
 	// exactly. injMask marks nodes whose source injector holds work. Flit
 	// arrivals (ring, slow path, injection) re-arm a router; Step retires a
 	// router at the end of its own pass once its Busy predicate went false.
-	// With Cfg.NoSkip every bit stays permanently set and both masks
+	// Under noskip every bit stays permanently set and both masks
 	// degenerate to the original tick-everything loops.
 	//
 	// Waiting routers sleep: a busy router with no buffered flits can do
@@ -361,7 +340,7 @@ type Network struct {
 	// until markActive (a flit arrived) or its wake cycle moves it back: the
 	// wheel holds, per cycle of the ring span, a mask of the sleepers due
 	// then; a wake further out sits in the slot one span ahead and is parked
-	// again from there. Nobody sleeps under NoSkip or on a tiled network.
+	// again from there. Nobody sleeps under noskip or on a tiled network.
 	activeMask  []uint64
 	activeCount int
 	sleepMask   []uint64
@@ -375,8 +354,12 @@ type Network struct {
 	// ringCount totals messages buffered across ring buckets, so the
 	// quiescence test is one compare instead of a bucket scan.
 	ringCount int
-	noskip    bool
-	skips     SkipStats
+	// noskip selects the tick-everything reference core: no router is
+	// retired, parked or fast-forwarded past. Test hook, set before Launch
+	// together with every mask bit: the equivalence tests compare the
+	// activity-driven core against it.
+	noskip bool
+	skips  SkipStats
 
 	// aud, when non-nil, is the runtime invariant checker; every hook site
 	// nil-checks it so the disabled cost is one pointer compare.
@@ -425,15 +408,20 @@ type Network struct {
 	// noTileElide disables barrier elision (every window ends in a merge);
 	// test hook for the elision-equivalence suite.
 	noTileElide bool
+	// verifyLookahead checks, at every barrier merge, each cross-tile
+	// message's due cycle against the bound its source tile promised when
+	// the window was planned. Test hook; the audit turns the same check on.
+	verifyLookahead bool
 	// laViolations counts cross-tile messages that arrived before their
 	// source tile's promised lookahead bound — always zero unless the bound
-	// extraction is wrong. Counted under Cfg.VerifyLookahead or Audit.
+	// extraction is wrong. Counted under verifyLookahead or Audit.
 	laViolations int64
 }
 
 // LookaheadViolations reports cross-tile messages observed before their
-// source tile's promised bound. Populated only under Config.VerifyLookahead
-// or a running audit; any nonzero value is a lookahead-extraction bug.
+// source tile's promised bound. Populated only under lookahead
+// verification or a running audit; any nonzero value is a
+// lookahead-extraction bug.
 func (n *Network) LookaheadViolations() int64 { return n.laViolations }
 
 // slowEntry is one scheduler-fallback message: a flit arrival when in is
@@ -654,7 +642,6 @@ func New(cfg Config) (*Network, error) {
 			return nil, err
 		}
 		id := id
-		r.Ref = cfg.RefAllocators
 		r.RouteFn = func(p *flow.Packet, buf []routing.MaskCandidate) []routing.MaskCandidate {
 			st := routing.State{LastDim: p.LastDim, Wrapped: p.Wrapped}
 			return n.algo.RouteMask(topo, id, p.Dst, cfg.Router.VCs, st, buf)
@@ -742,16 +729,6 @@ func New(cfg Config) (*Network, error) {
 	n.wakeAt = make([]sim.Time, nodes)
 	n.wheel = make([]uint64, ringSize*words)
 	n.skips.ActiveHist = make([]int64, nodes+1)
-	n.noskip = cfg.NoSkip
-	if n.noskip && n.tiles == nil {
-		// Degenerate masks: every router ticks and every injector is
-		// scanned each cycle, exactly the pre-activity-tracking loops.
-		// (Tiled networks keep per-tile masks; initTiles degenerates them.)
-		for i := 0; i < nodes; i++ {
-			n.markActive(i)
-			n.markInject(i)
-		}
-	}
 
 	if cfg.Audit.Enabled {
 		n.aud = audit.New(cfg.Audit, audit.Wiring{

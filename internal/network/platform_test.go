@@ -49,8 +49,9 @@ func routerPeriod(ps sim.Duration) func(*Config) {
 	return func(c *Config) { c.K, c.RouterPeriod = 4, ps }
 }
 
-// TestPlatformDigests runs every pinned platform sequentially, with NoSkip
-// and on two tiles; all three must reproduce the committed digest.
+// TestPlatformDigests runs every pinned platform sequentially, on the
+// tick-everything core (useNoSkip) and on two tiles; all three must
+// reproduce the committed digest.
 func TestPlatformDigests(t *testing.T) {
 	const warmup, measure = 4_000, 12_000
 	for _, pc := range platformDigests {
@@ -73,16 +74,16 @@ func TestPlatformDigests(t *testing.T) {
 			tr := traffic.Capture(m, sim.Time(warmup+measure+1)*cfg.RouterPeriod)
 
 			for _, mode := range []struct {
-				name string
-				set  func(*Config)
-			}{
-				{"sequential", func(*Config) {}},
-				{"noskip", func(c *Config) { c.NoSkip = true }},
-				{"tiles2", func(c *Config) { c.Tiles = 2 }},
-			} {
+				name   string
+				tiles  int
+				noskip bool
+			}{{"sequential", 0, false}, {"noskip", 0, true}, {"tiles2", 2, false}} {
 				c := cfg
-				mode.set(&c)
+				c.Tiles = mode.tiles
 				n := mustNew(t, c)
+				if mode.noskip {
+					useNoSkip(t, n)
+				}
 				n.Launch(tr, tr.Horizon())
 				n.Run(warmup)
 				n.BeginMeasurement()

@@ -15,9 +15,11 @@ func runForRefEquivalence(t *testing.T, rate float64, ref, audit bool, cycles in
 	t.Helper()
 	cfg := NewConfig()
 	cfg.Policy = PolicyHistory
-	cfg.RefAllocators = ref
 	cfg.Audit.Enabled = audit
 	n := mustNew(t, cfg)
+	if ref {
+		useRefAllocators(n)
+	}
 
 	p := traffic.NewTwoLevelParams(rate)
 	p.Seed = 7

@@ -16,8 +16,10 @@ func runForEquivalence(t *testing.T, rate float64, noskip bool, cycles int64) (s
 	t.Helper()
 	cfg := NewConfig()
 	cfg.Policy = PolicyHistory
-	cfg.NoSkip = noskip
 	n := mustNew(t, cfg)
+	if noskip {
+		useNoSkip(t, n)
+	}
 
 	p := traffic.NewTwoLevelParams(rate)
 	p.Seed = 7
@@ -80,9 +82,11 @@ func TestSkipEquivalenceAudited(t *testing.T) {
 	run := func(noskip bool) string {
 		cfg := NewConfig()
 		cfg.Policy = PolicyHistory
-		cfg.NoSkip = noskip
 		cfg.Audit.Enabled = true
 		n := mustNew(t, cfg)
+		if noskip {
+			useNoSkip(t, n)
+		}
 		p := traffic.NewTwoLevelParams(0.05)
 		p.Seed = 7
 		m, err := traffic.NewTwoLevel(p, n.Topo)
@@ -130,12 +134,11 @@ func TestFastForwardIdleNetwork(t *testing.T) {
 	}
 }
 
-// TestNoSkipDisablesFastForward checks the escape hatch: with NoSkip the
-// network steps every cycle and ticks every router.
+// TestNoSkipDisablesFastForward checks the reference core the equivalence
+// tests compare against: under useNoSkip the network steps every cycle and
+// ticks every router.
 func TestNoSkipDisablesFastForward(t *testing.T) {
-	cfg := NewConfig()
-	cfg.NoSkip = true
-	n := mustNew(t, cfg)
+	n := useNoSkip(t, mustNew(t, NewConfig()))
 	n.Run(5_000)
 	s := n.SkipStats()
 	if s.FastForwards != 0 || s.CyclesFastForwarded != 0 {

@@ -45,7 +45,7 @@ func (n *Network) lockedSleepers() int {
 	return c
 }
 
-// TestSleepEquivalence compares the sleeping core with the NoSkip oracle
+// TestSleepEquivalence compares the sleeping core with the useNoSkip oracle
 // where sleeping matters: history DVS run long enough (with 1 us voltage
 // ramps) for links to walk to the bottom level, so routers spend most of
 // their busy time waiting out eight-cycle serializations and frequency
@@ -95,8 +95,7 @@ func TestSleepEquivalence(t *testing.T) {
 				locked += skip.lockedSleepers()
 			}
 
-			cfg.NoSkip = true
-			base := mustNew(t, cfg)
+			base := useNoSkip(t, mustNew(t, cfg))
 			base.Launch(tr, tr.Horizon())
 			base.BeginMeasurement()
 			base.Run(cycles)
@@ -244,7 +243,7 @@ func TestSleepPinnedTicks(t *testing.T) {
 // 100 ps router clock forces — and requires the router to be awake on the
 // cycle the flit lands. Every link sits at the bottom level, so a router
 // sleeps between the flits of one packet. The audit's late-wake invariant
-// watches every skipped router, and a NoSkip twin must agree on the result.
+// watches every skipped router, and a useNoSkip twin must agree on the result.
 func TestSleepWakeSources(t *testing.T) {
 	type injection struct {
 		cycle    int64
@@ -302,9 +301,11 @@ func TestSleepWakeSources(t *testing.T) {
 				cfg := smallConfig(PolicyNone)
 				cfg.RouterPeriod = tc.period
 				cfg.StartLevel = 0
-				cfg.NoSkip = noskip
 				cfg.Audit.Enabled = true
 				n := mustNew(t, cfg)
+				if noskip {
+					useNoSkip(t, n)
+				}
 				n.BeginMeasurement()
 				woken, next := 0, 0
 				for i := 0; i < 4_000 && (next < len(tc.inject) || n.InFlight > 0); i++ {
@@ -360,11 +361,13 @@ func TestOversleepCaught(t *testing.T) {
 		var got []audit.Violation
 		cfg := NewConfig()
 		cfg.Policy = PolicyHistory
-		cfg.NoSkip = noskip
 		if audited {
 			cfg.Audit = audit.Options{Enabled: true, OnViolation: func(v audit.Violation) { got = append(got, v) }}
 		}
 		n := mustNew(t, cfg)
+		if noskip {
+			useNoSkip(t, n)
+		}
 		n.oversleep = oversleep
 		p := traffic.NewTwoLevelParams(0.3)
 		p.Seed = 7
@@ -399,7 +402,7 @@ func TestOversleepCaught(t *testing.T) {
 
 // TestSleepFarPathAudited runs sleepers that wake past the wake wheel's span
 // (farLocks) under the audit. The late-wake invariant watches every skipped
-// router, and the results must equal the NoSkip oracle's.
+// router, and the results must equal the useNoSkip oracle's.
 func TestSleepFarPathAudited(t *testing.T) {
 	const cycles = 20_000
 	run := func(noskip bool) (string, int) {
@@ -407,9 +410,11 @@ func TestSleepFarPathAudited(t *testing.T) {
 		cfg.Policy = PolicyHistory
 		cfg.Link.VoltTransition = sim.Microsecond
 		farLocks(&cfg)
-		cfg.NoSkip = noskip
 		cfg.Audit.Enabled = true
 		n := mustNew(t, cfg)
+		if noskip {
+			useNoSkip(t, n)
+		}
 		n.Launch(lowLoadTrace(t, cfg, 0.05, cycles), sim.Time(cycles+1)*cfg.RouterPeriod)
 		n.BeginMeasurement()
 		far := 0

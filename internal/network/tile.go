@@ -24,7 +24,7 @@
 //     i.e. at least one router cycle). A message generated inside [w0, e)
 //     is therefore due at or after e, so no event inside a window can
 //     observe another tile's activity in the same window. Every merge
-//     re-checks the hard invariant due >= e, and under Config.VerifyLookahead
+//     re-checks the hard invariant due >= e, and under lookahead verification
 //     or an audit each merged message is also checked against the bound its
 //     source tile promised when the window was planned (LookaheadViolations).
 //   - Canonical cross-tile delivery. Outboxed messages drain at the merge
@@ -221,12 +221,6 @@ func (n *Network) initTiles(count int) {
 		}
 		for nd := lo; nd < hi; nd++ {
 			n.tileOf[nd] = i
-		}
-		if n.Cfg.NoSkip {
-			for nd := lo; nd < hi; nd++ {
-				t.markActive(nd)
-				t.markInject(nd)
-			}
 		}
 		n.tiles = append(n.tiles, t)
 	}
@@ -545,7 +539,7 @@ func (t *tileState) bound(w0 int64) int64 {
 // On return, promised holds the bound covering the next window.
 func (t *tileState) runTo(e int64) {
 	for t.cycle < e {
-		if !t.n.noskip && t.activeCount == 0 && t.injCount == 0 && t.ringCount == 0 {
+		if t.activeCount == 0 && t.injCount == 0 && t.ringCount == 0 {
 			c := e
 			if t.sched.Pending() > 0 {
 				if d := t.n.dueCycle(t.sched.PeekTime()); d < c {
@@ -592,7 +586,7 @@ func (t *tileState) step() {
 				t.transmitNode(r, node, now)
 			}
 			t.ejectNode(r, now)
-			if !n.noskip && !r.Busy() {
+			if !r.Busy() {
 				t.activeMask[w] &^= 1 << (node & 63)
 				t.activeCount--
 			}
@@ -629,7 +623,7 @@ func (t *tileState) injectFlits(now sim.Time) {
 			word &= word - 1
 			inj := n.injectors[node]
 			t.injectOne(node, inj, now)
-			if !n.noskip && len(inj.current) == 0 && inj.qLen == 0 {
+			if len(inj.current) == 0 && inj.qLen == 0 {
 				t.injMask[w] &^= 1 << (node & 63)
 				t.injCount--
 			}
@@ -803,7 +797,7 @@ func (n *Network) runTiled(cycles int64) {
 		}()
 	}
 	for n.cycle < target {
-		if !n.noskip && n.tilesQuiescent() {
+		if n.tilesQuiescent() {
 			if c := n.nextInterestingCycleTiled(target); c > n.cycle {
 				if n.tileMerged < n.cycle {
 					n.mergeTiles(n.cycle)
@@ -999,13 +993,13 @@ func (n *Network) tileWindowEnd(e int64) {
 // the deferred per-tile accumulators into the global ones, advancing the
 // merge frontier to cycle e: buffered deliveries replay in (cycle, tile)
 // order, integer counters merge additively, and per-cycle tick logs fold
-// into the skip statistics. Under Config.VerifyLookahead or an audit,
+// into the skip statistics. Under lookahead verification or an audit,
 // every outboxed message is checked against the bound its source tile
 // pledged for the window that generated it.
 func (n *Network) mergeTiles(e int64) {
 	w0 := n.tileMerged
 	n.skips.TileBarriers++
-	verify := n.Cfg.VerifyLookahead || n.aud != nil
+	verify := n.verifyLookahead || n.aud != nil
 
 	// Cross-tile messages, in (source tile, generation order), bucketed
 	// into the destination tile's ring by due cycle. Every message was

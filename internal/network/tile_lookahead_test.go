@@ -18,8 +18,8 @@ func runVerifiedEquivalence(t *testing.T, tr *traffic.Trace, tiles int, noElide 
 	cfg := NewConfig()
 	cfg.Policy = PolicyHistory
 	cfg.Tiles = tiles
-	cfg.VerifyLookahead = true
 	n = mustNew(t, cfg)
+	n.verifyLookahead = true
 	n.forceTileWorkers = true
 	n.noTileElide = noElide
 	n.Launch(tr, tr.Horizon())
@@ -39,7 +39,7 @@ func runVerifiedEquivalence(t *testing.T, tr *traffic.Trace, tiles int, noElide 
 }
 
 // TestLookaheadBoundSafety runs the load range the paper sweeps at every
-// tile count with Config.VerifyLookahead on: every cross-tile message is
+// tile count with lookahead verification on: every cross-tile message is
 // checked at merge time against the bound its source tile promised when
 // the window was planned. Zero violations and byte-identical results
 // against the sequential reference prove the extracted lookahead never

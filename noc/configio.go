@@ -1,8 +1,11 @@
 package noc
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -17,14 +20,22 @@ func SaveConfig(path string, c Config) error {
 }
 
 // LoadConfig reads a JSON config written by SaveConfig. Fields absent from
-// the file keep their DefaultConfig values, so partial configs work.
+// the file keep their DefaultConfig values, so partial configs work; a key
+// that names no field is an error, so a typo cannot silently run the
+// default platform.
 func LoadConfig(path string) (Config, error) {
 	c := DefaultConfig()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return c, err
 	}
-	if err := json.Unmarshal(data, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&c)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("trailing data after the config object")
+	}
+	if err != nil {
 		return c, fmt.Errorf("noc: decoding %s: %w", path, err)
 	}
 	if _, err := c.lower(); err != nil {

@@ -18,10 +18,6 @@ type ExperimentOptions struct {
 	// Audit runs every simulation under the runtime invariant checker;
 	// the first violation panics. Output is identical either way.
 	Audit bool
-	// NoSkip disables the activity-driven simulation core (idle-router
-	// skipping and quiescent fast-forward). Output is identical either
-	// way; only speed differs.
-	NoSkip bool
 	// NoCheckpoint disables warmup checkpointing: every simulation point
 	// pays for its own warmup instead of forking a shared warmed-up
 	// snapshot. Output is identical either way; only speed differs.
@@ -37,7 +33,7 @@ type ExperimentOptions struct {
 func (o ExperimentOptions) lower() exp.Options {
 	return exp.Options{
 		Quick: o.Quick, Full: o.Full, Seed: o.Seed,
-		Audit: o.Audit, NoSkip: o.NoSkip, NoCheckpoint: o.NoCheckpoint,
+		Audit: o.Audit, NoCheckpoint: o.NoCheckpoint,
 		Tiles: o.Tiles,
 	}
 }

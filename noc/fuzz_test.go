@@ -39,6 +39,8 @@ func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte(`{"MeshSize": 1048576}`))
 	f.Add([]byte(`{"MeshSize": 2, "Dims": 70}`))
 	f.Add([]byte(`{"MeshSize": 4, "BufPerPort": 1000000000000, "PipelineDepth": 1000000000}`))
+	// A misspelt key is an error, not a silent run of the 8x8 default.
+	f.Add([]byte(`{"MeshSzie": 4}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cfg.json")

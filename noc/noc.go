@@ -74,12 +74,6 @@ type Config struct {
 	// it; only speed differs.
 	Audit bool
 
-	// NoSkip disables the activity-driven simulation core: idle routers
-	// tick every cycle and quiescent stretches execute cycle by cycle, as
-	// the pre-optimization simulator did. A debugging escape hatch —
-	// results are identical with or without it; only speed differs.
-	NoSkip bool
-
 	// Tiles partitions the simulation into that many tile-parallel blocks
 	// of routers, each advanced by its own scheduler between conservative
 	// lookahead barriers, so one run can use several cores. Results are
@@ -90,15 +84,6 @@ type Config struct {
 	// error; the others panic on use). 0 or 1 selects the single-scheduler
 	// engine unchanged.
 	Tiles int
-
-	// VerifyLookahead makes the tile-parallel engine re-check, at every
-	// merge, that each cross-tile message lands no earlier than the bound
-	// its source tile promised when the window was planned. Violations are
-	// counted rather than fatal (the engine's own due>=windowEnd panic
-	// still guards correctness). A debugging/test knob: results are
-	// identical with or without it; only speed differs. Ignored when
-	// Tiles <= 1.
-	VerifyLookahead bool
 }
 
 // DefaultConfig returns the paper's experimental platform: an 8x8 mesh of
@@ -147,9 +132,7 @@ func (c Config) lower() (network.Config, error) {
 	cfg.Link.FreqTransitionCycles = c.FreqTransitionCycles
 	cfg.Seed = c.Seed
 	cfg.Audit.Enabled = c.Audit
-	cfg.NoSkip = c.NoSkip
 	cfg.Tiles = c.Tiles
-	cfg.VerifyLookahead = c.VerifyLookahead
 	switch c.Policy {
 	case PolicyHistory, "":
 		cfg.Policy = network.PolicyHistory
@@ -418,8 +401,10 @@ type SkipStats struct {
 	TileBarriersElided int64
 }
 
-// SkipStats reports the activity-driven core's skip counters. With
-// Config.NoSkip the elision counters stay zero.
+// SkipStats reports the activity-driven core's skip counters. They measure
+// work avoided, never results: the equivalence tests hold every run
+// byte-identical to a tick-everything reference core whose elision
+// counters stay zero.
 func (n *Network) SkipStats() SkipStats {
 	s := n.inner.SkipStats()
 	return SkipStats{

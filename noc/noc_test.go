@@ -279,6 +279,28 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsUnknownKeys: a misspelt key, or one a later build
+// removed, is an error naming the key rather than a silent default.
+func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	for _, key := range []string{"MeshSzie", "NoSkip", "VerifyLookahead"} {
+		path := dir + "/" + key + ".json"
+		if err := os.WriteFile(path, []byte(`{"`+key+`": 4}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("{%q: 4}: err = %v, want one naming the key", key, err)
+		}
+	}
+	trailing := dir + "/trailing.json"
+	if err := os.WriteFile(trailing, []byte(`{"MeshSize": 4} {}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(trailing); err == nil {
+		t.Error("trailing data accepted")
+	}
+}
+
 // TestUnroutablePlatformsAreErrors: platforms the routing algorithms cannot
 // serve (they used to pass validation and panic on the first routed packet)
 // come back as errors from both New and LoadConfig.
