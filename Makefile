@@ -78,12 +78,16 @@ fuzz:
 # first benchmark system (benchmarks/ replaced it). The reference paths the
 # equivalence tests compare against (the tick-everything core, the full-scan
 # allocators, lookahead verification) are test hooks and stay out of
-# production Go and CI.
+# production Go and CI. The tile-parallel engine is reachable only through
+# network.Config.Tiles, for its benchmark probe and equivalence tests: no
+# option, counter or flag above internal/network, and no -tiles in CI.
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE 'RefAllocators|VerifyLookahead|Cfg\.NoSkip|NoSkip:|"noskip"|-noskip' -- '*.go' .github ':!*_test.go' ':!benchmarks'; then \
 	  echo 'test-only oracles are reachable outside the tests again (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE 'Tiles|TileBarrier|"tiles"' -- cmd noc internal/exp ':!*_test.go' || git grep -n -e '-tiles' -- .github; then \
+	  echo 'the tile-parallel engine is reachable above internal/network again (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

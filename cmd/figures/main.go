@@ -43,7 +43,6 @@ func main() {
 		auditFlag  = flag.Bool("audit", false, "run every simulation under the runtime invariant checker (slower, same output)")
 		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup instead of forking the one policy-frozen warmup its (seed, rate) shares (slower, same output)")
 		jobs       = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		tiles      = flag.Int("tiles", 0, "tile-parallel blocks per simulation (0/1 = single scheduler; output is byte-identical at every tile count)")
 		prefetch   = flag.Bool("prefetch", false, "report which run-cache keys the selected experiments would hit or miss; no simulations run")
 		cacheDir   = flag.String("cache-dir", "", "persistent run cache directory (default: user cache dir)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache; recompute everything")
@@ -101,7 +100,7 @@ func main() {
 
 	o := noc.ExperimentOptions{
 		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag,
-		NoCheckpoint: *noCkpt, Tiles: *tiles,
+		NoCheckpoint: *noCkpt,
 	}
 	var ids []string
 	switch {

@@ -47,7 +47,6 @@ func main() {
 		measure  = flag.Int64("cycles", 150_000, "measured cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
-		tiles    = flag.Int("tiles", 0, "tile-parallel blocks with conservative lookahead (0/1 = single scheduler); identical results at every count")
 		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup instead of forking the persisted policy-frozen snapshot (twolevel traffic, cache enabled); identical results, slower across policy sweeps")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
 		levels   = flag.Bool("levels", false, "print the final DVS level histogram")
@@ -76,7 +75,7 @@ func main() {
 	flagCfg.MeshSize, flagCfg.Torus = *mesh, *torus
 	flagCfg.Policy, flagCfg.Routing = *policy, *routing
 	flagCfg.VoltTransition, flagCfg.FreqTransitionCycles = *voltTran, *freqTran
-	flagCfg.Seed, flagCfg.Audit, flagCfg.Tiles = *seed, *audit, *tiles
+	flagCfg.Seed, flagCfg.Audit = *seed, *audit
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	cfg, workload, err := resolve(*cfgPath, set, flagCfg,
@@ -86,13 +85,6 @@ func main() {
 	}
 	if err := validateWorkload(cfg, *traffic, workload); err != nil {
 		fail(err)
-	}
-	// The tiled engine replays recorded traces only; live traffic models and
-	// event tracing need the single-scheduler core. Results are identical at
-	// every tile count, so degrading costs nothing but speed.
-	if cfg.Tiles > 1 && (*traffic != "twolevel" || *traceN > 0) {
-		fmt.Fprintln(os.Stderr, "netsim: -tiles requires the recorded two-level workload without -trace; running single-scheduler (identical results)")
-		cfg.Tiles = 0
 	}
 
 	if !*noCache {
@@ -120,11 +112,7 @@ func main() {
 		*cpuprofile == "" && *memprofile == ""
 	var cacheKey string
 	if cacheable {
-		// Tile count never changes output bytes, so it is deliberately
-		// neutralized in the key: -tiles variants share one cache entry.
-		keyCfg := cfg
-		keyCfg.Tiles = 0
-		cfgJSON, err := json.Marshal(keyCfg)
+		cfgJSON, err := json.Marshal(cfg)
 		if err != nil {
 			fail(err)
 		}
@@ -249,7 +237,6 @@ func resolve(path string, set map[string]bool, flags noc.Config, w noc.TwoLevelW
 			"freqtran": func() { cfg.FreqTransitionCycles = flags.FreqTransitionCycles },
 			"seed":     func() { cfg.Seed = flags.Seed },
 			"audit":    func() { cfg.Audit = flags.Audit },
-			"tiles":    func() { cfg.Tiles = flags.Tiles },
 		} {
 			if set[name] {
 				override()
@@ -274,15 +261,33 @@ func validateBudget(warmup, measure int64, traceN int, traceKind string) error {
 	return noc.ValidTraceKind(traceKind)
 }
 
-// validateWorkload refuses an unknown -traffic and a -rate its workload
-// cannot run at — NaN, an infinity, zero or less, more than one packet per
-// node per cycle — with one line before anything simulates, where the model
-// would otherwise never finish (a zero or NaN emission gap) or panic.
+// validateWorkload refuses an unknown -traffic, a -rate its workload cannot
+// run at — NaN, an infinity, zero or less, more than one packet per node per
+// cycle — a bit permutation on a node count that is not a power of two, a
+// -tasks below one and a -taskdur of zero or less, with one line before
+// anything simulates, where the model would otherwise never finish (a zero
+// or NaN emission gap), refuse only after the network is built, or run the
+// default workload under a header and cache key that name the bad values.
 func validateWorkload(cfg noc.Config, traffic string, w noc.TwoLevelWorkload) error {
+	switch {
+	case w.Tasks < 1:
+		return fmt.Errorf("-tasks %d: need at least one task session", w.Tasks)
+	case w.TaskDuration <= 0:
+		return fmt.Errorf("-taskdur %v: must be positive", w.TaskDuration)
+	}
 	switch traffic {
 	case "twolevel":
 		return w.Validate(cfg)
-	case "uniform", "transpose", "bitreverse", "shuffle", "tornado", "hotspot":
+	case "bitreverse", "shuffle":
+		nodes := 1
+		for i := 0; i < cfg.Dims; i++ {
+			nodes *= cfg.MeshSize
+		}
+		if nodes&(nodes-1) != 0 {
+			return fmt.Errorf("-traffic %s needs a power-of-two node count, not %d", traffic, nodes)
+		}
+		fallthrough
+	case "uniform", "transpose", "tornado", "hotspot":
 		return noc.ValidNodeRate(w.Rate)
 	}
 	return fmt.Errorf("unknown traffic %q", traffic)
@@ -332,18 +337,6 @@ func printSkipStats(s noc.SkipStats) {
 	}
 	fmt.Printf("active     : %d/%d/%d routers per stepped cycle (p50/p90/max)\n",
 		histQuantile(s.ActiveHist, 0.50), histQuantile(s.ActiveHist, 0.90), histMax(s.ActiveHist))
-	if s.TileWindows > 0 {
-		cycles := s.CyclesExecuted + s.CyclesFastForwarded
-		var perCycle, elided float64
-		if cycles > 0 {
-			perCycle = float64(s.TileBarriers) / float64(cycles)
-		}
-		if s.TileWindows > 0 {
-			elided = float64(s.TileBarriersElided) / float64(s.TileWindows)
-		}
-		fmt.Printf("barriers   : %d windows, %d merges (%.4f/cycle), %d elided (%.1f%%)\n",
-			s.TileWindows, s.TileBarriers, perCycle, s.TileBarriersElided, 100*elided)
-	}
 }
 
 // histQuantile reports the smallest active-router count whose cumulative

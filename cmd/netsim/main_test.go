@@ -41,8 +41,10 @@ func TestValidateBudget(t *testing.T) {
 }
 
 // TestValidateWorkload: rates no model can run at (NaN, infinities, zero,
-// more than one packet per node per cycle) and unknown workloads are
-// refused up front, for every -traffic.
+// more than one packet per node per cycle), bit permutations on a node
+// count that is not a power of two, fewer than one task or a task duration
+// of zero or less, and unknown workloads are refused up front, for every
+// -traffic.
 func TestValidateWorkload(t *testing.T) {
 	cfg := noc.DefaultConfig() // 8x8: 64 nodes
 	for _, tc := range []struct {
@@ -74,6 +76,29 @@ func TestValidateWorkload(t *testing.T) {
 		w := noc.TwoLevelWorkload{Rate: tc.rate, Tasks: 100, TaskDuration: time.Millisecond}
 		if err := validateWorkload(cfg, tc.traffic, w); (err == nil) != tc.ok {
 			t.Errorf("-traffic %s -rate %g: err = %v, want ok=%v", tc.traffic, tc.rate, err, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		traffic     string
+		mesh, tasks int
+		dur         time.Duration
+		ok          bool
+	}{
+		{"bitreverse", 6, 100, time.Millisecond, false},
+		{"shuffle", 6, 100, time.Millisecond, false},
+		{"transpose", 6, 100, time.Millisecond, true},
+		{"twolevel", 8, 0, time.Millisecond, false},
+		{"uniform", 8, 0, time.Millisecond, false},
+		{"twolevel", 8, 1, time.Millisecond, true},
+		{"twolevel", 8, 100, 0, false},
+		{"twolevel", 8, 100, -time.Millisecond, false},
+	} {
+		cfg := noc.DefaultConfig()
+		cfg.MeshSize = tc.mesh
+		w := noc.TwoLevelWorkload{Rate: 0.1, Tasks: tc.tasks, TaskDuration: tc.dur}
+		if err := validateWorkload(cfg, tc.traffic, w); (err == nil) != tc.ok {
+			t.Errorf("-traffic %s -mesh %d -tasks %d -taskdur %v: err = %v, want ok=%v",
+				tc.traffic, tc.mesh, tc.tasks, tc.dur, err, tc.ok)
 		}
 	}
 }

@@ -33,28 +33,6 @@ var warmupCycles atomic.Int64
 // process. Tests diff it around sweeps.
 func WarmupCyclesExecuted() int64 { return warmupCycles.Load() }
 
-// Tile-parallel barrier accounting, accumulated process-wide across every
-// tiled point simulate runs. Cache hits contribute nothing (no simulation
-// happened), so figures can report how much merge traffic the extracted
-// lookahead actually avoided on recomputes.
-var tileWindows, tileBarriers, tileBarriersElided atomic.Int64
-
-// TileBarrierCounters summarizes the tiled runs this process executed:
-// planned windows, actual cross-tile merges, and merges elided because no
-// cross-tile traffic was pending. All zero when no tiled point simulated.
-type TileBarrierCounters struct {
-	Windows, Barriers, Elided int64
-}
-
-// TileBarrierStats reports the process-wide tiled barrier counters.
-func TileBarrierStats() TileBarrierCounters {
-	return TileBarrierCounters{
-		Windows:  tileWindows.Load(),
-		Barriers: tileBarriers.Load(),
-		Elided:   tileBarriersElided.Load(),
-	}
-}
-
 // warmSnaps deduplicates warm snapshots inside a sweeping process, one
 // slot per warm key: the first variant at an operating point loads or
 // simulates the snapshot, the rest fork the same decoded state without
@@ -81,10 +59,9 @@ func warmKey(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64) str
 // state forks from the snapshot stored under the warm key when any earlier
 // run — of this client or another, under any policy — already paid for the
 // warm-up, and is simulated, captured and stored otherwise. Without reuse,
-// for a tiled config (a tiled network refuses capture and restore), for a
-// workload that must run live (see workload), after a capture refusal
-// or a failed restore, the warm-up simulates straight; nothing is captured
-// or encoded on that path. Both paths release the hold at the same
+// for a workload that must run live (see workload), after a capture
+// refusal or a failed restore, the warm-up simulates straight; nothing is
+// captured or encoded on that path. Both paths release the hold at the same
 // instant, so what is measured afterwards is identical either way.
 func Warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse bool) (*network.Network, error) {
 	return warmed(cfg, w, warm, meas, reuse, false)
@@ -100,11 +77,11 @@ func warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reus
 		return nil, err
 	}
 	horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
-	m, tr, err := workload(&cfg, w, horizon)
+	m, tr, err := workload(cfg, w, horizon)
 	if err != nil {
 		return nil, err
 	}
-	if reuse && tr != nil && cfg.Tiles <= 1 {
+	if reuse && tr != nil {
 		key := warmKey(cfg, w, warm, meas)
 		load := func() *checkpoint.Snapshot { return warmSnapshot(key, cfg, tr, horizon, warm) }
 		var snap *checkpoint.Snapshot
@@ -189,11 +166,5 @@ func simulate(s spec, o Options) network.Results {
 	}
 	n.BeginMeasurement()
 	n.Run(meas)
-	if n.Tiled() {
-		st := n.SkipStats()
-		tileWindows.Add(st.TileWindows)
-		tileBarriers.Add(st.TileBarriers)
-		tileBarriersElided.Add(st.TileBarriersElided)
-	}
 	return n.Snapshot()
 }

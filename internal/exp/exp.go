@@ -40,14 +40,6 @@ type Options struct {
 	// byte-identity); only speed differs. It is deliberately absent from
 	// cache keys so both modes share cached results.
 	NoCheckpoint bool
-	// Tiles partitions each simulation into that many tile-parallel blocks
-	// (network.Config.Tiles). Results are byte-identical at every tile
-	// count (the tile-equivalence suite pins this); only speed differs, so
-	// like NoCheckpoint it is deliberately absent from cache keys. Points
-	// whose workload exceeds the trace budget fall back to untiled (the
-	// tiled engine replays recorded traces only), and tiled points run the
-	// straight warmup path (a tiled network refuses checkpoint capture).
-	Tiles int
 }
 
 // tinyBudget, when set, shrinks cycle budgets far below -quick. It exists
@@ -235,7 +227,7 @@ var noTraceMemo bool
 func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.Model, sim.Time) {
 	cfg := s.config(o)
 	horizon := sim.Time(horizonCycles) * cfg.RouterPeriod
-	m, _, err := workload(&cfg, s.twoLevelParams(o), horizon)
+	m, _, err := workload(cfg, s.twoLevelParams(o), horizon)
 	if err != nil {
 		panic(err)
 	}
@@ -252,13 +244,10 @@ func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.M
 // policy ablations pay for workload generation once instead of per
 // variant — unless the run must drive the model live: memoization is
 // disabled, or the workload exceeds the trace budget; the trace is then
-// nil. The decision comes before network construction
-// because a tiled network replays recorded traces only: a live run
-// degrades cfg to the untiled engine — same bytes, one scheduler — with
-// one stderr note per workload and reason (silent fallback hid exactly the
-// -full points users most expect to parallelize). Parameters the model
-// rejects are an error before either path, never a note.
-func workload(cfg *network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
+// nil, with one stderr note per workload and reason when the budget is
+// what refused it. Parameters the model rejects are an error before either
+// path, never a note.
+func workload(cfg network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
 	topo := topology.New(cfg.K, cfg.N, cfg.Torus)
 	m, err := traffic.NewTwoLevel(p, topo)
 	if err != nil {
@@ -270,11 +259,10 @@ func workload(cfg *network.Config, p traffic.TwoLevelParams, horizon sim.Time) (
 			return tr, tr, nil
 		}
 		if _, dup := traceFallbackNotes.LoadOrStore(fmt.Sprintf("%g|%d|%s", p.TotalRate, p.Seed, reason), true); !dup {
-			fmt.Fprintf(os.Stderr, "exp: workload rate=%g seed=%d: live workload (trace and tile eligibility lost): %s\n",
+			fmt.Fprintf(os.Stderr, "exp: workload rate=%g seed=%d: live workload: %s\n",
 				p.TotalRate, p.Seed, reason)
 		}
 	}
-	cfg.Tiles = 0
 	return m, nil, nil
 }
 
@@ -310,9 +298,6 @@ func (s spec) config(o Options) network.Config {
 	}
 	cfg.Torus = s.torus
 	cfg.Audit.Enabled = o.Audit
-	if o.Tiles > 1 {
-		cfg.Tiles = o.Tiles
-	}
 	return cfg
 }
 
@@ -337,9 +322,6 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 // exactly the points it touches and nothing else. Audit is proven not to
 // change results, but it stays in the key to keep it a plain serialization
 // of the run spec rather than an equivalence claim.
-// Tiles is deliberately absent (like NoCheckpoint): tile counts are an
-// execution strategy, not part of the run spec, and keying them would
-// split the cache across identical results.
 func (s spec) cacheKey(o Options) string {
 	warm, meas := o.budget()
 	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|seed=%d|"+

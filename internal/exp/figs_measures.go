@@ -174,11 +174,6 @@ type fig8Payload struct {
 
 // runFig8 snapshots per-node injection rates under the two-level workload.
 func runFig8(o Options) []Table {
-	// fig8 wraps the model's injector to count injections, which requires
-	// the single-scheduler engine (a tiled network injects per tile from
-	// filtered trace projections). Tiles is not in the cache key, so the
-	// override cannot split cached results.
-	o.Tiles = 0
 	s := defaultSpec(1.0, network.PolicyNone)
 	warm, meas := o.budget()
 	prefetchRecordTrace(s, o)
@@ -246,8 +241,6 @@ type fig9Payload struct {
 }
 
 func runFig9(o Options) []Table {
-	// Same injector-wrapping constraint as fig8: run untiled.
-	o.Tiles = 0
 	s := defaultSpec(1.0, network.PolicyNone)
 	warm, meas := o.budget()
 	const binCycles = 100

@@ -107,42 +107,6 @@ func TestGoldenFigures(t *testing.T) {
 	SetParallelism(0)
 }
 
-// TestGoldenTiled: the golden pins must hold at every tile count — the
-// tile-parallel core may change speed, never a byte. fig10 and fig13 are
-// rendered from cold caches at tile counts 1, 2 and 4 and compared against
-// the same pins the single-scheduler runs satisfy. ResetCaches between
-// counts matters: Tiles is deliberately absent from cache keys, so without
-// it later counts would replay the first count's results and prove nothing.
-func TestGoldenTiled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed golden comparison skipped in -short")
-	}
-	defer ResetCaches()
-	for _, tiles := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("tiles%d", tiles), func(t *testing.T) {
-			ResetCaches()
-			for _, id := range []string{"fig10", "fig13"} {
-				want, err := os.ReadFile(goldenPath(id))
-				if err != nil {
-					t.Fatalf("%s: %v (regenerate with: go test ./internal/exp -run TestGoldenFigures -update)", id, err)
-				}
-				tabs, err := Run(id, Options{Quick: true, Tiles: tiles})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb strings.Builder
-				for _, tab := range tabs {
-					tab.Fprint(&sb)
-				}
-				if sb.String() != string(want) {
-					t.Errorf("%s: Tiles=%d output drifted from the golden pin\n--- got ---\n%s--- want ---\n%s",
-						id, tiles, sb.String(), want)
-				}
-			}
-		})
-	}
-}
-
 // TestGoldenWithDiskCache: the golden pins must hold with the persistent
 // run cache active, both when it populates (cold) and when it replays
 // (warm) — the cache may change speed, never a byte of output. Quick

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
@@ -82,31 +81,6 @@ func TestPrefetchReportsMissesThenHits(t *testing.T) {
 		if !e.Hit {
 			t.Errorf("warm walk missed after a real run: %s", e.Key)
 		}
-	}
-}
-
-// TestPrefetchKeySetIgnoresTiles: tile parallelism never changes output
-// bytes, so Options.Tiles is deliberately absent from every cache key — a
-// walk at Tiles=4 must consult exactly the keys of a single-scheduler walk.
-func TestPrefetchKeySetIgnoresTiles(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-
-	ids := []string{"fig10", "fig3"}
-	flat, err := Prefetch(ids, Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiled, err := Prefetch(ids, Options{Quick: true, Tiles: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flat, tiled) {
-		t.Errorf("Tiles=4 walk consulted a different key set than Tiles=0\n--- flat ---\n%v\n--- tiled ---\n%v", flat, tiled)
 	}
 }
 

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -12,30 +13,40 @@ import (
 // function for Permutation, except Hotspot, which is its own model.
 
 // BitReverse returns the bit-reversal permutation: node i sends to the node
-// whose index is i's bit pattern reversed (over log2(Nodes) bits). The node
-// count must be a power of two.
-func BitReverse(t *topology.Cube) func(int) int {
-	n := t.Nodes()
-	if n&(n-1) != 0 {
-		panic("traffic: bit-reverse needs a power-of-two node count")
+// whose index is i's bit pattern reversed (over log2(Nodes) bits). It
+// refuses a node count that is not a power of two.
+func BitReverse(t *topology.Cube) (func(int) int, error) {
+	w, err := indexBits("bit-reverse", t)
+	if err != nil {
+		return nil, err
 	}
-	w := bits.Len(uint(n)) - 1
 	return func(src int) int {
 		return int(bits.Reverse(uint(src)) >> (bits.UintSize - w))
-	}
+	}, nil
 }
 
 // Shuffle returns the perfect-shuffle permutation: rotate the index bits
-// left by one. The node count must be a power of two.
-func Shuffle(t *topology.Cube) func(int) int {
-	n := t.Nodes()
-	if n&(n-1) != 0 {
-		panic("traffic: shuffle needs a power-of-two node count")
+// left by one. It refuses a node count that is not a power of two.
+func Shuffle(t *topology.Cube) (func(int) int, error) {
+	w, err := indexBits("shuffle", t)
+	if err != nil {
+		return nil, err
 	}
-	w := bits.Len(uint(n)) - 1
+	n := t.Nodes()
 	return func(src int) int {
 		return ((src << 1) | (src >> (w - 1))) & (n - 1)
+	}, nil
+}
+
+// indexBits reports log2 of t's node count, the width the bit-permutation
+// patterns work over, or an error naming pattern when the count is not a
+// power of two.
+func indexBits(pattern string, t *topology.Cube) (int, error) {
+	n := t.Nodes()
+	if n&(n-1) != 0 {
+		return 0, fmt.Errorf("traffic: %s needs a power-of-two node count, not %d", pattern, n)
 	}
+	return bits.Len(uint(n)) - 1, nil
 }
 
 // Tornado returns the tornado pattern: each node sends halfway around its

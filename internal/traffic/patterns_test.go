@@ -9,7 +9,10 @@ import (
 
 func TestBitReverse(t *testing.T) {
 	topo := topology.NewMesh2D(8) // 64 nodes, 6 bits
-	br := BitReverse(topo)
+	br, err := BitReverse(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct{ src, dst int }{
 		{0, 0},
 		{1, 32}, // 000001 -> 100000
@@ -32,7 +35,10 @@ func TestBitReverse(t *testing.T) {
 
 func TestShufflePermutation(t *testing.T) {
 	topo := topology.NewMesh2D(8)
-	sh := Shuffle(topo)
+	sh, err := Shuffle(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := sh(0b000001); got != 0b000010 {
 		t.Errorf("shuffle(1) = %d, want 2", got)
 	}
@@ -66,20 +72,19 @@ func TestTornado(t *testing.T) {
 	}
 }
 
+// TestPatternsRejectNonPowerOfTwo: the bit permutations refuse 9 and 36
+// nodes with an error, never a panic, and accept 16 and 64.
 func TestPatternsRejectNonPowerOfTwo(t *testing.T) {
-	topo := topology.New(3, 2, false) // 9 nodes
-	for name, fn := range map[string]func(*topology.Cube) func(int) int{
-		"bitreverse": BitReverse,
-		"shuffle":    Shuffle,
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted 9 nodes", name)
-				}
-			}()
-			fn(topo)
-		}()
+	for _, k := range []int{3, 6, 4, 8} {
+		topo, ok := topology.New(k, 2, false), k == 4 || k == 8
+		for name, fn := range map[string]func(*topology.Cube) (func(int) int, error){
+			"bitreverse": BitReverse,
+			"shuffle":    Shuffle,
+		} {
+			if _, err := fn(topo); (err == nil) != ok {
+				t.Errorf("%s on %d nodes: err = %v, want ok=%v", name, topo.Nodes(), err, ok)
+			}
+		}
 	}
 }
 

@@ -74,8 +74,7 @@ func RunCacheStats() CacheStats { return CacheStats(exp.DiskCacheStats()) }
 
 // FprintCacheStats writes the run-cache and trace-store counters to w, one
 // stable greppable line per store (CI asserts on hits and misses after a
-// warm rerun), plus the tile-barrier line when a tiled experiment point
-// did real simulation work in this process (cache hits plan no windows).
+// warm rerun).
 func FprintCacheStats(w io.Writer) {
 	line := func(name string, s CacheStats) {
 		fmt.Fprintf(w, "%s: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f put-failures=%d\n",
@@ -84,10 +83,6 @@ func FprintCacheStats(w io.Writer) {
 	}
 	line("runcache", RunCacheStats())
 	line("tracestore", TraceStoreStats())
-	if tb := ExperimentTileBarrierStats(); tb.Windows > 0 {
-		fmt.Fprintf(w, "tilebarriers: windows=%d merges=%d elided=%d elision-frac=%.2f\n",
-			tb.Windows, tb.Barriers, tb.Elided, float64(tb.Elided)/float64(tb.Windows))
-	}
 }
 
 // EnableTraceStore opens (creating if necessary) the persistent arrival-

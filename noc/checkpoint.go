@@ -14,14 +14,17 @@ import "repro/internal/exp"
 // otherwise; with reuse disabled (or no cache) the warmup always
 // simulates. A fork is byte-identical to an uninterrupted run (pinned by
 // internal/checkpoint's conformance suite), so reuse changes speed, never
-// a result. A workload beyond the trace budget runs its model live, on the
-// single-scheduler engine.
+// a result. A workload beyond the trace budget runs its model live.
 func NewWarmedTwoLevel(c Config, w TwoLevelWorkload, warmup, measure int64, reuse bool) (*Network, error) {
 	lowered, err := c.lower()
 	if err != nil {
 		return nil, err
 	}
-	n, err := exp.Warmed(lowered, w.params(lowered.Seed), warmup, measure, reuse && exp.DiskCache() != nil)
+	p, err := w.params(lowered.Seed)
+	if err != nil {
+		return nil, err
+	}
+	n, err := exp.Warmed(lowered, p, warmup, measure, reuse && exp.DiskCache() != nil)
 	if err != nil {
 		return nil, err
 	}

@@ -22,11 +22,6 @@ type ExperimentOptions struct {
 	// pays for its own warmup instead of forking a shared warmed-up
 	// snapshot. Output is identical either way; only speed differs.
 	NoCheckpoint bool
-	// Tiles runs each simulation on that many tile-parallel blocks with
-	// conservative lookahead barriers. Output is byte-identical at every
-	// tile count; only speed differs, so it is absent from result cache
-	// keys.
-	Tiles int
 }
 
 // lower maps the public options onto the experiment harness's options.
@@ -34,7 +29,6 @@ func (o ExperimentOptions) lower() exp.Options {
 	return exp.Options{
 		Quick: o.Quick, Full: o.Full, Seed: o.Seed,
 		Audit: o.Audit, NoCheckpoint: o.NoCheckpoint,
-		Tiles: o.Tiles,
 	}
 }
 
@@ -100,22 +94,6 @@ func PrefetchExperiments(ids []string, o ExperimentOptions) ([]CachePrefetchEntr
 // simulation point is independently seeded, so execution order cannot leak
 // into results.
 func SetExperimentParallelism(j int) { exp.SetParallelism(j) }
-
-// TileBarrierCounters summarizes the tile-parallel runs the experiment
-// harness executed in this process: planned lookahead windows, actual
-// cross-tile merges, and merges elided because no cross-tile traffic was
-// pending. All zero when no tiled point simulated (including when every
-// point was a cache hit).
-type TileBarrierCounters struct {
-	Windows, Barriers, Elided int64
-}
-
-// ExperimentTileBarrierStats reports the process-wide tiled barrier
-// counters accumulated across experiment runs.
-func ExperimentTileBarrierStats() TileBarrierCounters {
-	s := exp.TileBarrierStats()
-	return TileBarrierCounters{Windows: s.Windows, Barriers: s.Barriers, Elided: s.Elided}
-}
 
 // RunExperiments regenerates several experiments concurrently (bounded by
 // SetExperimentParallelism) and returns each one's rendered output in

@@ -58,9 +58,6 @@ func FuzzLoadConfig(f *testing.F) {
 		if nodes > 256 {
 			return
 		}
-		// Live traffic models need the single-scheduler engine (a tiled
-		// network replays recorded traces only, and says so by panicking).
-		c.Tiles = 0
 		n, err := New(c)
 		if err != nil {
 			t.Fatalf("LoadConfig accepted a config New rejects: %v\n%s", err, data)

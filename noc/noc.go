@@ -73,17 +73,6 @@ type Config struct {
 	// The first violation panics. Results are identical with or without
 	// it; only speed differs.
 	Audit bool
-
-	// Tiles partitions the simulation into that many tile-parallel blocks
-	// of routers, each advanced by its own scheduler between conservative
-	// lookahead barriers, so one run can use several cores. Results are
-	// byte-identical at every tile count; only speed differs. A tiled
-	// network replays recorded workload traces only: NewWarmedTwoLevel
-	// supports it transparently, while the live Attach* workloads,
-	// hand-driven Inject and EnableTrace refuse (AttachTwoLevel returns an
-	// error; the others panic on use). 0 or 1 selects the single-scheduler
-	// engine unchanged.
-	Tiles int
 }
 
 // DefaultConfig returns the paper's experimental platform: an 8x8 mesh of
@@ -132,7 +121,6 @@ func (c Config) lower() (network.Config, error) {
 	cfg.Link.FreqTransitionCycles = c.FreqTransitionCycles
 	cfg.Seed = c.Seed
 	cfg.Audit.Enabled = c.Audit
-	cfg.Tiles = c.Tiles
 	switch c.Policy {
 	case PolicyHistory, "":
 		cfg.Policy = network.PolicyHistory
@@ -176,7 +164,9 @@ type TwoLevelWorkload struct {
 	// cycle across the whole network.
 	Rate float64
 	// Tasks is the average number of concurrent task sessions (paper: 50 or
-	// 100); TaskDuration their mean length (paper: 10 us to 1 ms).
+	// 100); TaskDuration their mean length (paper: 10 us to 1 ms). Zero
+	// selects the model's default (100 tasks, 1 ms); a negative value is an
+	// error.
 	Tasks        int
 	TaskDuration time.Duration
 	// Seed overrides the config seed when nonzero.
@@ -184,9 +174,16 @@ type TwoLevelWorkload struct {
 }
 
 // params lowers the public workload onto the traffic model's parameters;
-// seed is the platform's, used when the workload names none.
-func (w TwoLevelWorkload) params(seed uint64) traffic.TwoLevelParams {
+// seed is the platform's, used when the workload names none. It refuses a
+// negative task count or duration, which would otherwise run the default.
+func (w TwoLevelWorkload) params(seed uint64) (traffic.TwoLevelParams, error) {
 	p := traffic.NewTwoLevelParams(w.Rate)
+	switch {
+	case w.Tasks < 0:
+		return p, fmt.Errorf("noc: two-level workload: Tasks %d is negative", w.Tasks)
+	case w.TaskDuration < 0:
+		return p, fmt.Errorf("noc: two-level workload: TaskDuration %v is negative", w.TaskDuration)
+	}
 	if w.Tasks > 0 {
 		p.AvgTasks = w.Tasks
 	}
@@ -197,18 +194,23 @@ func (w TwoLevelWorkload) params(seed uint64) traffic.TwoLevelParams {
 	if p.Seed == 0 {
 		p.Seed = seed
 	}
-	return p
+	return p, nil
 }
 
 // Validate reports whether the workload can drive a network built from c —
 // the checks AttachTwoLevel and NewWarmedTwoLevel apply, among them a
-// finite rate in (0, nodes] packets/cycle — without building either.
+// finite rate in (0, nodes] packets/cycle and no negative task count or
+// duration — without building either.
 func (w TwoLevelWorkload) Validate(c Config) error {
 	lowered, err := c.lower()
 	if err != nil {
 		return err
 	}
-	_, err = traffic.NewTwoLevel(w.params(lowered.Seed), topology.New(lowered.K, lowered.N, lowered.Torus))
+	p, err := w.params(lowered.Seed)
+	if err != nil {
+		return err
+	}
+	_, err = traffic.NewTwoLevel(p, topology.New(lowered.K, lowered.N, lowered.Torus))
 	return err
 }
 
@@ -220,10 +222,11 @@ func ValidNodeRate(ratePerNode float64) error { return traffic.ValidNodeRate(rat
 // AttachTwoLevel arms the two-level workload for the rest of the
 // simulation (one full second of simulated time, effectively unbounded).
 func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
-	if n.inner.Tiled() {
-		return errors.New("noc: a tiled network replays recorded traces only; use NewWarmedTwoLevel (or Config.Tiles <= 1)")
+	p, err := w.params(n.inner.Cfg.Seed)
+	if err != nil {
+		return err
 	}
-	m, err := traffic.NewTwoLevel(w.params(n.inner.Cfg.Seed), n.inner.Topo)
+	m, err := traffic.NewTwoLevel(p, n.inner.Topo)
 	if err != nil {
 		return err
 	}
@@ -250,28 +253,35 @@ func (n *Network) AttachUniform(ratePerNode float64) error {
 // AttachTranspose arms matrix-transpose permutation traffic. Like every
 // permutation pattern, it refuses a rate ValidNodeRate rejects.
 func (n *Network) AttachTranspose(ratePerNode float64) error {
-	return n.attachPermutation(ratePerNode, traffic.Transpose(n.inner.Topo))
+	return n.attachPermutation(ratePerNode, traffic.Transpose(n.inner.Topo), nil)
 }
 
-// AttachBitReverse arms bit-reversal permutation traffic (power-of-two
-// node counts only).
+// AttachBitReverse arms bit-reversal permutation traffic. It refuses a
+// node count that is not a power of two.
 func (n *Network) AttachBitReverse(ratePerNode float64) error {
-	return n.attachPermutation(ratePerNode, traffic.BitReverse(n.inner.Topo))
+	pattern, err := traffic.BitReverse(n.inner.Topo)
+	return n.attachPermutation(ratePerNode, pattern, err)
 }
 
-// AttachShuffle arms perfect-shuffle permutation traffic (power-of-two
-// node counts only).
+// AttachShuffle arms perfect-shuffle permutation traffic. It refuses a
+// node count that is not a power of two.
 func (n *Network) AttachShuffle(ratePerNode float64) error {
-	return n.attachPermutation(ratePerNode, traffic.Shuffle(n.inner.Topo))
+	pattern, err := traffic.Shuffle(n.inner.Topo)
+	return n.attachPermutation(ratePerNode, pattern, err)
 }
 
 // AttachTornado arms tornado traffic: each node sends halfway around its
 // row, the worst case for rings and tori.
 func (n *Network) AttachTornado(ratePerNode float64) error {
-	return n.attachPermutation(ratePerNode, traffic.Tornado(n.inner.Topo))
+	return n.attachPermutation(ratePerNode, traffic.Tornado(n.inner.Topo), nil)
 }
 
-func (n *Network) attachPermutation(ratePerNode float64, pattern func(int) int) error {
+// attachPermutation arms pattern at ratePerNode, or returns patternErr, the
+// pattern constructor's refusal, without arming anything.
+func (n *Network) attachPermutation(ratePerNode float64, pattern func(int) int, patternErr error) error {
+	if patternErr != nil {
+		return patternErr
+	}
 	if err := ValidNodeRate(ratePerNode); err != nil {
 		return err
 	}
@@ -387,18 +397,10 @@ type SkipStats struct {
 	ElisionRatio      float64
 	// RouterTicksSlept is the part of RouterTicksElided spent on routers
 	// that were busy but asleep, waiting out their output pipeline or a slow
-	// link; the rest were idle. Zero when Config.Tiles > 1.
+	// link; the rest were idle.
 	RouterTicksSlept int64
 	// ActiveHist[k] counts executed cycles that ticked exactly k routers.
 	ActiveHist []int64
-	// Tile-parallel barrier accounting (zero unless Config.Tiles > 1).
-	// TileWindows counts planned lookahead windows; TileBarriers counts
-	// actual cross-tile merges (including forced flushes at run
-	// boundaries); TileBarriersElided counts window ends whose merge was
-	// skipped because no cross-tile traffic was pending.
-	TileWindows        int64
-	TileBarriers       int64
-	TileBarriersElided int64
 }
 
 // SkipStats reports the activity-driven core's skip counters. They measure
@@ -416,9 +418,6 @@ func (n *Network) SkipStats() SkipStats {
 		ElisionRatio:        s.ElisionRatio(),
 		RouterTicksSlept:    s.RouterTicksSlept,
 		ActiveHist:          s.ActiveHist,
-		TileWindows:         s.TileWindows,
-		TileBarriers:        s.TileBarriers,
-		TileBarriersElided:  s.TileBarriersElided,
 	}
 }
 

@@ -112,6 +112,26 @@ func TestAttachRejectsBadRates(t *testing.T) {
 	}
 }
 
+// TestTwoLevelRejectsNegativeTasks: a negative task count or duration is
+// an error from Validate, AttachTwoLevel and NewWarmedTwoLevel alike, not
+// a silent run of the default workload; zero still selects the default.
+func TestTwoLevelRejectsNegativeTasks(t *testing.T) {
+	cfg := smallCfg(PolicyNone)
+	for _, w := range []TwoLevelWorkload{{Rate: 1, Tasks: -5}, {Rate: 1, TaskDuration: -time.Microsecond}} {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, warmErr := NewWarmedTwoLevel(cfg, w, 100, 100, false)
+		if w.Validate(cfg) == nil || n.AttachTwoLevel(w) == nil || warmErr == nil {
+			t.Errorf("%+v accepted", w)
+		}
+	}
+	if err := (TwoLevelWorkload{Rate: 1}).Validate(cfg); err != nil {
+		t.Errorf("zero tasks and duration (the defaults): %v", err)
+	}
+}
+
 func TestManualInjection(t *testing.T) {
 	n, _ := New(smallCfg(PolicyNone))
 	n.Inject(0, 15)
@@ -371,5 +391,19 @@ func TestPatternAttachments(t *testing.T) {
 		if r.DeliveredPackets == 0 {
 			t.Errorf("%s: nothing delivered", attach.name)
 		}
+	}
+}
+
+// TestBitPermutationsRejectNonPowerOfTwo: on a 6x6 mesh (36 nodes)
+// bit-reverse and shuffle return an error instead of panicking.
+func TestBitPermutationsRejectNonPowerOfTwo(t *testing.T) {
+	cfg := smallCfg(PolicyNone)
+	cfg.MeshSize = 6
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.AttachBitReverse(0.01) == nil || n.AttachShuffle(0.01) == nil {
+		t.Error("a bit permutation accepted 36 nodes")
 	}
 }
