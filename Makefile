@@ -81,6 +81,9 @@ fuzz:
 # production Go and CI. The tile-parallel engine is reachable only through
 # network.Config.Tiles, for its benchmark probe and equivalence tests: no
 # option, counter or flag above internal/network, and no -tiles in CI.
+# The disk trace store and the straight warm-up switch left both commands:
+# traces live in the in-memory memo only, and the straight warm-up is a
+# test hook (noCheckpoint in internal/exp).
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
@@ -88,6 +91,8 @@ retired:
 	  echo 'test-only oracles are reachable outside the tests again (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE 'Tiles|TileBarrier|"tiles"' -- cmd noc internal/exp ':!*_test.go' || git grep -n -e '-tiles' -- .github; then \
 	  echo 'the tile-parallel engine is reachable above internal/network again (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE 'EnableTraceStore|DisableTraceStore|TraceStoreStats|SetTraceStore|InstalledTraceStore|TwoLevelTraceKey|NoCheckpoint|no-checkpoint|no-trace-store' -- '*.go' .github ':!*_test.go' ':!benchmarks'; then \
+	  echo 'the disk trace store or -no-checkpoint is wired up again (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

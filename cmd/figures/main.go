@@ -41,12 +41,10 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed family")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		auditFlag  = flag.Bool("audit", false, "run every simulation under the runtime invariant checker (slower, same output)")
-		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup instead of forking the one policy-frozen warmup its (seed, rate) shares (slower, same output)")
 		jobs       = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		prefetch   = flag.Bool("prefetch", false, "report which run-cache keys the selected experiments would hit or miss; no simulations run")
 		cacheDir   = flag.String("cache-dir", "", "persistent run cache directory (default: user cache dir)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache; recompute everything")
-		noTraceStr = flag.Bool("no-trace-store", false, "disable the persistent arrival-trace store; re-capture workloads live (same output)")
 		cacheStats = flag.Bool("cachestats", false, "print run-cache counters to stderr on exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -72,15 +70,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "figures: run cache disabled:", err)
 		}
 	}
-	// The trace store is independent of -no-cache: traces decode to the
-	// exact captured arrival sequence, so results are byte-identical with
-	// the store on or off — a -no-cache recompute still replays warm
-	// traces instead of re-simulating every workload.
-	if !*noTraceStr {
-		if err := noc.EnableTraceStore(*cacheDir, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "figures: trace store disabled:", err)
-		}
-	}
 	if *cacheStats {
 		defer noc.FprintCacheStats(os.Stderr)
 	}
@@ -98,10 +87,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	o := noc.ExperimentOptions{
-		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag,
-		NoCheckpoint: *noCkpt,
-	}
+	o := noc.ExperimentOptions{Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag}
 	var ids []string
 	switch {
 	case *expID == "all":
@@ -118,28 +104,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(1)
 		}
-		// One section per store: result keys (the run cache), then trace
-		// keys (the arrival-trace store). Entries arrive sorted by kind
-		// then key, so each section prints contiguously with its own
-		// summary line — CI asserts on both.
-		section := func(kind, label string) {
-			n, hits := 0, 0
-			for _, e := range entries {
-				if e.Kind != kind {
-					continue
-				}
-				n++
-				status := "MISS"
-				if e.Hit {
-					status = "HIT "
-					hits++
-				}
-				fmt.Printf("%s %s\n", status, e.Key)
+		hits := 0
+		for _, e := range entries {
+			status := "MISS"
+			if e.Hit {
+				status = "HIT "
+				hits++
 			}
-			fmt.Printf("%s: %d keys, %d hit, %d miss\n", label, n, hits, n-hits)
+			fmt.Printf("%s %s\n", status, e.Key)
 		}
-		section("result", "prefetch")
-		section("trace", "prefetch traces")
+		fmt.Printf("prefetch: %d keys, %d hit, %d miss\n", len(entries), hits, len(entries)-hits)
 		return
 	}
 

@@ -13,8 +13,7 @@
 // differ only in -policy, thresholds or transition latencies share one
 // persisted warmup snapshot instead of each re-simulating it — and share
 // it with cmd/figures, whose sweeps run the same stage under the same key.
-// A forked warmup is byte-identical to a simulated one; -no-checkpoint
-// disables the reuse without changing any result.
+// A forked warmup is byte-identical to a simulated one.
 package main
 
 import (
@@ -47,7 +46,6 @@ func main() {
 		measure  = flag.Int64("cycles", 150_000, "measured cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
-		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup instead of forking the persisted policy-frozen snapshot (twolevel traffic, cache enabled); identical results, slower across policy sweeps")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
 		levels   = flag.Bool("levels", false, "print the final DVS level histogram")
 		traceN   = flag.Int("trace", 0, "dump the last N trace events after the run")
@@ -56,7 +54,6 @@ func main() {
 		jobs       = flag.Int("j", 0, "max OS threads for this process (0 = GOMAXPROCS); one simulation is single-threaded, this bounds GC/runtime helpers when profiling")
 		cacheDir   = flag.String("cache-dir", "", "persistent run cache directory (default: user cache dir)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache; always simulate")
-		noTraceStr = flag.Bool("no-trace-store", false, "disable the persistent arrival-trace store; re-capture the workload live (same output)")
 		cacheStats = flag.Bool("cachestats", false, "print run-cache counters to stderr on exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
@@ -91,13 +88,6 @@ func main() {
 		if err := noc.EnableRunCache(*cacheDir, 0); err != nil {
 			// A cache that won't open costs speed, not correctness.
 			fmt.Fprintln(os.Stderr, "netsim: run cache disabled:", err)
-		}
-	}
-	// Independent of -no-cache: a warm trace decodes to the exact captured
-	// arrival sequence, so the summary is byte-identical either way.
-	if !*noTraceStr {
-		if err := noc.EnableTraceStore(*cacheDir, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "netsim: trace store disabled:", err)
 		}
 	}
 	if *cacheStats {
@@ -138,9 +128,9 @@ func main() {
 	var n *noc.Network
 	if *traffic == "twolevel" {
 		// The warmup runs policy-frozen on a captured trace; with the run
-		// cache enabled (and no -no-checkpoint), it forks a persisted
-		// snapshot when a compatible invocation already simulated it.
-		n, err = noc.NewWarmedTwoLevel(cfg, workload, *warmup, *measure, !*noCkpt)
+		// cache enabled, it forks a persisted snapshot when a compatible
+		// invocation already simulated it.
+		n, err = noc.NewWarmedTwoLevel(cfg, workload, *warmup, *measure, true)
 		if err != nil {
 			fail(err)
 		}

@@ -176,7 +176,6 @@ func runAblRouterPower(o Options) []Table {
 	warm, meas := o.budget()
 	measureOne := func(policy network.PolicyKind) (float64, float64) {
 		s := defaultSpec(2.0, policy)
-		prefetchRecordTrace(s, o)
 		p := cached("ablrouterpower|"+s.cacheKey(o), func() (p routerPowerPayload) {
 			p.CoreW, p.LinkW = measureRouterPower(s, o, warm, meas)
 			return p

@@ -160,7 +160,7 @@ func warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim
 // simulate executes warm-up + measurement for one point of a sweep.
 func simulate(s spec, o Options) network.Results {
 	warm, meas := o.budget()
-	n, err := warmed(s.config(o), s.twoLevelParams(o), warm, meas, !o.NoCheckpoint, true)
+	n, err := warmed(s.config(o), s.twoLevelParams(o), warm, meas, !noCheckpoint, true)
 	if err != nil {
 		panic(err)
 	}

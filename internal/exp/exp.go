@@ -25,7 +25,7 @@ import (
 type Options struct {
 	// Quick shrinks cycle budgets for laptop-speed smoke runs; Full raises
 	// them to the paper's 10M-cycle setting. Default is a minutes-scale
-	// middle ground.
+	// middle ground. Run, RunAll and Prefetch refuse both at once.
 	Quick, Full bool
 	// Seed selects the deterministic random stream family.
 	Seed uint64
@@ -33,13 +33,15 @@ type Options struct {
 	// (internal/audit), which panics on the first violation. Results are
 	// identical with or without it; only speed differs.
 	Audit bool
-	// NoCheckpoint disables the warmup checkpoint/fork fast path: every
-	// simulation point then executes its own warmup from cycle 0 instead of
-	// forking a shared warmed-up snapshot. Results are identical either way
-	// (the fork-equivalence conformance suite in internal/checkpoint pins
-	// byte-identity); only speed differs. It is deliberately absent from
-	// cache keys so both modes share cached results.
-	NoCheckpoint bool
+}
+
+// validate refuses option sets no budget answers: Quick and Full name
+// different budgets, and picking one silently would run the other.
+func (o Options) validate() error {
+	if o.Quick && o.Full {
+		return fmt.Errorf("exp: Quick and Full are exclusive; choose one budget")
+	}
+	return nil
 }
 
 // tinyBudget, when set, shrinks cycle budgets far below -quick. It exists
@@ -156,6 +158,9 @@ func List() []string {
 
 // Run executes the experiment with the given id.
 func Run(id string, o Options) ([]Table, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	r, ok := registry[id]
 	if !ok {
 		return nil, unknownExperiment(id)
@@ -218,6 +223,13 @@ func defaultSpec(rate float64, policy network.PolicyKind) spec {
 // proving memoized and live runs are byte-identical; callers must
 // ResetCaches around toggling it, since cache keys do not include it.
 var noTraceMemo bool
+
+// noCheckpoint, when set, makes every simulation point run its own warm-up
+// from cycle 0 instead of forking the one its (seed, rate) shares. It
+// exists only for the tests pinning that a fork changes no byte and saves
+// warm-up work; callers must ResetCaches around toggling it, since cache
+// keys do not include it.
+var noCheckpoint bool
 
 // build constructs the network and traffic model for a spec, plus the
 // scheduler horizon for the caller's Launch. horizonCycles is the number
@@ -339,7 +351,6 @@ func (s spec) cacheKey(o Options) string {
 // singleflight guarantee covers both layers — one disk read or one
 // simulation per point, no matter how many goroutines ask.
 func run(s spec, o Options) network.Results {
-	prefetchRecordTrace(s, o) // no-op outside a prefetch walk
 	key := "point|" + s.cacheKey(o)
 	return runCache.do(key, func() network.Results {
 		return cached(key, func() (r network.Results) {

@@ -52,9 +52,6 @@ func measuresKey(o Options) string {
 // processes.
 func measures(o Options) *measureSet {
 	return measureCache.do(o, func() *measureSet {
-		for _, rate := range measureRates {
-			prefetchRecordTrace(defaultSpec(rate, network.PolicyNone), o)
-		}
 		p := cached(measuresKey(o), func() measurePayload {
 			p := measurePayload{
 				LU: make([]*stats.Histogram, len(measureRates)),
@@ -176,7 +173,6 @@ type fig8Payload struct {
 func runFig8(o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
 	warm, meas := o.budget()
-	prefetchRecordTrace(s, o)
 	p := cached("fig8|"+s.cacheKey(o), func() (p fig8Payload) {
 		withSimSlot(func() {
 			n, m, horizon := s.build(o, warm+meas+1)
@@ -245,7 +241,6 @@ func runFig9(o Options) []Table {
 	warm, meas := o.budget()
 	const binCycles = 100
 	nbins := int(meas/binCycles) + 1
-	prefetchRecordTrace(s, o)
 	p := cached("fig9|"+s.cacheKey(o), func() (p fig9Payload) {
 		var perNode [][]float64
 		withSimSlot(func() {

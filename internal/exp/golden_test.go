@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/runcache"
-	"repro/internal/traffic"
-	"repro/internal/traffic/tracestore"
 )
 
 // update regenerates the golden files instead of comparing against them:
@@ -144,48 +142,6 @@ func TestGoldenWithDiskCache(t *testing.T) {
 	}
 }
 
-// TestGoldenWithTraceStore: the golden pins must hold with the persistent
-// trace store active — traces captured and saved cold, reloaded and
-// replayed from their compressed encoding warm. The store may change where
-// arrivals come from, never a byte of output; the warm rerun must reload
-// every trace (zero trace misses, zero re-captures) and still match the
-// pin, which is the on-disk half of the capture-vs-decode identity
-// contract.
-func TestGoldenWithTraceStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed golden comparison skipped in -short")
-	}
-	rc, err := runcache.Open(t.TempDir(), runcache.Options{Fingerprint: "exp-golden-trace-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traffic.SetTraceStore(tracestore.NewStore(rc))
-	defer func() {
-		traffic.SetTraceStore(nil)
-		ResetCaches()
-	}()
-
-	ResetCaches()
-	compareGolden(t, "fig10") // cold: capture traces, persist them
-	afterCold := rc.Stats()
-	if afterCold.Puts == 0 {
-		t.Fatalf("cold run persisted no traces: %+v", afterCold)
-	}
-
-	ResetCaches()
-	compareGolden(t, "fig10") // warm: reload every trace from disk
-	afterWarm := rc.Stats()
-	if d := afterWarm.Misses - afterCold.Misses; d != 0 {
-		t.Errorf("warm rerun missed the trace store %d times; want 0", d)
-	}
-	if d := afterWarm.Puts - afterCold.Puts; d != 0 {
-		t.Errorf("warm rerun re-captured and re-saved %d traces; want 0", d)
-	}
-	if afterWarm.Hits == afterCold.Hits {
-		t.Errorf("warm rerun never hit the trace store: %+v", afterWarm)
-	}
-}
-
 // TestGoldenWithCheckpoint: the golden pins must hold with warmup
 // checkpointing active end to end — warmed snapshots captured, persisted
 // under "ckpt|" keys and forked per variant — cold and warm, at worker
@@ -233,21 +189,25 @@ func TestGoldenWithCheckpoint(t *testing.T) {
 	}
 }
 
-// TestGoldenNoCheckpoint: disabling the checkpoint path must not change a
-// byte either — the same pin holds when every point pays for its own
-// warmup. Together with the default-path pins this is the on/off
-// equivalence guarantee at golden granularity.
+// TestGoldenNoCheckpoint: the straight warm-up path (the noCheckpoint
+// hook) must not change a byte either — the same pin holds when every
+// point pays for its own warmup. Together with the default-path pins this
+// is the on/off equivalence guarantee at golden granularity.
 func TestGoldenNoCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed golden comparison skipped in -short")
 	}
-	ResetCaches() // NoCheckpoint shares cache keys; force real straight runs
-	defer ResetCaches()
+	noCheckpoint = true
+	ResetCaches() // the hook shares cache keys; force real straight runs
+	defer func() {
+		noCheckpoint = false
+		ResetCaches()
+	}()
 	want, err := os.ReadFile(goldenPath("fig10"))
 	if err != nil {
 		t.Fatalf("fig10: %v (regenerate with: go test ./internal/exp -run TestGoldenFigures -update)", err)
 	}
-	tabs, err := Run("fig10", Options{Quick: true, NoCheckpoint: true})
+	tabs, err := Run("fig10", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +216,7 @@ func TestGoldenNoCheckpoint(t *testing.T) {
 		tab.Fprint(&sb)
 	}
 	if sb.String() != string(want) {
-		t.Errorf("fig10: -no-checkpoint output drifted from the golden pin\n--- got ---\n%s--- want ---\n%s",
+		t.Errorf("fig10: straight warm-up output drifted from the golden pin\n--- got ---\n%s--- want ---\n%s",
 			sb.String(), want)
 	}
 }

@@ -112,10 +112,14 @@ func Sweep(n int, fn func(i int)) {
 }
 
 // RunAll executes several experiments concurrently and returns each one's
-// tables in input order. Unknown ids fail up front, before any simulation
-// starts. Experiments share the process-wide run cache, so points common
-// to several artifacts (fig10 and headline, say) still simulate once.
+// tables in input order. Unknown ids and exclusive budgets fail up front,
+// before any simulation starts. Experiments share the process-wide run
+// cache, so points common to several artifacts (fig10 and headline, say)
+// still simulate once.
 func RunAll(ids []string, o Options) ([][]Table, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	runners := make([]Runner, len(ids))
 	for i, id := range ids {
 		r, ok := registry[id]

@@ -20,24 +20,13 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // PrefetchEntry reports one persistent-cache key a dry run consulted. Hit
-// is false when no store is installed. Kind separates the stores a key
-// lives in: "result" entries come from the run cache, "trace" entries from
-// the arrival-trace store. Trace entries appear only while a trace store
-// is installed (a store-less run captures workloads straight into memory
-// and consults no key), and are reported even when a warm result cache
-// would never reach them — they are exactly what a -no-cache or
-// cold-result-cache run replays instead of re-capturing workloads.
+// is false when no store is installed.
 type PrefetchEntry struct {
-	Key  string
-	Hit  bool
-	Kind string
+	Key string
+	Hit bool
 }
 
 // prefetchState collects the keys one walk touches. sims counts
@@ -54,11 +43,11 @@ type prefetchState struct {
 // prefetchRec is the active walk, nil outside Prefetch.
 var prefetchRec atomic.Pointer[prefetchState]
 
-func (ps *prefetchState) record(key string, hit bool, kind string) {
+func (ps *prefetchState) record(key string, hit bool) {
 	ps.mu.Lock()
 	if !ps.seen[key] {
 		ps.seen[key] = true
-		ps.entries = append(ps.entries, PrefetchEntry{Key: key, Hit: hit, Kind: kind})
+		ps.entries = append(ps.entries, PrefetchEntry{Key: key, Hit: hit})
 	}
 	ps.mu.Unlock()
 }
@@ -75,39 +64,8 @@ func prefetchIntercept(key string) bool {
 	if s := diskStore.Load(); s != nil {
 		_, hit = s.Get(key)
 	}
-	ps.record(key, hit, "result")
+	ps.record(key, hit)
 	return true
-}
-
-// prefetchRecordTrace records, while a walk is active, the trace-store key
-// a spec's workload would consult — a presence probe only (Contains), so
-// the walk neither decodes multi-MB traces nor perturbs their LRU order.
-// Points over the trace budget run live and consult no key; they are
-// simply absent. cached() cannot do this itself: trace keys derive from
-// the workload parameters, not from any result key it sees, and a real
-// run consults them inside compute functions the walk never reaches.
-func prefetchRecordTrace(s spec, o Options) {
-	ps := prefetchRec.Load()
-	if ps == nil || noTraceMemo {
-		return
-	}
-	// With no trace store installed a run consults no trace keys at all —
-	// workloads are captured straight into the memory layer — so the walk
-	// records none (mirroring what that run would actually do, not what a
-	// store-equipped one would).
-	ts := traffic.InstalledTraceStore()
-	if ts == nil {
-		return
-	}
-	cfg := s.config(o)
-	warm, meas := o.budget()
-	horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
-	p := s.twoLevelParams(o)
-	if ok, _ := traffic.TwoLevelTraceEligible(p, horizon); !ok {
-		return
-	}
-	key := traffic.TwoLevelTraceKey(p, topology.New(cfg.K, cfg.N, cfg.Torus), horizon)
-	ps.record(key, ts.Contains(key), "trace")
 }
 
 // Prefetch dry-runs the given experiments and reports, in sorted key
@@ -119,6 +77,9 @@ func prefetchRecordTrace(s spec, o Options) {
 // Walks are process-exclusive (the interception is a package-wide mode);
 // concurrent real runs would be starved of results, so don't.
 func Prefetch(ids []string, o Options) ([]PrefetchEntry, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	runners := make([]Runner, len(ids))
 	for i, id := range ids {
 		r, ok := registry[id]
@@ -152,11 +113,6 @@ func Prefetch(ids []string, o Options) ([]PrefetchEntry, error) {
 	if n := ps.sims.Load(); n != 0 {
 		return nil, fmt.Errorf("exp: prefetch walk executed %d simulations; the dry-run interception has a gap", n)
 	}
-	sort.Slice(ps.entries, func(i, j int) bool {
-		if ps.entries[i].Kind != ps.entries[j].Kind {
-			return ps.entries[i].Kind < ps.entries[j].Kind
-		}
-		return ps.entries[i].Key < ps.entries[j].Key
-	})
+	sort.Slice(ps.entries, func(i, j int) bool { return ps.entries[i].Key < ps.entries[j].Key })
 	return ps.entries, nil
 }

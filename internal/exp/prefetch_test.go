@@ -3,14 +3,10 @@ package exp
 import (
 	"sort"
 	"testing"
-
-	"repro/internal/runcache"
-	"repro/internal/traffic"
-	"repro/internal/traffic/tracestore"
 )
 
-// TestPrefetchReportsMissesThenHits: a walk over empty stores reports
-// every key — result and trace alike — as a miss without running a
+// TestPrefetchReportsMissesThenHits: a walk over an empty store reports
+// every key as a miss without running a
 // simulation or writing anything; the same walk after a real run reports
 // every key as a hit. The real run after a walk must still render the same
 // bytes as one with no walk before it — the zero-valued placeholders a
@@ -23,12 +19,6 @@ func TestPrefetchReportsMissesThenHits(t *testing.T) {
 		ResetCaches()
 	}()
 	s, _ := withTestDiskCache(t)
-	rc, err := runcache.Open(t.TempDir(), runcache.Options{Fingerprint: "exp-prefetch-trace-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traffic.SetTraceStore(tracestore.NewStore(rc))
-	defer traffic.SetTraceStore(nil)
 
 	ids := []string{"fig10", "tab1"}
 	o := Options{Quick: true}
@@ -40,13 +30,6 @@ func TestPrefetchReportsMissesThenHits(t *testing.T) {
 	if len(cold) == 0 {
 		t.Fatal("cold walk consulted no keys")
 	}
-	kinds := map[string]int{}
-	for _, e := range cold {
-		kinds[e.Kind]++
-	}
-	if kinds["result"] == 0 || kinds["trace"] == 0 {
-		t.Fatalf("cold walk kinds = %v; want both result and trace keys", kinds)
-	}
 	if !sort.SliceIsSorted(cold, func(i, j int) bool { return cold[i].Key < cold[j].Key }) {
 		t.Error("entries are not in sorted key order")
 	}
@@ -57,9 +40,6 @@ func TestPrefetchReportsMissesThenHits(t *testing.T) {
 	}
 	if st := s.Stats(); st.Puts != 0 {
 		t.Fatalf("walk wrote %d entries; a dry run must write nothing", st.Puts)
-	}
-	if st := rc.Stats(); st.Puts != 0 {
-		t.Fatalf("walk wrote %d traces; a dry run must write nothing", st.Puts)
 	}
 
 	// The real run is undisturbed by the walk that preceded it.
@@ -81,6 +61,24 @@ func TestPrefetchReportsMissesThenHits(t *testing.T) {
 		if !e.Hit {
 			t.Errorf("warm walk missed after a real run: %s", e.Key)
 		}
+	}
+}
+
+// TestQuickFullRefused: Quick and Full name different budgets, so every
+// entry point refuses the pair up front rather than run one of them.
+func TestQuickFullRefused(t *testing.T) {
+	o := Options{Quick: true, Full: true}
+	if _, err := Run("fig10", o); err == nil {
+		t.Error("Run accepted Quick and Full together")
+	}
+	if _, err := RunAll([]string{"fig10"}, o); err == nil {
+		t.Error("RunAll accepted Quick and Full together")
+	}
+	if _, err := Prefetch([]string{"fig10"}, o); err == nil {
+		t.Error("Prefetch accepted Quick and Full together")
+	}
+	if prefetchRec.Load() != nil {
+		t.Error("a refused Prefetch left walk state installed")
 	}
 }
 

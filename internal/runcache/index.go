@@ -52,15 +52,6 @@ type indexBody struct {
 // fell back to the full directory scan (false).
 func (s *Store) IndexLoaded() bool { return s.idxLoaded }
 
-// Contains reports whether key's entry is resident, without reading,
-// verifying or LRU-touching it. One stat, no counter updates: prefetch
-// dry-runs peek at hundreds of keys and must not skew hit-rate stats or
-// eviction order.
-func (s *Store) Contains(key string) bool {
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
 // loadIndex reads and validates the sidecar. ok is false — caller must
 // fall back to the scan — on any defect: missing file, bad magic, checksum
 // mismatch, unparseable body, version skew, or an entry count that

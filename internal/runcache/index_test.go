@@ -200,21 +200,3 @@ func TestIndexTracksEviction(t *testing.T) {
 		t.Fatalf("indexed size %d != scanned size %d after eviction", got, want)
 	}
 }
-
-// Contains must answer presence without perturbing stats or LRU state.
-func TestContains(t *testing.T) {
-	s := open(t, t.TempDir(), Options{Fingerprint: "fp"})
-	if s.Contains("k") {
-		t.Fatal("empty store claims containment")
-	}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains("k") {
-		t.Fatal("stored key not contained")
-	}
-	st := s.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Contains moved lookup counters: %+v", st)
-	}
-}

@@ -14,18 +14,11 @@
 // lets the per-trace budget sit at tens of millions of arrivals — enough
 // for every -full figure point — where the materialized-slice design
 // before it capped out at 1.5M.
-//
-// Traces also persist: when a trace store is installed (SetTraceStore,
-// wired to `<run-cache>/traces` by the cmds), SharedTwoLevelTrace consults
-// memory, then disk, then captures live — so a cold process pays decode
-// (cheap, sequential) instead of model simulation for every workload any
-// previous run has seen.
 package traffic
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -51,10 +44,10 @@ type Trace struct {
 	atCur cursor
 }
 
-// FromEncoded wraps a decoded trace (e.g. loaded from the trace store).
+// FromEncoded wraps a decoded trace.
 func FromEncoded(enc *tracestore.Encoded) *Trace { return &Trace{enc: enc} }
 
-// Encoded exposes the wire-form trace, for persisting.
+// Encoded exposes the wire-form trace.
 func (t *Trace) Encoded() *tracestore.Encoded { return t.enc }
 
 // Name implements Model; it reports the captured model's name so
@@ -112,8 +105,8 @@ func (c *cursor) load(block int) {
 		buf, err = c.enc.DecodeBlock(block, c.buf)
 	}
 	if err != nil {
-		// Unreachable for store-loaded traces (Decode verified the
-		// checksum) and for captures (we encoded them); reaching it means
+		// Unreachable for decoded traces (Decode verified the checksum)
+		// and for captures (we encoded them); reaching it means
 		// memory corruption, not bad input.
 		panic(fmt.Sprintf("traffic: trace block %d undecodable: %v", block, err))
 	}
@@ -303,37 +296,9 @@ const (
 	totalTraceArrivalBudget = 192_000_000
 )
 
-// traceStore is the installed persistent store (nil without one). It is
-// deliberately excluded from result cache keys: a trace-store hit changes
-// where bytes come from, never what they are.
-var traceStore atomic.Pointer[tracestore.Store]
-
-// SetTraceStore installs (or, with nil, removes) the persistent trace
-// store consulted by SharedTwoLevelTrace.
-func SetTraceStore(s *tracestore.Store) { traceStore.Store(s) }
-
-// InstalledTraceStore returns the store installed by SetTraceStore, or nil.
-func InstalledTraceStore() *tracestore.Store { return traceStore.Load() }
-
-// TwoLevelTraceKey is the persistent-store key for a two-level workload
-// trace: every model parameter, the topology shape, and the horizon
-// (chains are armed against it), under the versioned trace| prefix so
-// trace entries are recognizable next to result and checkpoint entries.
-func TwoLevelTraceKey(p TwoLevelParams, topo *topology.Cube, horizon sim.Time) string {
-	return fmt.Sprintf("trace|v%d|twolevel|tasks=%d|dur=%d|rate=%g|cyc=%d|sphere=%d/%g|spt=%d|on=%g/%d|off=%g/%d|jit=%g|seed=%d|k=%d|n=%d|torus=%t|h=%d",
-		tracestore.SchemaVersion,
-		p.AvgTasks, p.AvgTaskDuration, p.TotalRate, p.CyclePeriod,
-		p.SphereRadius, p.SphereProb, p.SourcesPerTask,
-		p.OnShape, p.OnLocation, p.OffShape, p.OffLocation,
-		p.RateJitter, p.Seed,
-		topo.K(), topo.N(), topo.Torus(), horizon)
-}
-
-// TwoLevelTraceEligible reports whether a workload fits the per-trace
-// budget — the same test SharedTwoLevelTrace applies — and, when it does
-// not, why. Callers use it to predict trace (and therefore tile)
-// eligibility without capturing anything.
-func TwoLevelTraceEligible(p TwoLevelParams, horizon sim.Time) (ok bool, reason string) {
+// twoLevelTraceEligible reports whether a workload fits the per-trace
+// budget and, when it does not, why.
+func twoLevelTraceEligible(p TwoLevelParams, horizon sim.Time) (ok bool, reason string) {
 	if p.CyclePeriod <= 0 {
 		return false, "two-level cycle period is not positive"
 	}
@@ -368,16 +333,14 @@ var traceCache struct {
 	total   int64      // arrivals across completed entries
 }
 
-// SharedTwoLevelTrace returns the memoized trace for a two-level workload:
-// memory first, then the persistent store (decode, no simulation), then a
-// live capture — which is saved back to the store for every future
-// process. Concurrent callers asking for the same key share one
-// capture-or-load (singleflight). It returns a nil trace — caller should
-// run the live model — when the estimated trace size exceeds the per-trace
-// budget or the model cannot be built; reason then says why, in terms fit
-// for the harness's fallback note.
+// SharedTwoLevelTrace returns the memoized trace for a two-level workload,
+// capturing it on first request. Concurrent callers asking for the same
+// key share one capture (singleflight). It returns a nil trace — caller
+// should run the live model — when the estimated trace size exceeds the
+// per-trace budget or the model cannot be built; reason then says why, in
+// terms fit for the harness's fallback note.
 func SharedTwoLevelTrace(p TwoLevelParams, topo *topology.Cube, horizon sim.Time) (tr *Trace, reason string) {
-	if ok, why := TwoLevelTraceEligible(p, horizon); !ok {
+	if ok, why := twoLevelTraceEligible(p, horizon); !ok {
 		return nil, why
 	}
 	key := traceKey{p: p, k: topo.K(), n: topo.N(), torus: topo.Torus(), horizon: horizon}
@@ -396,23 +359,10 @@ func SharedTwoLevelTrace(p TwoLevelParams, topo *topology.Cube, horizon sim.Time
 	traceCache.order = append(traceCache.order, key)
 	traceCache.mu.Unlock()
 
-	store := InstalledTraceStore()
-	if store != nil {
-		skey := TwoLevelTraceKey(p, topo, horizon)
-		if enc, ok := store.Load(skey); ok && enc.Horizon() == horizon {
-			f.tr = FromEncoded(enc)
-		}
-	}
-	if f.tr == nil {
-		if m, err := NewTwoLevel(p, topo); err == nil {
-			f.tr = Capture(m, horizon)
-			if store != nil {
-				// A failed save costs a future re-capture, nothing else.
-				_ = store.Save(TwoLevelTraceKey(p, topo, horizon), f.tr.enc)
-			}
-		} else {
-			f.reason = fmt.Sprintf("two-level model construction failed: %v", err)
-		}
+	if m, err := NewTwoLevel(p, topo); err == nil {
+		f.tr = Capture(m, horizon)
+	} else {
+		f.reason = fmt.Sprintf("two-level model construction failed: %v", err)
 	}
 	traceCache.mu.Lock()
 	if f.tr != nil {
@@ -459,8 +409,7 @@ func evictTracesLocked(keep traceKey) {
 }
 
 // ResetTraceCache drops every memoized trace. Tests and benchmarks use it
-// to measure real capture work or to force live-model runs. The persistent
-// store, if any, stays installed.
+// to measure real capture work or to force live-model runs.
 func ResetTraceCache() {
 	traceCache.mu.Lock()
 	traceCache.entries = nil

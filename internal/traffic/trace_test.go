@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/runcache"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic/tracestore"
@@ -143,57 +142,6 @@ func TestSharedTwoLevelTrace(t *testing.T) {
 	ResetTraceCache()
 	if b, _ := SharedTwoLevelTrace(p, topo, horizon); b == a {
 		t.Error("ResetTraceCache did not drop the cached trace")
-	}
-}
-
-// With a store installed, a workload captured once must reload from disk
-// after the in-memory cache is dropped — and replay the identical arrival
-// sequence.
-func TestSharedTraceStorePersistence(t *testing.T) {
-	rc, err := runcache.Open(t.TempDir(), runcache.Options{Fingerprint: "trace-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetTraceStore(tracestore.NewStore(rc))
-	defer SetTraceStore(nil)
-	ResetTraceCache()
-	defer ResetTraceCache()
-
-	topo := topology.NewMesh2D(8)
-	p := NewTwoLevelParams(1.0)
-	p.Seed = 21
-	horizon := 10 * sim.Microsecond
-
-	a, reason := SharedTwoLevelTrace(p, topo, horizon)
-	if a == nil {
-		t.Fatalf("capture failed: %s", reason)
-	}
-	key := TwoLevelTraceKey(p, topo, horizon)
-	if !InstalledTraceStore().Contains(key) {
-		t.Fatal("captured trace not persisted under its key")
-	}
-
-	// Drop the memory layer; the next request must come from disk (puts
-	// stay flat), not a re-capture.
-	ResetTraceCache()
-	puts := rc.Stats().Puts
-	b, reason := SharedTwoLevelTrace(p, topo, horizon)
-	if b == nil {
-		t.Fatalf("store-backed reload failed: %s", reason)
-	}
-	if b == a {
-		t.Fatal("ResetTraceCache did not drop the memory layer")
-	}
-	if rc.Stats().Puts != puts {
-		t.Fatal("reload re-captured and re-saved instead of loading")
-	}
-	if a.Len() != b.Len() || a.Name() != b.Name() || a.Horizon() != b.Horizon() {
-		t.Fatalf("reloaded trace header differs: len %d/%d name %q/%q", a.Len(), b.Len(), a.Name(), b.Name())
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
-			t.Fatalf("arrival %d differs after reload: %+v vs %+v", i, a.At(i), b.At(i))
-		}
 	}
 }
 

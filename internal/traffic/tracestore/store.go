@@ -1,63 +1,17 @@
 package tracestore
 
-import (
-	"fmt"
-	"path/filepath"
-
-	"repro/internal/runcache"
-)
-
-// DefaultMaxBytes caps the trace directory: traces are bulkier than result
-// payloads (tens of MB each at -full rates), so they get their own cap,
-// well above the result store's 256 MiB default.
-const DefaultMaxBytes = 2 << 30
-
-// SubdirName is the directory, under a run-cache root, that holds trace
-// entries. Traces live in their own directory — not mixed into the result
-// store's — because each runcache handle enforces its eviction cap over
-// every entry in its directory: co-located stores with different caps
-// would evict each other's entries.
-const SubdirName = "traces"
+import "repro/internal/runcache"
 
 // Store persists encoded traces through a runcache.Store under the
-// caller's content-addressed keys (internal/traffic derives them from the
-// full workload parameter set; see traffic.TwoLevelTraceKey). The
-// fingerprint requirements, atomic-write discipline and corruption
-// quarantine are runcache's; this layer adds only encode/decode and the
-// decode-failure drop.
+// caller's keys. The fingerprint requirements, atomic-write discipline and
+// corruption quarantine are runcache's; this layer adds only encode/decode
+// and the decode-failure drop.
 type Store struct {
 	rc *runcache.Store
 }
 
-// Open opens (creating if needed) the trace store under dir — by
-// convention DefaultDir(cacheRoot). Like the experiment result cache, it
-// refuses to open from a binary without an embedded VCS revision: `go run`
-// and `go test` binaries would write entries under a fingerprint that
-// never invalidates. Tests wanting persistence inject explicit
-// fingerprints via NewStore.
-func Open(dir string, maxBytes int64) (*Store, error) {
-	if _, _, ok := runcache.VCSInfo(); !ok {
-		return nil, fmt.Errorf("tracestore: binary has no embedded VCS revision (go run / go test); entries could never be invalidated — build a stamped binary or inject a store via NewStore")
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	rc, err := runcache.Open(dir, runcache.Options{
-		MaxBytes:    maxBytes,
-		Fingerprint: runcache.Fingerprint(fmt.Sprintf("repro-trace/v%d", SchemaVersion)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Store{rc: rc}, nil
-}
-
 // NewStore wraps an already-open runcache handle, fingerprint and all.
-// Tests use it to persist traces without a VCS-stamped binary.
 func NewStore(rc *runcache.Store) *Store { return &Store{rc: rc} }
-
-// DefaultDir is the trace subdirectory of a run-cache root.
-func DefaultDir(cacheRoot string) string { return filepath.Join(cacheRoot, SubdirName) }
 
 // Load returns the decoded trace stored under key, if present and valid —
 // including the full Validate pass, so a loaded trace is guaranteed to
@@ -81,16 +35,7 @@ func (s *Store) Load(key string) (*Encoded, bool) {
 	return enc, true
 }
 
-// Save persists an encoded trace under key. Errors are returned for
-// callers that care (the capture path logs and continues: a failed save
-// costs a future re-capture, nothing else).
+// Save persists an encoded trace under key.
 func (s *Store) Save(key string, enc *Encoded) error {
 	return s.rc.Put(key, enc.Bytes())
 }
-
-// Contains reports whether key is resident, without reading or touching
-// the entry. Prefetch dry-runs use it.
-func (s *Store) Contains(key string) bool { return s.rc.Contains(key) }
-
-// Stats exposes the underlying cache counters.
-func (s *Store) Stats() runcache.Stats { return s.rc.Stats() }

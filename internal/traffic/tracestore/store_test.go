@@ -1,8 +1,6 @@
 package tracestore
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/runcache"
@@ -26,14 +24,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok := s.Load(key); ok {
 		t.Fatal("empty store served a trace")
 	}
-	if s.Contains(key) {
-		t.Fatal("empty store claims containment")
-	}
 	if err := s.Save(key, enc); err != nil {
 		t.Fatal(err)
-	}
-	if !s.Contains(key) {
-		t.Fatal("saved trace not contained")
 	}
 	got, ok := s.Load(key)
 	if !ok {
@@ -70,10 +62,10 @@ func TestStoreDropsUndecodableEntry(t *testing.T) {
 	if _, ok := s.Load(key); ok {
 		t.Fatal("undecodable entry served")
 	}
-	if s.Contains(key) {
+	if _, ok := rc.Get(key); ok {
 		t.Fatal("undecodable entry still resident after Load dropped it")
 	}
-	if st := s.Stats(); st.CorruptDropped == 0 {
+	if st := rc.Stats(); st.CorruptDropped == 0 {
 		t.Fatal("drop not counted")
 	}
 }
@@ -94,7 +86,7 @@ func TestStoreDropsInvalidTrace(t *testing.T) {
 	if _, ok := s.Load(key); ok {
 		t.Fatal("time-regressing trace served")
 	}
-	if s.Contains(key) {
+	if _, ok := rc.Get(key); ok {
 		t.Fatal("invalid trace still resident")
 	}
 }
@@ -124,24 +116,4 @@ func spliceRegression(t *testing.T) []byte {
 		t.Fatal("fixture did not produce a cross-block regression")
 	}
 	return enc.Bytes()
-}
-
-// Open requires a VCS-stamped binary; test binaries are not stamped, so
-// Open must refuse (NewStore is the injection path).
-func TestOpenRefusesUnstampedBinary(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Open(dir, 0); err == nil {
-		t.Fatal("Open succeeded from an unstamped test binary")
-	}
-	// Refusal must not create droppings.
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		t.Fatalf("refused Open left %s behind", filepath.Join(dir, e.Name()))
-	}
-}
-
-func TestDefaultDir(t *testing.T) {
-	if got := DefaultDir("/x/y"); got != filepath.Join("/x/y", SubdirName) {
-		t.Fatalf("DefaultDir = %q", got)
-	}
 }

@@ -1,9 +1,10 @@
-// Package tracestore is the compact binary codec and persistent store for
-// captured arrival traces. A two-level workload's arrival sequence is pure
-// data — (time, task, source, destination) tuples in non-decreasing time
-// order — and regenerating it is the dominant cold-process cost of a figure
-// sweep, so traces are encoded once and persisted content-addressed next to
-// results (internal/runcache), then replayed from the encoded form.
+// Package tracestore is the compact binary codec for captured arrival
+// traces. A two-level workload's arrival sequence is pure data — (time,
+// task, source, destination) tuples in non-decreasing time order — so a
+// capture encodes it once and every replay streams from the encoded form.
+// Store persists encodings through an internal/runcache handle; no
+// production path installs one (a disk trace store saved under 2 % over a
+// live capture, DESIGN §13), and it stays for its benchmark probe.
 //
 // The encoding is block-structured so replay can stream: records are
 // grouped into fixed-size blocks (DefaultBlockLen records), each block
@@ -46,8 +47,8 @@ import (
 )
 
 // SchemaVersion versions the wire layout. Bump it whenever the encoding
-// changes; it participates in both the header and the store fingerprint, so
-// old entries become unreachable instead of misdecoding.
+// changes; it is in the header, so old encodings fail to decode instead of
+// misdecoding.
 const SchemaVersion = 1
 
 // DefaultBlockLen is the number of records per full block: 4096 records
@@ -464,7 +465,7 @@ func (e *Encoded) DecodeCount() int64 { return atomic.LoadInt64(&e.decodes) }
 // unsigned varints), but each block leads with an absolute timestamp, so
 // a hand-assembled payload with a recomputed checksum could make a block
 // open earlier than its predecessor closed. Encoder output always
-// validates; the trace store validates on load so replays never see a
+// validates; Store.Load validates so replays never see a
 // schedule no capture could have produced. Cost is one sequential decode
 // pass — small next to the capture it replaces, and O(block) memory.
 func (e *Encoded) Validate() error {

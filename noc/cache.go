@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/exp"
-	"repro/internal/traffic"
-	"repro/internal/traffic/tracestore"
 )
 
 // The persistent run cache stores finished simulation results on disk,
@@ -48,8 +46,8 @@ func EnableRunCache(dir string, maxBytes int64) error {
 // the in-process memo, exactly the pre-cache behavior.
 func DisableRunCache() { exp.SetDiskCache(nil) }
 
-// CacheStats snapshots a persistent store's counters (field for field
-// runcache.Stats, which both stores report).
+// CacheStats snapshots the run cache's counters (field for field
+// runcache.Stats).
 type CacheStats struct {
 	Hits, Misses   int64 // lookups served from disk vs not found
 	Puts           int64 // entries written
@@ -72,57 +70,13 @@ func (s CacheStats) HitRate() float64 {
 // EnableRunCache (all zero when no cache is enabled).
 func RunCacheStats() CacheStats { return CacheStats(exp.DiskCacheStats()) }
 
-// FprintCacheStats writes the run-cache and trace-store counters to w, one
-// stable greppable line per store (CI asserts on hits and misses after a
-// warm rerun).
+// FprintCacheStats writes the run cache's counters to w as one stable,
+// greppable line (CI asserts on hits and misses after a warm rerun).
 func FprintCacheStats(w io.Writer) {
-	line := func(name string, s CacheStats) {
-		fmt.Fprintf(w, "%s: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f put-failures=%d\n",
-			name, s.Hits, s.Misses, s.Puts, s.CorruptDropped, s.Evictions,
-			s.BytesRead, s.BytesWritten, s.HitRate(), s.PutFailures)
-	}
-	line("runcache", RunCacheStats())
-	line("tracestore", TraceStoreStats())
-}
-
-// EnableTraceStore opens (creating if necessary) the persistent arrival-
-// trace store under cacheRoot's traces/ subdirectory and installs it: the
-// shared two-level trace lookup then goes memory -> disk -> live capture,
-// so a cold process decodes previously captured workloads instead of
-// re-simulating them. An empty cacheRoot selects DefaultRunCacheDir;
-// maxBytes <= 0 selects the trace default (2 GiB — traces are bulkier than
-// results, and the subdirectory keeps the two stores' eviction caps from
-// fighting over one directory). Like EnableRunCache, it requires a
-// VCS-stamped binary and returns an error (installing nothing) otherwise.
-//
-// The store is deliberately independent of the result cache: results are
-// byte-identical with the store on or off (traces decode to exactly the
-// captured sequence), so trace-store state appears in no result cache key
-// and -no-cache runs still benefit from warm traces.
-func EnableTraceStore(cacheRoot string, maxBytes int64) error {
-	if cacheRoot == "" {
-		cacheRoot = DefaultRunCacheDir()
-	}
-	s, err := tracestore.Open(tracestore.DefaultDir(cacheRoot), maxBytes)
-	if err != nil {
-		return err
-	}
-	traffic.SetTraceStore(s)
-	return nil
-}
-
-// DisableTraceStore removes the persistent trace store; traces then live
-// only in the in-process memo, exactly the pre-store behavior.
-func DisableTraceStore() { traffic.SetTraceStore(nil) }
-
-// TraceStoreStats reports the trace store's counters since EnableTraceStore
-// (all zero when no store is enabled).
-func TraceStoreStats() CacheStats {
-	s := traffic.InstalledTraceStore()
-	if s == nil {
-		return CacheStats{}
-	}
-	return CacheStats(s.Stats())
+	s := RunCacheStats()
+	fmt.Fprintf(w, "runcache: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f put-failures=%d\n",
+		s.Hits, s.Misses, s.Puts, s.CorruptDropped, s.Evictions,
+		s.BytesRead, s.BytesWritten, s.HitRate(), s.PutFailures)
 }
 
 // RunCacheLookup and RunCacheStore expose the persistent layer to

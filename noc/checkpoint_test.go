@@ -104,7 +104,25 @@ func TestWarmupSharedAcrossClients(t *testing.T) {
 	}()
 
 	exp.ResetCaches()
-	sweepStraight := exp.Point(rate, network.PolicyHistory, exp.Options{Quick: true, NoCheckpoint: true})
+	sweepStraight := func() network.Results {
+		cfg := DefaultConfig()
+		cfg.Policy = PolicyHistory
+		lowered, err := cfg.lower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := w.params(lowered.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := exp.Warmed(lowered, p, warm, meas, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.BeginMeasurement()
+		n.Run(meas)
+		return n.Snapshot()
+	}()
 	oneShotStraight := oneShot(PolicyNone, false)
 
 	// Sweep first, one-shot second.

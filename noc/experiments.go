@@ -11,25 +11,18 @@ import (
 type ExperimentOptions struct {
 	// Quick shrinks cycle budgets to smoke-run scale; Full raises them to
 	// the paper's 10M-cycle setting. Default is a minutes-scale middle
-	// ground.
+	// ground. Setting both is an error.
 	Quick, Full bool
 	// Seed selects the deterministic random stream family (0 means 1).
 	Seed uint64
 	// Audit runs every simulation under the runtime invariant checker;
 	// the first violation panics. Output is identical either way.
 	Audit bool
-	// NoCheckpoint disables warmup checkpointing: every simulation point
-	// pays for its own warmup instead of forking a shared warmed-up
-	// snapshot. Output is identical either way; only speed differs.
-	NoCheckpoint bool
 }
 
 // lower maps the public options onto the experiment harness's options.
 func (o ExperimentOptions) lower() exp.Options {
-	return exp.Options{
-		Quick: o.Quick, Full: o.Full, Seed: o.Seed,
-		Audit: o.Audit, NoCheckpoint: o.NoCheckpoint,
-	}
+	return exp.Options{Quick: o.Quick, Full: o.Full, Seed: o.Seed, Audit: o.Audit}
 }
 
 // Experiments lists the regenerable paper artifacts ("fig3" .. "fig17",
@@ -61,15 +54,11 @@ func RunExperimentCSV(id string, o ExperimentOptions, w io.Writer) error {
 	return nil
 }
 
-// CachePrefetchEntry reports one persistent cache key a dry-run walk
-// consulted and whether it is present in the installed store. Kind is
-// "result" for run-cache keys and "trace" for arrival-trace-store keys
-// (the traces a cold-result-cache run would replay instead of
-// re-capturing).
+// CachePrefetchEntry reports one run-cache key a dry-run walk consulted
+// and whether it is present in the installed store.
 type CachePrefetchEntry struct {
-	Key  string
-	Hit  bool
-	Kind string
+	Key string
+	Hit bool
 }
 
 // PrefetchExperiments dry-runs the given experiments and reports every
@@ -83,7 +72,7 @@ func PrefetchExperiments(ids []string, o ExperimentOptions) ([]CachePrefetchEntr
 	}
 	out := make([]CachePrefetchEntry, len(entries))
 	for i, e := range entries {
-		out[i] = CachePrefetchEntry{Key: e.Key, Hit: e.Hit, Kind: e.Kind}
+		out[i] = CachePrefetchEntry{Key: e.Key, Hit: e.Hit}
 	}
 	return out, nil
 }
