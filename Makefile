@@ -83,7 +83,9 @@ fuzz:
 # option, counter or flag above internal/network, and no -tiles in CI.
 # The disk trace store and the straight warm-up switch left both commands:
 # traces live in the in-memory memo only, and the straight warm-up is a
-# test hook (noCheckpoint in internal/exp).
+# test hook (noCheckpoint in internal/exp). Flits and credits have one
+# delivery path, the message ring sized from the link table: the scheduler
+# fallback and its checkpoint record stay gone.
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
@@ -93,6 +95,8 @@ retired:
 	  echo 'the tile-parallel engine is reachable above internal/network again (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE 'EnableTraceStore|DisableTraceStore|TraceStoreStats|SetTraceStore|InstalledTraceStore|TwoLevelTraceKey|NoCheckpoint|no-checkpoint|no-trace-store' -- '*.go' .github ':!*_test.go' ':!benchmarks'; then \
 	  echo 'the disk trace store or -no-checkpoint is wired up again (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE 'slowEntry|slowDrop|SlowState' -- '*.go' ':!*_test.go' ':!benchmarks'; then \
+	  echo 'the scheduler fallback for flits and credits is back (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

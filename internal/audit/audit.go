@@ -98,8 +98,8 @@ type Stats struct {
 }
 
 // TransitVisitor receives everything in flight outside router state during
-// a conservation scan: messages in the network's delivery ring (and its
-// scheduler-fallback list) plus partially injected packets at sources.
+// a conservation scan: messages in the network's delivery ring plus
+// partially injected packets at sources.
 type TransitVisitor struct {
 	// Flit observes a flit in transit toward a downstream input port.
 	Flit func(in *router.InputPort, f *flow.Flit)

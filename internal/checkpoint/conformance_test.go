@@ -170,10 +170,10 @@ func TestForkEquivalence(t *testing.T) {
 	}
 }
 
-// wheelSpan is the span, in router cycles, of the network's wake wheel (its
-// ringSize): a sleeper due that many cycles out or more is parked again from
-// the slot one span ahead. TestWheelSpanMatchesCheckpoint in
-// internal/network fails if ringSize stops equalling it.
+// wheelSpan copies the span, in router cycles, of the network's wake wheel:
+// a sleeper due that many cycles out or more is parked again from the slot
+// one span ahead. TestWheelSpanMatchesCheckpoint in internal/network fails
+// if the network's wheelSpan stops equalling it.
 const wheelSpan = 64
 
 // sleeperReach classifies the routers a step boundary leaves asleep — busy,

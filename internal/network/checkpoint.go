@@ -59,7 +59,7 @@ type InjectorState struct {
 
 // RingArrival is one ring-buffered flit delivery. Slot is the ring bucket
 // index; the due cycle is recoverable from it because every live due cycle
-// lies within one ring span of the captured cycle.
+// lies within one ring length of the captured cycle.
 type RingArrival struct {
 	Slot int32
 	Node int32
@@ -73,18 +73,6 @@ type RingCredit struct {
 	Node int32
 	Port int32
 	VC   int32
-}
-
-// SlowState is one scheduler-fallback message with its pending event's
-// dispatch key. Arrival is true for flit deliveries, false for credits.
-type SlowState struct {
-	At      sim.Time
-	Seq     int64
-	Arrival bool
-	Node    int32
-	Port    int32
-	VC      int32
-	Flit    int32
 }
 
 // TrafficState is the attached trace replay's progress. Identity fields
@@ -123,6 +111,9 @@ type CheckpointState struct {
 	Delivered int64
 	InFlight  int64
 	MeasStart sim.Time
+	// MeasCycle is the cycle counter at BeginMeasurement, which Snapshot
+	// counts measured cycles from; MeasStart decides which packets count.
+	MeasCycle int64
 	// DVSHold records whether the capture was taken under SetDVSHold.
 	// Restoring it lets a fork release the hold itself — draining the
 	// policy history windows at the same instant the uninterrupted run
@@ -135,7 +126,6 @@ type CheckpointState struct {
 	Injectors    []InjectorState
 	RingArrivals []RingArrival
 	RingCredits  []RingCredit
-	Slow         []SlowState
 
 	Lat   stats.LatencyState
 	Meter power.MeterState
@@ -220,7 +210,7 @@ func (n *Network) CaptureCheckpoint() (*CheckpointState, error) {
 // the conformance walker needs.
 func (n *Network) CaptureForDiff() (*CheckpointState, error) {
 	if n.tiles != nil {
-		// captureState walks the global ring and slow list; a tiled
+		// captureState walks the global ring; a tiled
 		// network's in-flight messages live in per-tile structures it does
 		// not encode, so the capture would be silently incomplete.
 		return nil, fmt.Errorf("network: cannot capture a tiled network for diff (Tiles=%d)", n.Cfg.Tiles)
@@ -238,6 +228,7 @@ func (n *Network) captureState() (*CheckpointState, error) {
 		Delivered: n.delivered,
 		InFlight:  n.InFlight,
 		MeasStart: n.measStart,
+		MeasCycle: n.measCycle,
 		DVSHold:   n.dvsHold,
 		Lat:       n.Lat.Checkpoint(),
 		Meter:     n.Meter.Checkpoint(),
@@ -265,10 +256,10 @@ func (n *Network) captureState() (*CheckpointState, error) {
 	}
 
 	// Ring buckets, in due-cycle order (each live due cycle is within one
-	// ring span of the captured cycle), preserving intra-bucket order.
+	// ring length of the captured cycle), preserving intra-bucket order.
 	outCoord := n.outputCoords()
-	for off := int64(0); off < ringSize; off++ {
-		slot := (n.cycle + off) % ringSize
+	for off := int64(0); off <= n.ringMask; off++ {
+		slot := (n.cycle + off) & n.ringMask
 		b := &n.ring[slot]
 		for _, a := range b.arrivals {
 			port, err := inputPortIndex(n.Routers[a.node], a.in)
@@ -286,29 +277,6 @@ func (n *Network) captureState() (*CheckpointState, error) {
 			}
 			st.RingCredits = append(st.RingCredits, RingCredit{
 				Slot: int32(slot), Node: co[0], Port: co[1], VC: int32(cm.vc),
-			})
-		}
-	}
-
-	// Scheduler-fallback messages, in list order.
-	for _, s := range n.slow {
-		if s.in != nil {
-			port, err := inputPortIndex(n.Routers[s.node], s.in)
-			if err != nil {
-				return nil, err
-			}
-			st.Slow = append(st.Slow, SlowState{
-				At: s.at, Seq: s.seq, Arrival: true,
-				Node: int32(s.node), Port: port, Flit: tbl.encode(s.flit),
-			})
-		} else {
-			co, ok := outCoord[s.out]
-			if !ok {
-				return nil, fmt.Errorf("network: slow credit on an unknown output port")
-			}
-			st.Slow = append(st.Slow, SlowState{
-				At: s.at, Seq: s.seq, Arrival: false,
-				Node: co[0], Port: co[1], VC: int32(s.vc),
 			})
 		}
 	}
@@ -361,14 +329,11 @@ func (n *Network) captureState() (*CheckpointState, error) {
 }
 
 // verifyPendingEvents cross-checks the scheduler queue against the
-// subsystems that claim pending events: every queued event must be a slow
-// message, a link transition completion, or the trace replay's next step —
-// with matching (instant, sequence) keys — and vice versa.
+// subsystems that claim pending events: every queued event must be a link
+// transition completion or the trace replay's next step — with matching
+// (instant, sequence) keys — and vice versa.
 func (n *Network) verifyPendingEvents(st *CheckpointState) error {
 	var want []sim.PendingEvent
-	for _, s := range st.Slow {
-		want = append(want, sim.PendingEvent{At: s.At, Seq: s.Seq})
-	}
 	for _, ls := range st.Links {
 		if ls.PendSeq != 0 {
 			want = append(want, sim.PendingEvent{At: ls.PendAt, Seq: ls.PendSeq})
@@ -451,17 +416,15 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 	if st.Cycle < 0 || st.Now < 0 || st.Now > sim.Time(st.Cycle)*n.Cfg.RouterPeriod {
 		return fmt.Errorf("network: restore cycle %d inconsistent with instant %v", st.Cycle, st.Now)
 	}
+	if st.MeasCycle < 0 || st.MeasCycle > st.Cycle {
+		return fmt.Errorf("network: restore measurement start cycle %d outside [0,%d]", st.MeasCycle, st.Cycle)
+	}
 	if st.Seq < 0 {
 		return fmt.Errorf("network: restore with negative event sequence counter %d", st.Seq)
 	}
 	// Every pending event re-armed below must carry a dispatch key the
 	// captured run could have issued; the scheduler enforces this with
 	// panics, so reject malformed keys here, as errors.
-	for _, s := range st.Slow {
-		if s.Seq <= 0 || s.Seq > st.Seq || s.At < st.Now {
-			return fmt.Errorf("network: restore slow message with dispatch key (%v, seq %d) outside the captured run", s.At, s.Seq)
-		}
-	}
 	for i, ls := range st.Links {
 		if ls.PendSeq != 0 && (ls.PendSeq < 0 || ls.PendSeq > st.Seq || ls.PendAt < st.Now) {
 			return fmt.Errorf("network: restore link %d with dispatch key (%v, seq %d) outside the captured run", i, ls.PendAt, ls.PendSeq)
@@ -536,7 +499,7 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 
 	// Ring messages, preserving bucket order.
 	for _, a := range st.RingArrivals {
-		if a.Slot < 0 || a.Slot >= ringSize || a.Node < 0 || int(a.Node) >= nodes {
+		if a.Slot < 0 || int(a.Slot) >= len(n.ring) || a.Node < 0 || int(a.Node) >= nodes {
 			return fmt.Errorf("network: restore ring arrival with slot %d node %d", a.Slot, a.Node)
 		}
 		r := n.Routers[a.Node]
@@ -552,7 +515,7 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 		n.ringCount++
 	}
 	for _, c := range st.RingCredits {
-		if c.Slot < 0 || c.Slot >= ringSize || c.Node < 0 || int(c.Node) >= nodes {
+		if c.Slot < 0 || int(c.Slot) >= len(n.ring) || c.Node < 0 || int(c.Node) >= nodes {
 			return fmt.Errorf("network: restore ring credit with slot %d node %d", c.Slot, c.Node)
 		}
 		r := n.Routers[c.Node]
@@ -562,40 +525,6 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 		b := &n.ring[c.Slot]
 		b.credits = append(b.credits, creditMsg{out: r.Outputs[c.Port], vc: int(c.VC)})
 		n.ringCount++
-	}
-
-	// Scheduler-fallback messages, re-armed under their captured keys.
-	for _, s := range st.Slow {
-		if s.Node < 0 || int(s.Node) >= nodes {
-			return fmt.Errorf("network: restore slow message at node %d", s.Node)
-		}
-		r := n.Routers[s.Node]
-		if s.Arrival {
-			if s.Port < 0 || int(s.Port) >= len(r.Inputs) {
-				return fmt.Errorf("network: restore slow arrival with port %d", s.Port)
-			}
-			f, err := decode(s.Flit)
-			if err != nil {
-				return fmt.Errorf("network: restore slow arrival: %w", err)
-			}
-			e := &slowEntry{at: s.At, seq: s.Seq, node: int(s.Node), in: r.Inputs[s.Port], flit: f}
-			n.slow = append(n.slow, e)
-			n.Sched.AtSeq(e.at, e.seq, func() {
-				n.slowDrop(e)
-				n.markActive(e.node)
-				e.in.Arrive(e.flit, n.Sched.Now())
-			})
-		} else {
-			if s.Port < 0 || int(s.Port) >= len(r.Outputs) || s.VC < 0 || int(s.VC) >= n.Cfg.Router.VCs {
-				return fmt.Errorf("network: restore slow credit with port %d vc %d", s.Port, s.VC)
-			}
-			e := &slowEntry{at: s.At, seq: s.Seq, node: -1, out: r.Outputs[s.Port], vc: int(s.VC)}
-			n.slow = append(n.slow, e)
-			n.Sched.AtSeq(e.at, e.seq, func() {
-				n.slowDrop(e)
-				e.out.ReturnCredit(e.vc, n.Sched.Now())
-			})
-		}
 	}
 
 	// Injectors.
@@ -629,6 +558,7 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 	n.delivered = st.Delivered
 	n.InFlight = st.InFlight
 	n.measStart = st.MeasStart
+	n.measCycle = st.MeasCycle
 	n.dvsHold = st.DVSHold
 	if err := n.Lat.Restore(st.Lat); err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -229,10 +230,19 @@ func (inj *injector) pop() *flow.Packet {
 	return p
 }
 
-// ringSize is the span, in router cycles, of the short-delay message ring.
-// Flit serialization and credit return delays are at most one bottom-level
-// link period (8 cycles at 1 GHz), far below it.
-const ringSize = 64
+// wheelSpan is the span, in router cycles, of the sleepers' wake wheel: a
+// wake due that many cycles out or more is parked again from the slot one
+// span ahead until it is due.
+const wheelSpan = 64
+
+// ringLen sizes the message ring: the smallest power of two above the
+// longest per-level delay, so every flit serialization and credit return
+// lands in a bucket that is not the one being drained (16 slots for the
+// paper's 1 GHz router and 125 MHz bottom level, 128 at a 100 ps router
+// clock).
+func ringLen(lvlCycles []int64) int {
+	return 1 << bits.Len64(uint64(slices.Max(lvlCycles)))
+}
 
 // arrivalMsg is a flit landing at a router input port. node is the
 // destination router, kept so delivery can re-arm it on the active list.
@@ -300,6 +310,7 @@ type Network struct {
 	Lat       *stats.Latency
 	Meter     *power.Meter
 	measStart sim.Time
+	measCycle int64 // cycle counter at BeginMeasurement
 	injected  int64
 	delivered int64
 
@@ -318,17 +329,19 @@ type Network struct {
 	// Trace, when non-nil, records packet and DVS events.
 	Trace *trace.Buffer
 
-	// ring buffers short-delay flit arrivals and credit returns per due
-	// cycle, replacing per-message scheduler events on the hot path.
-	ring [ringSize]ringBucket
+	// ring buffers flit arrivals and credit returns per due cycle, replacing
+	// per-message scheduler events; ringMask is its length minus one (see
+	// ringLen).
+	ring     []ringBucket
+	ringMask int64
 
 	// Activity tracking: the simulation core is activity-driven. activeMask
 	// marks the routers Step visits — those whose state a Tick could change
 	// (occupied input VCs or draining output pipelines) — in ascending node
 	// order, so the event sequence matches the tick-everything baseline
 	// exactly. injMask marks nodes whose source injector holds work. Flit
-	// arrivals (ring, slow path, injection) re-arm a router; Step retires a
-	// router at the end of its own pass once its Busy predicate went false.
+	// arrivals (ring, injection) re-arm a router; Step retires a router at
+	// the end of its own pass once its Busy predicate went false.
 	// Under noskip every bit stays permanently set and both masks
 	// degenerate to the original tick-everything loops.
 	//
@@ -338,7 +351,7 @@ type Network struct {
 	// Step parks it in sleepMask, off activeMask but still counted in
 	// activeCount — to quiescence and fast-forward it is as busy as ever —
 	// until markActive (a flit arrived) or its wake cycle moves it back: the
-	// wheel holds, per cycle of the ring span, a mask of the sleepers due
+	// wheel holds, per cycle of its wheelSpan, a mask of the sleepers due
 	// then; a wake further out sits in the slot one span ahead and is parked
 	// again from there. Nobody sleeps under noskip or on a tiled network.
 	activeMask  []uint64
@@ -364,12 +377,6 @@ type Network struct {
 	// aud, when non-nil, is the runtime invariant checker; every hook site
 	// nil-checks it so the disabled cost is one pointer compare.
 	aud *audit.Checker
-	// slow mirrors messages that fell back to the scheduler (due beyond the
-	// ring span) so audit conservation scans and checkpoints can enumerate
-	// them. The slow path is cold by construction — link serialization and
-	// credit return delays never approach the ring span — so the tracking
-	// costs nothing in steady state.
-	slow []*slowEntry
 
 	// dvsHold freezes the DVS policies: while held, history windows never
 	// close and no link transition can start, so the simulation is
@@ -424,19 +431,6 @@ type Network struct {
 // lookahead-extraction bug.
 func (n *Network) LookaheadViolations() int64 { return n.laViolations }
 
-// slowEntry is one scheduler-fallback message: a flit arrival when in is
-// non-nil, otherwise a credit return. at/seq are the pending event's
-// dispatch key, recorded so a checkpoint can re-arm it exactly.
-type slowEntry struct {
-	at   sim.Time
-	seq  int64
-	node int // arrival destination router; -1 for credits
-	in   *router.InputPort
-	flit *flow.Flit
-	out  *router.OutputPort
-	vc   int
-}
-
 // SkipStats measures how much work the activity-driven core avoided. All
 // counters cover the network's lifetime.
 type SkipStats struct {
@@ -485,20 +479,6 @@ func (n *Network) SkipStats() SkipStats {
 	return s
 }
 
-// TransitionsInFlight counts DVS links currently mid-transition. Every
-// in-flight transition has a completion event pending in the scheduler,
-// which is what bounds quiescent fast-forward; this accessor exists for
-// observability and the skip-safety assertion in Run.
-func (n *Network) TransitionsInFlight() int {
-	c := 0
-	for _, ctl := range n.ctls {
-		if ctl.link.Transitioning() {
-			c++
-		}
-	}
-	return c
-}
-
 // Sleeping counts routers currently asleep: busy, but holding only tx
 // entries that must wait out the output pipeline or a slow link.
 func (n *Network) Sleeping() int {
@@ -509,9 +489,9 @@ func (n *Network) Sleeping() int {
 	return c
 }
 
-// markActive arms one router on the active list: every flit arrival path
-// (ring bucket, injection, scheduler slow path) comes through here. A
-// sleeper is woken — it is already counted as active.
+// markActive arms one router on the active list: both flit arrival paths
+// (ring bucket, injection) come through here. A sleeper is woken — it is
+// already counted as active.
 func (n *Network) markActive(node int) {
 	w, b := node>>6, uint64(1)<<(node&63)
 	if n.activeMask[w]&b == 0 {
@@ -560,13 +540,13 @@ func (n *Network) sleep(node int, r *router.Router, now sim.Time) {
 }
 
 // park puts a sleeper's bit in the wheel slot of its due cycle or, when that
-// is ringSize or more cycles out, of n.cycle+ringSize, whose drain parks it
+// is wheelSpan or more cycles out, of n.cycle+wheelSpan, whose drain parks it
 // again. n.cycle is the cycle being executed, its slot already drained, or
 // on restore the next one, so the slot's next drain never comes after the
 // due cycle and the chain of drains reaches that cycle exactly.
 func (n *Network) park(w int, b uint64, at sim.Time) {
-	due := min(n.dueCycle(at), n.cycle+ringSize)
-	n.wheel[int(due%ringSize)*len(n.sleepMask)+w] |= b
+	due := min(n.dueCycle(at), n.cycle+wheelSpan)
+	n.wheel[int(due%wheelSpan)*len(n.sleepMask)+w] |= b
 }
 
 // wakeDue drains this cycle's wheel slot, moving each router there that
@@ -576,7 +556,7 @@ func (n *Network) park(w int, b uint64, at sim.Time) {
 // with the rest of the slot.
 func (n *Network) wakeDue(now sim.Time) {
 	words := len(n.sleepMask)
-	slot := n.wheel[int(n.cycle%ringSize)*words:][:words]
+	slot := n.wheel[int(n.cycle%wheelSpan)*words:][:words]
 	for w, word := range slot {
 		if word == 0 {
 			continue
@@ -654,6 +634,8 @@ func New(cfg Config) (*Network, error) {
 	for lvl, p := range table.Period {
 		n.lvlCycles[lvl] = n.dueCycle(p)
 	}
+	n.ring = make([]ringBucket, ringLen(n.lvlCycles))
+	n.ringMask = int64(len(n.ring) - 1)
 
 	// Tile partitioning must precede link construction: a tiled channel's
 	// link schedules its transition and serialization events on the
@@ -727,7 +709,7 @@ func New(cfg Config) (*Network, error) {
 	n.injMask = make([]uint64, words)
 	n.sleepMask = make([]uint64, words)
 	n.wakeAt = make([]sim.Time, nodes)
-	n.wheel = make([]uint64, ringSize*words)
+	n.wheel = make([]uint64, wheelSpan*words)
 	n.skips.ActiveHist = make([]int64, nodes+1)
 
 	if cfg.Audit.Enabled {
@@ -746,34 +728,19 @@ func New(cfg Config) (*Network, error) {
 func (n *Network) Auditor() *audit.Checker { return n.aud }
 
 // walkTransit shows the audit everything in flight outside router state:
-// ring-buffered arrivals and credits, scheduler-fallback messages, and
-// partially injected packets at sources. Queued whole packets have no
-// flits yet and are tracked by the audit's own ledger. Tiled networks walk
-// the per-tile rings, slow lists and outboxes instead of the global ones
-// (audit scans run at barriers, where outboxes have just drained, but the
-// walk covers them anyway so the conservation argument has no gaps).
+// ring-buffered arrivals and credits, and partially injected packets at
+// sources. Queued whole packets have no flits yet and are tracked by the
+// audit's own ledger. Tiled networks walk the per-tile rings and outboxes
+// instead of the global ones (audit scans run at barriers, where outboxes
+// have just drained, but the walk covers them anyway so the conservation
+// argument has no gaps).
 func (n *Network) walkTransit(v audit.TransitVisitor) {
 	if n.tiles != nil {
 		for _, t := range n.tiles {
 			t.walkTransit(v)
 		}
 	} else {
-		for i := range n.ring {
-			b := &n.ring[i]
-			for _, a := range b.arrivals {
-				v.Flit(a.in, a.flit)
-			}
-			for _, cm := range b.credits {
-				v.Credit(cm.out, cm.vc)
-			}
-		}
-		for _, s := range n.slow {
-			if s.in != nil {
-				v.Flit(s.in, s.flit)
-			} else {
-				v.Credit(s.out, s.vc)
-			}
-		}
+		walkRing(n.ring, v)
 	}
 	for node, inj := range n.injectors {
 		for _, f := range inj.current {
@@ -782,12 +749,15 @@ func (n *Network) walkTransit(v audit.TransitVisitor) {
 	}
 }
 
-// slowDrop removes one tracked scheduler-fallback message by identity.
-func (n *Network) slowDrop(e *slowEntry) {
-	for i := range n.slow {
-		if n.slow[i] == e {
-			n.slow = append(n.slow[:i], n.slow[i+1:]...)
-			return
+// walkRing shows the audit every message buffered in one delay ring.
+func walkRing(ring []ringBucket, v audit.TransitVisitor) {
+	for i := range ring {
+		b := &ring[i]
+		for _, a := range b.arrivals {
+			v.Flit(a.in, a.flit)
+		}
+		for _, cm := range b.credits {
+			v.Credit(cm.out, cm.vc)
 		}
 	}
 }
@@ -916,7 +886,7 @@ func (n *Network) Step() {
 				n.sleep(node, r, now)
 			} else {
 				// Idle: the bit re-arms on the next flit arrival (ring
-				// delivery, injection, or slow path).
+				// delivery or injection).
 				n.activeMask[w] &^= 1 << (node & 63)
 				n.activeCount--
 			}
@@ -974,11 +944,11 @@ func boundaryFrom(from, every int64) int64 {
 // nextInterestingCycle reports the first cycle at or after the current one
 // that must execute while the network is quiescent: the cycle whose
 // RunUntil delivers the earliest pending scheduler event (traffic
-// injections, DVS transition completions and slow-path messages all live
-// there), the next DVS policy-window close, the next probe tick, and the
-// next audit scan. Everything in between is provably empty: no router
-// state, link window, energy ledger or occupancy integral changes on those
-// cycles (the lazily accrued quantities integrate over the jump exactly).
+// injections and DVS transition completions live there), the next DVS
+// policy-window close, the next probe tick, and the next audit scan.
+// Everything in between is provably empty: no router state, link window,
+// energy ledger or occupancy integral changes on those cycles (the lazily
+// accrued quantities integrate over the jump exactly).
 // The result is clamped to target, the end of the current Run.
 func (n *Network) nextInterestingCycle(target int64) int64 {
 	next := target
@@ -1034,24 +1004,11 @@ func (n *Network) dueCycle(at sim.Time) int64 {
 }
 
 // enqueueArrival buffers a flit sent on this cycle's edge over a link at
-// level lvl, landing at the channel's far end lvlCycles[lvl] cycles later.
-// Delays beyond the ring span (impossible for the paper's link table) fall
-// back to the scheduler at the exact arrival instant. Either path re-arms
-// the destination router when the flit lands.
+// level lvl, landing at the channel's far end lvlCycles[lvl] cycles later,
+// where drainRing re-arms the destination router. The ring is longer than
+// every level's delay (ringLen), so the bucket is never this cycle's.
 func (n *Network) enqueueArrival(end *chanEnd, f *flow.Flit, lvl int) {
-	d := n.lvlCycles[lvl]
-	if d >= ringSize {
-		at := sim.Time(n.cycle)*n.Cfg.RouterPeriod + n.Table.Period[lvl]
-		e := &slowEntry{at: at, node: end.node, in: end.in, flit: f}
-		n.slow = append(n.slow, e)
-		e.seq = n.Sched.At(at, func() {
-			n.slowDrop(e)
-			n.markActive(e.node)
-			e.in.Arrive(e.flit, n.Sched.Now())
-		})
-		return
-	}
-	b := &n.ring[(n.cycle+d)%ringSize]
+	b := &n.ring[(n.cycle+n.lvlCycles[lvl])&n.ringMask]
 	b.arrivals = append(b.arrivals, arrivalMsg{in: end.in, flit: f, node: end.node})
 	n.ringCount++
 }
@@ -1061,18 +1018,7 @@ func (n *Network) enqueueArrival(end *chanEnd, f *flow.Flit, lvl int) {
 // only unblocks a router that already holds flits waiting to traverse, and
 // such a router is busy by definition.
 func (n *Network) enqueueCredit(out *router.OutputPort, vc int, lvl int) {
-	d := n.lvlCycles[lvl]
-	if d >= ringSize {
-		at := sim.Time(n.cycle)*n.Cfg.RouterPeriod + n.Table.Period[lvl]
-		e := &slowEntry{at: at, node: -1, out: out, vc: vc}
-		n.slow = append(n.slow, e)
-		e.seq = n.Sched.At(at, func() {
-			n.slowDrop(e)
-			e.out.ReturnCredit(e.vc, n.Sched.Now())
-		})
-		return
-	}
-	b := &n.ring[(n.cycle+d)%ringSize]
+	b := &n.ring[(n.cycle+n.lvlCycles[lvl])&n.ringMask]
 	b.credits = append(b.credits, creditMsg{out: out, vc: vc})
 	n.ringCount++
 }
@@ -1080,7 +1026,7 @@ func (n *Network) enqueueCredit(out *router.OutputPort, vc int, lvl int) {
 // drainRing delivers the messages due this cycle and re-arms the routers
 // that received flits.
 func (n *Network) drainRing(now sim.Time) {
-	b := &n.ring[n.cycle%ringSize]
+	b := &n.ring[n.cycle&n.ringMask]
 	n.ringCount -= len(b.arrivals) + len(b.credits)
 	for i, a := range b.arrivals {
 		n.markActive(a.node)
@@ -1300,6 +1246,7 @@ func (n *Network) runPolicies(now sim.Time) {
 func (n *Network) BeginMeasurement() {
 	now := n.Now()
 	n.measStart = now
+	n.measCycle = n.cycle
 	n.Lat = stats.NewLatency(n.Cfg.RouterPeriod)
 	n.Meter = power.NewMeter(n.Table, n.Links(), now)
 	n.delivered = 0
@@ -1320,10 +1267,12 @@ type Results struct {
 	SavingsX       float64
 }
 
-// Snapshot reports results accumulated since BeginMeasurement.
+// Snapshot reports results accumulated since BeginMeasurement. Measured
+// cycles are counted on the cycle counter: the scheduler clock stands at
+// the last executed cycle's edge, one cycle short from cycle 0.
 func (n *Network) Snapshot() Results {
 	now := n.Now()
-	cycles := int64((now - n.measStart) / n.Cfg.RouterPeriod)
+	cycles := n.cycle - n.measCycle
 	var thr float64
 	if cycles > 0 {
 		thr = float64(n.delivered) / float64(cycles)

@@ -444,6 +444,38 @@ func TestMeasurementExcludesWarmupPackets(t *testing.T) {
 	}
 }
 
+// TestMeasuredCycles: a measurement counts the router cycles run since
+// BeginMeasurement, also from cycle 0, where the scheduler clock trails the
+// cycle counter by one step, and across a checkpoint fork.
+func TestMeasuredCycles(t *testing.T) {
+	for _, tc := range []struct{ warmup, cycles int64 }{{0, 1}, {0, 1_000}, {500, 1_000}} {
+		n := mustNew(t, smallConfig(PolicyNone))
+		n.Run(tc.warmup)
+		n.BeginMeasurement()
+		n.Run(tc.cycles)
+		if got := n.Snapshot(); got.Cycles != tc.cycles || got.ThroughputPkts != 0 {
+			t.Errorf("warm-up %d, %d cycles: measured %d cycles, throughput %v", tc.warmup, tc.cycles, got.Cycles, got.ThroughputPkts)
+		}
+	}
+
+	n := mustNew(t, smallConfig(PolicyNone))
+	n.BeginMeasurement()
+	n.Inject(0, 15, 0, -1)
+	n.Run(300)
+	st, err := n.CaptureCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := mustNew(t, smallConfig(PolicyNone))
+	if err := fork.RestoreCheckpoint(st, nil); err != nil {
+		t.Fatal(err)
+	}
+	fork.Run(700)
+	if got := fork.Snapshot(); got.Cycles != 1_000 || got.DeliveredPkts != 1 {
+		t.Errorf("fork: measured %d cycles and %d packets, want 1000 and 1", got.Cycles, got.DeliveredPkts)
+	}
+}
+
 // TestInjectionBandwidthOneFlitPerCycle: a node's source queue drains at
 // most one flit per router cycle into the local input port.
 func TestInjectionBandwidthOneFlitPerCycle(t *testing.T) {

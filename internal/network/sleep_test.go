@@ -139,29 +139,29 @@ func TestSleepEquivalence(t *testing.T) {
 	}
 }
 
-// farSleepers counts sleepers whose wake cycle lies ringSize or more cycles
+// farSleepers counts sleepers whose wake cycle lies wheelSpan or more cycles
 // past the cycle just executed. A router parked on that cycle with such a
 // wake does not fit on the wake wheel: it takes the far path, parked again
 // from the slot one span ahead until it is due.
 func (n *Network) farSleepers() int {
 	c := 0
 	for _, node := range n.sleepers() {
-		if n.dueCycle(n.wakeAt[node])-(n.cycle-1) >= ringSize {
+		if n.dueCycle(n.wakeAt[node])-(n.cycle-1) >= wheelSpan {
 			c++
 		}
 	}
 	return c
 }
 
-// TestWheelSpanMatchesCheckpoint ties ringSize to wheelSpan in
-// internal/checkpoint/conformance_test.go, the copy its near-and-far fork
-// case classifies sleepers by: a test there cannot read this constant, and
-// a stale copy would let that case pass without restoring a far sleeper.
-// Change the two together.
+// TestWheelSpanMatchesCheckpoint ties wheelSpan to its copy in
+// internal/checkpoint/conformance_test.go, which that package's near-and-far
+// fork case classifies sleepers by: a test there cannot read this constant,
+// and a stale copy would let that case pass without restoring a far
+// sleeper. Change the two together.
 func TestWheelSpanMatchesCheckpoint(t *testing.T) {
-	const wheelSpan = 64
-	if ringSize != wheelSpan {
-		t.Fatalf("ringSize = %d, internal/checkpoint assumes %d", ringSize, wheelSpan)
+	const checkpointCopy = 64
+	if wheelSpan != checkpointCopy {
+		t.Fatalf("wheelSpan = %d, internal/checkpoint assumes %d", wheelSpan, checkpointCopy)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestSleepPinnedTicks(t *testing.T) {
 		mutate       func(*Config)
 		rate         float64
 		cycles       int64
-		far          bool // some sleeper must wake ringSize or more cycles out
+		far          bool // some sleeper must wake wheelSpan or more cycles out
 		ticks, slept int64
 	}{
 		{"mesh8x8/rate=0.05", func(*Config) {}, 0.05, 20_000, false, 53_667, 126_189},
@@ -239,11 +239,12 @@ func TestSleepPinnedTicks(t *testing.T) {
 }
 
 // TestSleepWakeSources drives a flit into a sleeping router by each arrival
-// path — ring bucket, source injection, and the scheduler slow path a
-// 100 ps router clock forces — and requires the router to be awake on the
-// cycle the flit lands. Every link sits at the bottom level, so a router
-// sleeps between the flits of one packet. The audit's late-wake invariant
-// watches every skipped router, and a useNoSkip twin must agree on the result.
+// path — ring bucket and source injection, and the ring again at a 100 ps
+// router clock, whose 80-cycle link delays need a longer ring — and requires
+// the router to be awake on the cycle the flit lands. Every link sits at the
+// bottom level, so a router sleeps between the flits of one packet. The
+// audit's late-wake invariant watches every skipped router, and a useNoSkip
+// twin must agree on the result.
 func TestSleepWakeSources(t *testing.T) {
 	type injection struct {
 		cycle    int64
@@ -268,12 +269,6 @@ func TestSleepWakeSources(t *testing.T) {
 			// asleep on the previous flit's ten-cycle output pipeline.
 			name: "ring", period: sim.Nanosecond, node: 1,
 			inject: []injection{{0, 0, 2}},
-			check: func(n *Network) string {
-				if len(n.slow) != 0 {
-					return "a message took the slow path"
-				}
-				return ""
-			},
 		},
 		{
 			// Router 0 is only ever a source: the second packet is injected
@@ -282,17 +277,14 @@ func TestSleepWakeSources(t *testing.T) {
 			inject: []injection{{0, 0, 1}, {25, 0, 1}},
 		},
 		{
-			// Every link delay spans 80 cycles, past the ring. Router 1's own
-			// packet keeps it waiting on its +x link while the flits from
-			// router 0 land on it by scheduler event.
+			// Every link delay spans 80 cycles, past the paper table's
+			// 16-slot ring and the wake wheel. Router 1's own packet keeps it
+			// waiting on its +x link while the flits from router 0 land on it
+			// from a ring sized for the delay, which holds every message in
+			// flight.
 			name: "slow-path", period: 100, node: 1,
 			inject: []injection{{0, 1, 2}, {0, 0, 2}},
-			check: func(n *Network) string {
-				if n.ringCount != 0 {
-					return "a message took the ring"
-				}
-				return ""
-			},
+			check:  ringHoldsAll,
 		},
 	} {
 		tc := tc

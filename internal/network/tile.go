@@ -4,7 +4,7 @@
 // length is extracted per window from live occupancy — the directed hop
 // distance from the nearest buffered or injector-pending flit to a tile
 // boundary, the ready/serializer state of queued link transmissions, and
-// the horizons of pending ring and scheduler messages (see bound) — and
+// the horizons of pending ring messages and scheduler events (see bound) — and
 // never falls below the constant floor W = ceil(topLinkPeriod/routerPeriod)
 // the engine used before PR 10 (1 with the paper's table, which forced a
 // barrier every router cycle). A window end that finds every cross-tile
@@ -143,9 +143,8 @@ type tileState struct {
 	sched sim.Scheduler
 	cycle int64
 
-	ring      [ringSize]ringBucket
+	ring      []ringBucket
 	ringCount int
-	slow      []*slowEntry
 	pool      flow.Pool
 	nextPkt   int64
 	replay    *traffic.Replay
@@ -215,6 +214,7 @@ func (n *Network) initTiles(count int) {
 		t := &tileState{
 			n: n, id: i, lo: lo, hi: hi,
 			idBase:     int64(i) << 48,
+			ring:       make([]ringBucket, len(n.ring)),
 			activeMask: make([]uint64, words),
 			injMask:    make([]uint64, words),
 			outbox:     make([][]tileMsg, count),
@@ -351,34 +351,12 @@ func (t *tileState) inject(src, dst int, now sim.Time, task int64) {
 	}
 }
 
-// slowDrop removes one tracked scheduler-fallback message by identity.
-func (t *tileState) slowDrop(e *slowEntry) {
-	for i := range t.slow {
-		if t.slow[i] == e {
-			t.slow = append(t.slow[:i], t.slow[i+1:]...)
-			return
-		}
-	}
-}
-
-// enqueueArrival mirrors Network.enqueueArrival on the tile's ring and
-// scheduler, folding the arrival's boundary hazard into ringMin. Only
-// intra-tile messages come here; cross-tile ones go through the outbox.
+// enqueueArrival mirrors Network.enqueueArrival on the tile's ring, folding
+// the arrival's boundary hazard into ringMin. Only intra-tile messages come
+// here; cross-tile ones go through the outbox.
 func (t *tileState) enqueueArrival(end *chanEnd, f *flow.Flit, lvl int) {
-	d := t.n.lvlCycles[lvl]
-	if d >= ringSize {
-		at := sim.Time(t.cycle)*t.n.Cfg.RouterPeriod + t.n.Table.Period[lvl]
-		e := &slowEntry{at: at, node: end.node, in: end.in, flit: f}
-		t.slow = append(t.slow, e)
-		e.seq = t.sched.At(at, func() {
-			t.slowDrop(e)
-			t.markActive(e.node)
-			e.in.Arrive(e.flit, t.sched.Now())
-		})
-		return
-	}
-	due := t.cycle + d
-	b := &t.ring[due%ringSize]
+	due := t.cycle + t.n.lvlCycles[lvl]
+	b := &t.ring[due&t.n.ringMask]
 	b.arrivals = append(b.arrivals, arrivalMsg{in: end.in, flit: f, node: end.node})
 	t.ringCount++
 	if d := t.distB[end.node]; d < farDist {
@@ -392,18 +370,7 @@ func (t *tileState) enqueueArrival(end *chanEnd, f *flow.Flit, lvl int) {
 // carry no boundary hazard of their own: they only unblock buffered flits,
 // which the bound already counts at their positions.
 func (t *tileState) enqueueCredit(out *router.OutputPort, vc int, lvl int) {
-	d := t.n.lvlCycles[lvl]
-	if d >= ringSize {
-		at := sim.Time(t.cycle)*t.n.Cfg.RouterPeriod + t.n.Table.Period[lvl]
-		e := &slowEntry{at: at, node: -1, out: out, vc: vc}
-		t.slow = append(t.slow, e)
-		e.seq = t.sched.At(at, func() {
-			t.slowDrop(e)
-			e.out.ReturnCredit(e.vc, t.sched.Now())
-		})
-		return
-	}
-	b := &t.ring[(t.cycle+d)%ringSize]
+	b := &t.ring[(t.cycle+t.n.lvlCycles[lvl])&t.n.ringMask]
 	b.credits = append(b.credits, creditMsg{out: out, vc: vc})
 	t.ringCount++
 }
@@ -425,8 +392,7 @@ func (t *tileState) enqueueCredit(out *router.OutputPort, vc int, lvl int) {
 //     at least one pipeline traversal plus one top-period link crossing.
 //   - A buffered or injector-pending flit at distance d: it cannot cross
 //     before d+1 full hops, pipeC+lookahead cycles each.
-//   - A pending scheduler event (replay injection, slow-path message, DVS
-//     completion): nothing lands at a router before the event's due cycle,
+//   - A pending scheduler event (replay injection, DVS completion): nothing lands at a router before the event's due cycle,
 //     and a boundary crossing needs at least one traversal plus one link
 //     period after that.
 //   - Ring messages: ringMin (intra arrivals, folded in by enqueueArrival)
@@ -598,7 +564,7 @@ func (t *tileState) step() {
 
 // drainRing delivers the tile's messages due this cycle.
 func (t *tileState) drainRing(now sim.Time) {
-	b := &t.ring[t.cycle%ringSize]
+	b := &t.ring[t.cycle&t.n.ringMask]
 	t.ringCount -= len(b.arrivals) + len(b.credits)
 	for i, a := range b.arrivals {
 		t.markActive(a.node)
@@ -730,22 +696,7 @@ func (t *tileState) ejectNode(r *router.Router, now sim.Time) {
 
 // walkTransit shows the audit the tile's in-flight messages.
 func (t *tileState) walkTransit(v audit.TransitVisitor) {
-	for i := range t.ring {
-		b := &t.ring[i]
-		for _, a := range b.arrivals {
-			v.Flit(a.in, a.flit)
-		}
-		for _, cm := range b.credits {
-			v.Credit(cm.out, cm.vc)
-		}
-	}
-	for _, s := range t.slow {
-		if s.in != nil {
-			v.Flit(s.in, s.flit)
-		} else {
-			v.Credit(s.out, s.vc)
-		}
-	}
+	walkRing(t.ring, v)
 	for _, box := range t.outbox {
 		for _, m := range box {
 			if m.in != nil {
@@ -1005,8 +956,8 @@ func (n *Network) mergeTiles(e int64) {
 	// into the destination tile's ring by due cycle. Every message was
 	// generated in the window just ended (earlier windows with non-empty
 	// outboxes merged at their own ends), so the lookahead bound guarantees
-	// due >= e and the ring span bounds it above (cross-tile delays are at
-	// most one bottom-level link period). Merged flit arrivals are new
+	// due >= e; it left by cycle e-1 over a delay shorter than the ring
+	// (ringLen), so its bucket is free of any other due cycle. Merged flit arrivals are new
 	// hazards the destination's promise has not seen; fold them into its
 	// crossRingMin (the arrival's own onward journey and the credit it will
 	// owe are both at least one link period past its due cycle).
@@ -1021,10 +972,10 @@ func (n *Network) mergeTiles(e int64) {
 				if verify && due < src.pledge {
 					n.laViolations++
 				}
-				if due < e || due-e >= ringSize {
-					panic(fmt.Sprintf("network: cross-tile message due cycle %d outside window end %d", due, e))
+				if due < e {
+					panic(fmt.Sprintf("network: cross-tile message due cycle %d before window end %d", due, e))
 				}
-				b := &dest.ring[due%ringSize]
+				b := &dest.ring[due&n.ringMask]
 				if m.node >= 0 {
 					b.arrivals = append(b.arrivals, arrivalMsg{in: m.in, flit: m.flit, node: m.node})
 					if h := due + n.lookahead; h < dest.crossRingMin {

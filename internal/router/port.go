@@ -320,10 +320,6 @@ func (p *OutputPort) Held(vc int) (held bool, inPort, inVC int) {
 	return true, int(g) / p.r.vcs, int(g) % p.r.vcs
 }
 
-// InfiniteCredits reports whether the port models an always-accepting sink
-// (the ejection port).
-func (p *OutputPort) InfiniteCredits() bool { return p.infiniteCredits }
-
 // DropCreditForTest silently discards one downstream credit on vc — a
 // deliberate flow-control fault used to prove the audit's credit
 // conservation scan catches real protocol corruption. Never called by

@@ -118,10 +118,6 @@ func (s *Scheduler) AtSeq(t Time, seq int64, fn func()) {
 	s.push(Event{At: t, Run: fn, seq: seq})
 }
 
-// After schedules fn to run d picoseconds from now and returns the event's
-// sequence number.
-func (s *Scheduler) After(d Duration, fn func()) int64 { return s.At(s.now+d, fn) }
-
 // SeqCounter reports the last sequence number issued by At/After.
 func (s *Scheduler) SeqCounter() int64 { return s.nextID }
 

@@ -59,7 +59,7 @@ func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 5 {
-			s.After(10, chain)
+			s.At(s.Now()+10, chain)
 		}
 	}
 	s.At(0, chain)

@@ -38,14 +38,6 @@ func (r *RNG) Seed(seed uint64) {
 // caller inventing seed arithmetic.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 
-// State reports the generator's internal state word-for-word, and SetState
-// restores it: together they let a checkpoint resume a stream mid-sequence
-// without replaying draws.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's internal state.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next raw 64-bit value.

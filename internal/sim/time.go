@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-event simulation kernel
-// shared by every subsystem of the reproduction: a picosecond time base,
-// per-domain clocks, a binary-heap event queue, and a seeded random number
-// generator so that every experiment is exactly reproducible.
+// shared by every subsystem of the reproduction: a picosecond time base, a
+// binary-heap event queue, and a seeded random number generator so that
+// every experiment is exactly reproducible.
 package sim
 
 import "fmt"
@@ -42,63 +42,3 @@ func (t Time) String() string {
 
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) * 1e-12 }
-
-// FromSeconds converts floating-point seconds to a Time, rounding to the
-// nearest picosecond.
-func FromSeconds(s float64) Time { return Time(s*1e12 + 0.5) }
-
-// Clock converts between an abstract cycle count and absolute time for one
-// clock domain. The router core and every DVS link each own a Clock; link
-// clocks are re-created when the link changes frequency level.
-type Clock struct {
-	period Time // picoseconds per cycle
-	origin Time // absolute time of cycle 0
-}
-
-// NewClock returns a clock with the given period whose cycle 0 begins at
-// origin. It panics if period is not positive: a zero-period clock would
-// collapse all of simulated time onto one instant.
-func NewClock(period, origin Time) Clock {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive clock period %d", period))
-	}
-	return Clock{period: period, origin: origin}
-}
-
-// Period reports the clock period in picoseconds.
-func (c Clock) Period() Time { return c.period }
-
-// FreqHz reports the clock frequency in hertz.
-func (c Clock) FreqHz() float64 { return 1e12 / float64(c.period) }
-
-// CycleAt reports the index of the cycle containing instant t. Instants
-// before the clock origin belong to cycle 0.
-func (c Clock) CycleAt(t Time) int64 {
-	if t < c.origin {
-		return 0
-	}
-	return int64((t - c.origin) / c.period)
-}
-
-// TimeOf reports the absolute start time of the given cycle.
-func (c Clock) TimeOf(cycle int64) Time {
-	return c.origin + Time(cycle)*c.period
-}
-
-// NextEdge reports the first clock edge strictly after t.
-func (c Clock) NextEdge(t Time) Time {
-	if t < c.origin {
-		return c.origin
-	}
-	n := (t-c.origin)/c.period + 1
-	return c.origin + n*c.period
-}
-
-// AlignUp reports the first clock edge at or after t.
-func (c Clock) AlignUp(t Time) Time {
-	if t <= c.origin {
-		return c.origin
-	}
-	n := (t - c.origin + c.period - 1) / c.period
-	return c.origin + n*c.period
-}

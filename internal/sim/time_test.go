@@ -2,59 +2,6 @@ package sim
 
 import "testing"
 
-func TestClockCycleMath(t *testing.T) {
-	c := NewClock(1000, 0) // 1 GHz
-	tests := []struct {
-		at    Time
-		cycle int64
-	}{
-		{0, 0}, {1, 0}, {999, 0}, {1000, 1}, {1001, 1}, {123456, 123},
-	}
-	for _, tt := range tests {
-		if got := c.CycleAt(tt.at); got != tt.cycle {
-			t.Errorf("CycleAt(%d) = %d, want %d", tt.at, got, tt.cycle)
-		}
-	}
-	if got := c.TimeOf(42); got != 42000 {
-		t.Errorf("TimeOf(42) = %d, want 42000", got)
-	}
-}
-
-func TestClockEdges(t *testing.T) {
-	c := NewClock(8000, 500) // 125 MHz starting at 500 ps
-	if got := c.NextEdge(500); got != 8500 {
-		t.Errorf("NextEdge(500) = %d, want 8500", got)
-	}
-	if got := c.NextEdge(0); got != 500 {
-		t.Errorf("NextEdge(0) = %d, want 500", got)
-	}
-	if got := c.AlignUp(500); got != 500 {
-		t.Errorf("AlignUp(500) = %d, want 500", got)
-	}
-	if got := c.AlignUp(501); got != 8500 {
-		t.Errorf("AlignUp(501) = %d, want 8500", got)
-	}
-	if got := c.AlignUp(8500); got != 8500 {
-		t.Errorf("AlignUp(8500) = %d, want 8500", got)
-	}
-}
-
-func TestClockFreq(t *testing.T) {
-	c := NewClock(Nanosecond, 0)
-	if f := c.FreqHz(); f != 1e9 {
-		t.Errorf("FreqHz = %g, want 1e9", f)
-	}
-}
-
-func TestNewClockPanicsOnZeroPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero period")
-		}
-	}()
-	NewClock(0, 0)
-}
-
 func TestTimeString(t *testing.T) {
 	tests := []struct {
 		t    Time
@@ -69,12 +16,5 @@ func TestTimeString(t *testing.T) {
 		if got := tt.t.String(); got != tt.want {
 			t.Errorf("%d.String() = %q, want %q", int64(tt.t), got, tt.want)
 		}
-	}
-}
-
-func TestSecondsRoundTrip(t *testing.T) {
-	orig := 123456789 * Picosecond
-	if got := FromSeconds(orig.Seconds()); got != orig {
-		t.Errorf("round trip = %d, want %d", got, orig)
 	}
 }
