@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run xxx -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/checkpoint -run xxx -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/traffic/tracestore -run xxx -fuzz FuzzTraceDecode -fuzztime 10s -fuzzminimizetime=10x
+	$(GO) test ./internal/traffic -run xxx -fuzz FuzzMachineMatchesReference -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./noc -run xxx -fuzz FuzzLoadConfig -fuzztime 10s -fuzzminimizetime=10x
 
 # Names that must not come back: the second warm-key namespace and the raw

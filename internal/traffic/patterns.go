@@ -99,7 +99,7 @@ func (h *Hotspot) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector
 				sched.At(next, emit)
 			}
 		}
-		first := sim.Time(rng.Exp(meanGap))
+		first := sched.Now() + sim.Time(rng.Exp(meanGap))
 		if first <= horizon {
 			sched.At(first, emit)
 		}

@@ -1,8 +1,8 @@
 // Memoized traffic traces. Generating two-level self-similar traffic costs
-// Pareto draws and heap work for every ON/OFF period of every session, and
-// every policy-ablation point at one (seed, rate, horizon) regenerates the
-// identical arrival sequence — the model's randomness is independent of
-// the network it drives. Capture runs the model once and encodes the arrivals
+// Pareto draws for every ON/OFF period of every session and heap work for
+// every spawn and emission, and every policy-ablation point at one (seed,
+// rate, horizon) regenerates the identical arrival sequence — the model's
+// randomness is independent of the network it drives. Capture runs the model once and encodes the arrivals
 // directly into the tracestore wire form (delta varints, ~5 bytes per
 // arrival instead of a 24-byte struct); the resulting Trace is an
 // immutable Model that replays them with zero steady-state allocation,

@@ -89,7 +89,7 @@ func (u *Uniform) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injector
 				sched.At(next, emit)
 			}
 		}
-		first := sim.Time(rng.Exp(meanGap))
+		first := sched.Now() + sim.Time(rng.Exp(meanGap))
 		if first <= horizon {
 			sched.At(first, emit)
 		}
@@ -131,7 +131,7 @@ func (p *Permutation) Launch(sched *sim.Scheduler, horizon sim.Time, inject Inje
 				sched.At(next, emit)
 			}
 		}
-		first := sim.Time(rng.Exp(meanGap))
+		first := sched.Now() + sim.Time(rng.Exp(meanGap))
 		if first <= horizon {
 			sched.At(first, emit)
 		}

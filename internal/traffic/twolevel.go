@@ -202,41 +202,46 @@ func (m *TwoLevel) Launch(sched *sim.Scheduler, horizon sim.Time, inject Injecto
 	}
 }
 
-// The model runs as one event machine: sources are recycled slab slots
-// holding their random streams by value, pending events a pointer-free
-// heap, so generation allocates nothing per session, source or ON period.
-// Seq follows arming order and every source draws from a private stream,
-// so the arrivals depend on the parameters and horizon alone (DESIGN.md
-// §9; TestTwoLevelTraceDigests pins them).
+// The model runs as one event machine over recycled slab slots, each
+// holding one source's random stream by value, and a pointer-free heap, so
+// generation allocates nothing per session, source or ON period. Only
+// spawns and emissions are queued: a source walks its own ON/OFF periods in
+// its slot, drawing its private stream in period order, until it arms its
+// next emission or its session ends, so the heap holds the pending spawn
+// and at most one emission per source.
+//
+// The arrivals are those of the plain event machine that queues every
+// spawn, toggle and emission on (at, seq), seq following arming order
+// (DESIGN.md §9; TestTwoLevelTraceDigests pins them, refmachine_test.go
+// keeps that machine as the oracle). Every event is armed while another
+// one fires, so the plain machine's order is the recursive key
+// (at, key(arming event), push index). The heap compares (at, armAt), armAt
+// being the arming event's instant (-1 for the launch itself), and settles
+// the rare equal pair in tie, which walks both arming chains back in
+// lockstep until an instant differs or the chains meet at a spawn.
 
-// Machine event kinds.
-const (
-	evSpawn int32 = iota // the Poisson spawner starts a session
-	evOn                 // a source's OFF period ends
-	evOff                // a source's ON period ends
-	evEmit               // a source emits one packet
-)
-
-// event is one pending machine event.
-type event struct {
-	at   sim.Time
-	seq  int64
-	src  int32 // slab slot of the source; unused by evSpawn
-	kind int32
+// entry is a pending machine event: a source's next emission, or the next
+// spawn when src < 0.
+type entry struct {
+	at    sim.Time
+	armAt sim.Time // instant of the event that armed this one; -1 the launch
+	src   int32
 }
 
-func (a *event) less(b *event) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
-}
-
-// source is one Pareto ON/OFF source of a session.
+// source is one Pareto ON/OFF source of a session, positioned on the ON
+// period of its pending emission.
 type source struct {
 	rng     sim.RNG
-	node    int32 // the session's source node
-	pending int32 // queued events; the slot is recycled at zero
+	seed    sim.RNG     // the stream after the start draw, for replaying toggles
+	node    int32       // the session's source node
+	k       int32       // index in its session, the order its spawn armed it in
+	toggles int64       // ON/OFF toggles so far, the current ON start included
+	recent  [4]sim.Time // the last toggles' instants, toggle n at n%4
 	task    int64
 	gap     sim.Duration // emission spacing while ON
+	start   sim.Time     // session start
 	end     sim.Time     // session end, clamped to the horizon
+	first   sim.Time     // first emission of the current ON period
 	onEnd   sim.Time     // end of the current ON period
 }
 
@@ -247,10 +252,15 @@ type machine struct {
 	rng      sim.RNG // the spawner's stream; sessions split off it
 	meanGap  float64 // mean session inter-arrival time
 	nextTask int64
-	seq      int64
-	queue    []event // 4-ary min-heap on (at, seq)
+	spawnAt  []sim.Time // instants of the spawns fired so far
+	queue    []entry    // 4-ary min-heap in the plain machine's event order
 	slab     []source
 	free     []int32
+	hist     [2][]sim.Time // replayed toggle instants, one buffer per side of a tie
+
+	// ties counts the equal (at, armAt) pairs tie settled, replays the
+	// toggle histories it redrew.
+	ties, replays int
 }
 
 // start arms a machine at instant now.
@@ -265,8 +275,8 @@ func (m *TwoLevel) start(now, horizon sim.Time) *machine {
 	for i := 0; i < m.P.AvgTasks; i++ {
 		g.startTask(now, true)
 	}
-	if first := sim.Time(g.rng.Exp(g.meanGap)); first <= horizon {
-		g.push(first, -1, evSpawn)
+	if first := now + sim.Time(g.rng.Exp(g.meanGap)); first <= horizon {
+		g.push(entry{at: first, armAt: -1, src: -1})
 	}
 	return g
 }
@@ -274,29 +284,34 @@ func (m *TwoLevel) start(now, horizon sim.Time) *machine {
 // next runs the machine up to its next arrival; ok is false once the
 // workload is exhausted.
 func (g *machine) next() (a Arrival, ok bool) {
-	for len(g.queue) > 0 && !ok {
-		ev := g.pop()
-		switch ev.kind {
-		case evSpawn:
-			g.startTask(ev.at, false)
-			if next := ev.at + sim.Time(g.rng.Exp(g.meanGap)); next <= g.horizon {
-				g.push(next, -1, evSpawn)
+	for len(g.queue) > 0 {
+		e := g.queue[0]
+		if e.src < 0 {
+			g.pop()
+			g.spawnAt = append(g.spawnAt, e.at)
+			g.startTask(e.at, false)
+			if next := e.at + sim.Time(g.rng.Exp(g.meanGap)); next <= g.horizon {
+				g.push(entry{at: next, armAt: e.at, src: -1})
 			}
-		case evOn, evOff:
-			g.period(ev.src, ev.at, ev.kind == evOn)
-		case evEmit:
-			s := &g.slab[ev.src]
-			a, ok = Arrival{At: ev.at, Task: s.task, Src: s.node,
-				Dst: int32(g.m.pickDst(int(s.node), &s.rng))}, true
-			if next := ev.at + s.gap; next < s.onEnd {
-				g.push(next, ev.src, evEmit)
+			continue
+		}
+		s := &g.slab[e.src]
+		a = Arrival{At: e.at, Task: s.task, Src: s.node,
+			Dst: int32(g.m.pickDst(int(s.node), &s.rng))}
+		if next := e.at + s.gap; next < s.onEnd {
+			g.replaceTop(entry{at: next, armAt: e.at, src: e.src})
+		} else {
+			// The ON period ends at onEnd: walk on from its OFF toggle.
+			s.toggle(s.onEnd)
+			if ne, armed := g.walk(e.src, s.onEnd, false); armed {
+				g.replaceTop(ne)
+			} else {
+				g.pop()
 			}
 		}
-		if ev.kind != evSpawn {
-			g.release(ev.src)
-		}
+		return a, true
 	}
-	return a, ok
+	return a, false
 }
 
 // startTask creates one communication session: a source node, a duration,
@@ -349,85 +364,228 @@ func (g *machine) startTask(now sim.Time, initial bool) {
 			g.slab = append(g.slab, source{})
 		}
 		s := &g.slab[i]
-		*s = source{node: int32(node), pending: 1, task: task, gap: gap, end: end}
+		*s = source{node: int32(node), k: int32(k), task: task, gap: gap, start: now, end: end}
 		s.rng.Seed(rng.Uint64())
 		// Start in steady state: ON with probability the clipped duty.
-		g.period(i, now, s.rng.Float64() < duty)
-		g.release(i) // the start itself
-	}
-}
-
-// period starts an ON period — a packet train at spacing gap from a
-// uniform phase, and the OFF period at its end — or an OFF period, which
-// emits nothing. Nothing outlives the session.
-func (g *machine) period(i int32, now sim.Time, on bool) {
-	s, p := &g.slab[i], &g.m.P
-	if now >= s.end {
-		return
-	}
-	if !on {
-		if next := now + sim.Time(s.rng.Pareto(p.OffShape, float64(p.OffLocation))); next < s.end {
-			g.push(next, i, evOn)
+		on := s.rng.Float64() < duty
+		s.seed = s.rng
+		if e, ok := g.walk(i, now, on); ok {
+			g.push(e)
 		}
-		return
-	}
-	s.onEnd = now + sim.Time(s.rng.Pareto(p.OnShape, float64(p.OnLocation)))
-	if s.onEnd > s.end {
-		s.onEnd = s.end
-	}
-	if first := now + sim.Time(s.rng.Float64()*float64(s.gap)); first < s.onEnd {
-		g.push(first, i, evEmit)
-	}
-	if s.onEnd < s.end {
-		g.push(s.onEnd, i, evOff)
 	}
 }
 
-// release retires one of slot i's pending events, recycling the slot once
-// none is left.
-func (g *machine) release(i int32) {
-	if g.slab[i].pending--; g.slab[i].pending == 0 {
-		g.free = append(g.free, i)
+// walk runs source i's periods from instant now, where an ON period (a
+// packet train at spacing gap from a uniform phase) or an OFF period
+// starts, and returns the entry of the first emission it arms. A session
+// that ends first recycles the slot instead.
+func (g *machine) walk(i int32, now sim.Time, on bool) (entry, bool) {
+	s, p := &g.slab[i], &g.m.P
+	for now < s.end {
+		if on {
+			onEnd := min(now+sim.Time(s.rng.Pareto(p.OnShape, float64(p.OnLocation))), s.end)
+			if first := now + sim.Time(s.rng.Float64()*float64(s.gap)); first < onEnd {
+				s.first, s.onEnd = first, onEnd
+				armAt := now
+				if s.toggles == 0 {
+					armAt = g.spawnTime(g.spawnOf(s.task))
+				}
+				return entry{at: first, armAt: armAt, src: i}, true
+			}
+			now = onEnd
+		} else {
+			now += sim.Time(s.rng.Pareto(p.OffShape, float64(p.OffLocation)))
+		}
+		s.toggle(now)
+		on = !on
+	}
+	g.free = append(g.free, i)
+	return entry{}, false
+}
+
+// toggle records that s toggled ON or OFF at instant at.
+func (s *source) toggle(at sim.Time) {
+	s.toggles++
+	s.recent[s.toggles%int64(len(s.recent))] = at
+}
+
+// spawnOf reports the number of the spawn that started task, -1 for a
+// session the launch itself started.
+func (g *machine) spawnOf(task int64) int64 {
+	return max(task-int64(g.m.P.AvgTasks), -1)
+}
+
+// spawnTime reports the instant of spawn n, -1 for the launch.
+func (g *machine) spawnTime(n int64) sim.Time {
+	if n < 0 {
+		return -1
+	}
+	return g.spawnAt[n]
+}
+
+// order compares two entries on (at, armAt), negative when a fires first.
+// The heap loops call it inline and leave an equal pair, zero, to tie.
+func order(a, b *entry) sim.Time {
+	if a.at != b.at {
+		return a.at - b.at
+	}
+	return a.armAt - b.armAt
+}
+
+// Arming-chain link kinds.
+const (
+	linkTrain  = iota // an emission of a source's current ON period
+	linkToggle        // an ON/OFF toggle of a source
+	linkSpawn         // a spawn, or the launch itself
+)
+
+// link is a cursor on an entry's arming chain: the entry, the event that
+// armed it, the event that armed that one, and so on back to a spawn. Each
+// spawn was armed by the one before it, the first by the launch.
+type link struct {
+	at   sim.Time
+	kind int
+	n    int64      // emission index in the train, toggle number, or spawn number (-1 the launch)
+	s    *source    // nil on the spawn chain
+	hist []sim.Time // s's toggle instants before its ON start, replayed on first need
+
+	// task and k name the link a spawn was reached from, the order that
+	// spawn armed its children in: source k of task, or the next spawn
+	// (task = MaxInt64) last.
+	task int64
+	k    int32
+}
+
+// tie reports whether a fires before b, two entries of equal (at, armAt):
+// the first differing instant along their arming chains decides, and where
+// the chains meet at one spawn, the order that spawn armed their links in.
+// Both entries are never one source's (a source has one entry), so the
+// chains can only meet on the spawn chain.
+func (g *machine) tie(a, b *entry) bool {
+	g.ties++
+	x, y := g.link(a, 0), g.link(b, 1)
+	for {
+		if x.kind == linkTrain && y.kind == linkTrain && x.s.gap == y.s.gap {
+			// Two trains level at one instant and one gap stay level down
+			// to the shorter one's first emission.
+			d := min(x.n, y.n)
+			x.n, x.at = x.n-d, x.at-sim.Time(d)*x.s.gap
+			y.n, y.at = y.n-d, y.at-sim.Time(d)*y.s.gap
+		}
+		g.up(&x, 0)
+		g.up(&y, 1)
+		switch {
+		case x.at != y.at:
+			return x.at < y.at
+		case x.kind == linkSpawn && y.kind == linkSpawn:
+			if x.n != y.n {
+				return x.n < y.n
+			}
+			return x.task < y.task || x.task == y.task && x.k < y.k
+		}
 	}
 }
 
-// push queues an event under the next sequence number, so events of one
-// instant fire in the order the model armed them.
-func (g *machine) push(at sim.Time, src, kind int32) {
-	g.seq++
-	if src >= 0 {
-		g.slab[src].pending++
+// link returns the cursor on entry e itself.
+func (g *machine) link(e *entry, side int) link {
+	if e.src < 0 {
+		return link{at: e.at, kind: linkSpawn, n: int64(len(g.spawnAt))}
 	}
-	e := event{at: at, seq: g.seq, src: src, kind: kind}
+	s := &g.slab[e.src]
+	return link{at: e.at, kind: linkTrain, n: int64((e.at - s.first) / s.gap), s: s, hist: g.hist[side][:0]}
+}
+
+// up moves l to the event that armed its current one.
+func (g *machine) up(l *link, side int) {
+	s := l.s
+	switch {
+	case l.kind == linkTrain && l.n > 0:
+		l.n--
+		l.at -= s.gap
+	case l.kind == linkTrain && s.toggles > 0:
+		l.kind, l.n = linkToggle, s.toggles
+		l.at = s.recent[l.n%int64(len(s.recent))]
+	case l.kind == linkToggle && l.n > 1:
+		l.n--
+		if s.toggles-l.n < int64(len(s.recent)) {
+			l.at = s.recent[l.n%int64(len(s.recent))]
+			break
+		}
+		if len(l.hist) == 0 {
+			l.hist = g.replay(s, l.hist)
+			g.hist[side] = l.hist
+		}
+		l.at = l.hist[l.n-1]
+	case l.kind == linkSpawn:
+		l.task, l.k = math.MaxInt64, 0
+		l.n--
+		l.at = g.spawnTime(l.n)
+	default: // the source's first period, armed by its spawn
+		l.kind, l.task, l.k = linkSpawn, s.task, s.k
+		l.n = g.spawnOf(s.task)
+		l.at = g.spawnTime(l.n)
+	}
+}
+
+// replay returns the instants of s's toggles before the current ON start,
+// redrawing its stream from the start draw in period order.
+func (g *machine) replay(s *source, buf []sim.Time) []sim.Time {
+	g.replays++
+	p := &g.m.P
+	rng, now, on := s.seed, s.start, s.toggles%2 == 0
+	for int64(len(buf)) < s.toggles-1 {
+		if on {
+			// A later toggle exists, so this ON period ended inside the
+			// session.
+			onEnd := now + sim.Time(rng.Pareto(p.OnShape, float64(p.OnLocation)))
+			for t := now + sim.Time(rng.Float64()*float64(s.gap)); t < onEnd; t += s.gap {
+				g.m.pickDst(int(s.node), &rng)
+			}
+			now = onEnd
+		} else {
+			now += sim.Time(rng.Pareto(p.OffShape, float64(p.OffLocation)))
+		}
+		buf = append(buf, now)
+		on = !on
+	}
+	return buf
+}
+
+// push queues an entry.
+func (g *machine) push(e entry) {
 	g.queue = append(g.queue, e)
 	i := len(g.queue) - 1
-	for ; i > 0 && e.less(&g.queue[(i-1)/4]); i = (i - 1) / 4 {
-		g.queue[i] = g.queue[(i-1)/4]
+	for ; i > 0; i = (i - 1) / 4 {
+		p := &g.queue[(i-1)/4]
+		if c := order(&e, p); c > 0 || c == 0 && !g.tie(&e, p) {
+			break
+		}
+		g.queue[i] = *p
 	}
 	g.queue[i] = e
 }
 
-// pop removes and returns the earliest event.
-func (g *machine) pop() event {
-	top, n := g.queue[0], len(g.queue)-1
+// pop removes the earliest entry.
+func (g *machine) pop() {
+	n := len(g.queue) - 1
 	last := g.queue[n]
 	if g.queue = g.queue[:n]; n > 0 {
-		g.siftDown(last)
+		g.replaceTop(last)
 	}
-	return top
 }
 
-// siftDown puts e in the root slot and restores heap order below it.
-func (g *machine) siftDown(e event) {
+// replaceTop puts e in the root slot in place of the earliest entry and
+// restores heap order below it.
+func (g *machine) replaceTop(e entry) {
 	q, i := g.queue, 0
 	for c := 1; c < len(q); c = 4*i + 1 {
 		best := c
 		for j := c + 1; j < min(c+4, len(q)); j++ {
-			if q[j].less(&q[best]) {
+			if o := order(&q[j], &q[best]); o < 0 || o == 0 && g.tie(&q[j], &q[best]) {
 				best = j
 			}
 		}
-		if !q[best].less(&e) {
+		if o := order(&q[best], &e); o > 0 || o == 0 && !g.tie(&q[best], &e) {
 			break
 		}
 		q[i], i = q[best], best

@@ -186,38 +186,58 @@ func TestPerNodeModelsRejectBadRates(t *testing.T) {
 	}
 }
 
+// tieDenseParams is a saturated load at picosecond ON/OFF locations and a
+// 20 ps clock: emissions and arming toggles pile onto single instants, so
+// the machine settles many ties by walking arming chains and replays some
+// toggle histories.
+func tieDenseParams() TwoLevelParams {
+	p := NewTwoLevelParams(4.0)
+	p.CyclePeriod, p.OnLocation, p.OffLocation = 20, 1, 1
+	p.AvgTasks, p.AvgTaskDuration = 3, 10*sim.Microsecond
+	return p
+}
+
+// captureWorkloads are the captures TestCaptureAllocations bounds and
+// BenchmarkCapture times: short sessions (session set-up dominates), a
+// saturated load (packet emission dominates) and a tie-dense load (ties
+// settled along arming chains are frequent).
+var captureWorkloads = []struct {
+	name    string
+	p       TwoLevelParams
+	horizon sim.Time
+}{
+	{"short-session", pointLowParams(), 200 * sim.Microsecond},
+	{"saturated", NewTwoLevelParams(4.0), 20 * sim.Microsecond},
+	{"tie-dense", tieDenseParams(), 40 * sim.Nanosecond},
+}
+
 // Capturing a workload must cost a bounded number of allocations however
-// many sessions and ON periods it runs: the generator's per-source state is
-// recycled, not allocated per session, per source or per ON period. The
+// many sessions, ON periods and ties it runs: the generator's per-source
+// state is recycled, not allocated per session, per source or per ON
+// period, and ties replay into scratch buffers the machine keeps. The
 // bound covers the encoder's blocks, the sphere tables and slice growth.
 func TestCaptureAllocations(t *testing.T) {
 	topo := topology.NewMesh2D(8)
 	const limit = 5000
-	allocs := testing.AllocsPerRun(1, func() {
-		m, err := NewTwoLevel(pointLowParams(), topo)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range captureWorkloads {
+		allocs := testing.AllocsPerRun(1, func() {
+			m, err := NewTwoLevel(c.p, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Capture(m, c.horizon)
+		})
+		if allocs > limit {
+			t.Errorf("capturing %v of the %s workload allocated %.0f times, want <= %d", c.horizon, c.name, allocs, limit)
 		}
-		Capture(m, 200*sim.Microsecond)
-	})
-	if allocs > limit {
-		t.Fatalf("capturing 200 us of point-low's workload allocated %.0f times, want <= %d", allocs, limit)
 	}
 }
 
 // BenchmarkCapture times workload generation straight into the trace
-// encoder, per arrival: short sessions (session set-up dominates) and a
-// saturated load (packet emission dominates).
+// encoder, per arrival.
 func BenchmarkCapture(b *testing.B) {
 	topo := topology.NewMesh2D(8)
-	for _, bc := range []struct {
-		name    string
-		p       TwoLevelParams
-		horizon sim.Time
-	}{
-		{"short-session", pointLowParams(), 200 * sim.Microsecond},
-		{"saturated", NewTwoLevelParams(4.0), 20 * sim.Microsecond},
-	} {
+	for _, bc := range captureWorkloads {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			arrivals := 0

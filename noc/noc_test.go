@@ -394,6 +394,36 @@ func TestPatternAttachments(t *testing.T) {
 	}
 }
 
+// A workload attached after a warm-up starts at the network's present:
+// its first arrival or session spawn is armed a draw after Now, never at
+// an absolute instant the scheduler has already passed.
+func TestAttachAfterWarmup(t *testing.T) {
+	for _, attach := range []struct {
+		name string
+		do   func(n *Network) error
+	}{
+		{"two-level", func(n *Network) error {
+			return n.AttachTwoLevel(TwoLevelWorkload{Rate: 0.5, Tasks: 20, TaskDuration: 10 * time.Microsecond})
+		}},
+		{"uniform", func(n *Network) error { return n.AttachUniform(0.05) }},
+		{"transpose", func(n *Network) error { return n.AttachTranspose(0.05) }},
+		{"hotspot", func(n *Network) error { return n.AttachHotspot(0.05, 5, 0.25) }},
+	} {
+		n, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Warmup(100_000)
+		if err := attach.do(n); err != nil {
+			t.Fatalf("%s: %v", attach.name, err)
+		}
+		n.Warmup(10_000)
+		if r := n.Measure(20_000); r.DeliveredPackets == 0 {
+			t.Errorf("%s: nothing delivered after a late attach", attach.name)
+		}
+	}
+}
+
 // TestBitPermutationsRejectNonPowerOfTwo: on a 6x6 mesh (36 nodes)
 // bit-reverse and shuffle return an error instead of panicking.
 func TestBitPermutationsRejectNonPowerOfTwo(t *testing.T) {
