@@ -86,7 +86,8 @@ fuzz:
 # traces live in the in-memory memo only, and the straight warm-up is a
 # test hook (noCheckpoint in internal/exp). Flits and credits have one
 # delivery path, the message ring sized from the link table: the scheduler
-# fallback and its checkpoint record stay gone.
+# fallback and its checkpoint record stay gone. Traces are memoized in
+# internal/exp's one memo type; internal/traffic keeps no trace cache.
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
@@ -98,6 +99,8 @@ retired:
 	  echo 'the disk trace store or -no-checkpoint is wired up again (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE 'slowEntry|slowDrop|SlowState' -- '*.go' ':!*_test.go' ':!benchmarks'; then \
 	  echo 'the scheduler fallback for flits and credits is back (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE 'SharedTwoLevelTrace|ResetTraceCache|traceFallbackNotes|evictTracesLocked' -- '*.go' ':!*_test.go' ':!benchmarks'; then \
+	  echo 'a second trace memo is back beside exp.traceMemo (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

@@ -51,7 +51,6 @@ func main() {
 		traceN   = flag.Int("trace", 0, "dump the last N trace events after the run")
 		traceK   = flag.String("tracekind", "", "trace filter: inject | deliver | transition | policy")
 
-		jobs       = flag.Int("j", 0, "max OS threads for this process (0 = GOMAXPROCS); one simulation is single-threaded, this bounds GC/runtime helpers when profiling")
 		cacheDir   = flag.String("cache-dir", "", "persistent run cache directory (default: user cache dir)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache; always simulate")
 		cacheStats = flag.Bool("cachestats", false, "print run-cache counters to stderr on exit")
@@ -62,10 +61,6 @@ func main() {
 
 	if err := validateBudget(*warmup, *measure, *traceN, *traceK); err != nil {
 		fail(err)
-	}
-
-	if *jobs > 0 {
-		runtime.GOMAXPROCS(*jobs)
 	}
 
 	flagCfg := noc.DefaultConfig()

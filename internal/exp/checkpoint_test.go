@@ -150,6 +150,28 @@ func TestMisshapedSnapshotIsQuarantined(t *testing.T) {
 	}
 }
 
+// perturb moves one settable leaf field to a different value, for the
+// key-completeness walks.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.0625)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+	default:
+		t.Fatalf("field kind %v: teach the key's %%#v serialization and this walk about it", v.Kind())
+	}
+}
+
 // TestWarmKeyIsComplete walks every leaf field of network.Config and
 // traffic.TwoLevelParams, perturbs it, and requires the warm key to move
 // exactly when checkpoint.Neutral keeps the field: a field added later is
@@ -163,24 +185,6 @@ func TestWarmKeyIsComplete(t *testing.T) {
 		t.Error("a budget does not reach the warm key")
 	}
 
-	perturb := func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Bool:
-			v.SetBool(!v.Bool())
-		case reflect.Int, reflect.Int64:
-			v.SetInt(v.Int() + 1)
-		case reflect.Uint64:
-			v.SetUint(v.Uint() + 1)
-		case reflect.Float64:
-			v.SetFloat(v.Float() + 0.0625)
-		case reflect.String:
-			v.SetString(v.String() + "x")
-		case reflect.Func:
-			v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value { return nil }))
-		default:
-			t.Fatalf("field kind %v: teach warmKey's %%#v serialization and this walk about it", v.Kind())
-		}
-	}
 	// leaves calls visit with the path of every non-struct field under v.
 	var leaves func(path string, v reflect.Value, visit func(path string, v reflect.Value))
 	leaves = func(path string, v reflect.Value, visit func(string, reflect.Value)) {
@@ -198,7 +202,7 @@ func TestWarmKeyIsComplete(t *testing.T) {
 		c := cfg
 		leaves("", reflect.ValueOf(&c).Elem(), func(p string, v reflect.Value) {
 			if p == path {
-				perturb(v)
+				perturb(t, v)
 			}
 		})
 		moved := warmKey(c, w, 100, 200) != base
@@ -222,7 +226,7 @@ func TestWarmKeyIsComplete(t *testing.T) {
 		p := w
 		leaves("", reflect.ValueOf(&p).Elem(), func(q string, v reflect.Value) {
 			if q == path {
-				perturb(v)
+				perturb(t, v)
 			}
 		})
 		if warmKey(cfg, p, 100, 200) == base {

@@ -33,7 +33,10 @@ import (
 // result means, so v1 entries are unreachable. A change to the warm key
 // alone ("warm|", see warmKey) needs no bump: results stay valid, and
 // snapshots under an old key are unreachable and age out.
-const SchemaVersion = 2
+//
+// v3: result keys print the spec by construction (spec.cacheKey) instead
+// of a hand-kept field list.
+const SchemaVersion = 3
 
 // diskStore is the process-wide persistent cache; nil (the default) means
 // results live only in the in-memory caches, exactly the pre-cache
@@ -42,7 +45,7 @@ var diskStore atomic.Pointer[runcache.Store]
 
 // SetDiskCache installs (or, with nil, removes) the persistent result
 // store under the in-memory caches. Safe to call concurrently with runs;
-// in-flight computations finish against the store they started with.
+// an in-flight computation stores into the store installed when it ends.
 func SetDiskCache(s *runcache.Store) { diskStore.Store(s) }
 
 // DiskCache reports the installed persistent store, or nil.
@@ -94,32 +97,19 @@ func DiskCacheStats() runcache.Stats {
 // quarantined and recomputed, never trusted. With no store installed it is
 // exactly compute().
 func cached[T any](key string, compute func() T) T {
-	if prefetchIntercept(key) {
-		var zero T
-		return zero
+	var v T
+	if prefetchIntercept(key) || CacheLookupJSON(key, &v) {
+		return v
 	}
-	s := diskStore.Load()
-	if s == nil {
-		return compute()
-	}
-	if b, ok := s.Get(key); ok {
-		var v T
-		if err := json.Unmarshal(b, &v); err == nil {
-			return v
-		}
-		s.Drop(key)
-	}
-	v := compute()
-	if b, err := json.Marshal(v); err == nil {
-		s.Put(key, b) // a failed put costs a recompute; the store counts and reports it
-	}
+	v = compute()
+	CacheStoreJSON(key, v)
 	return v
 }
 
-// CacheLookupJSON and CacheStoreJSON expose the persistent layer to
-// downstream tooling (cmd/netsim caches its one-shot summaries through
-// them) with the same decode-failure quarantine as the harness's own
-// lookups. Both are no-ops without an installed store.
+// CacheLookupJSON and CacheStoreJSON are the persistent layer's one JSON
+// path: cached goes through them, and so does downstream tooling (cmd/netsim
+// caches its one-shot summaries here). A payload that fails to decode is
+// quarantined. Both are no-ops without an installed store.
 func CacheLookupJSON(key string, v any) bool {
 	s := diskStore.Load()
 	if s == nil {

@@ -13,7 +13,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -255,33 +254,65 @@ func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.M
 // read-only across every run at the same (parameters, shape, horizon) —
 // policy ablations pay for workload generation once instead of per
 // variant — unless the run must drive the model live: memoization is
-// disabled, or the workload exceeds the trace budget; the trace is then
-// nil, with one stderr note per workload and reason when the budget is
-// what refused it. Parameters the model rejects are an error before either
-// path, never a note.
+// disabled, or the workload exceeds the per-trace budget; the trace is
+// then nil, and the memo remembers the refusal, so its stderr note prints
+// once per workload. Parameters the model rejects are an error before
+// either path, never a note.
 func workload(cfg network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
-	topo := topology.New(cfg.K, cfg.N, cfg.Torus)
-	m, err := traffic.NewTwoLevel(p, topo)
+	m, err := traffic.NewTwoLevel(p, topology.New(cfg.K, cfg.N, cfg.Torus))
 	if err != nil {
 		return nil, nil, err
 	}
-	if !noTraceMemo {
-		tr, reason := traffic.SharedTwoLevelTrace(p, topo, horizon)
-		if tr != nil {
-			return tr, tr, nil
-		}
-		if _, dup := traceFallbackNotes.LoadOrStore(fmt.Sprintf("%g|%d|%s", p.TotalRate, p.Seed, reason), true); !dup {
-			fmt.Fprintf(os.Stderr, "exp: workload rate=%g seed=%d: live workload: %s\n",
-				p.TotalRate, p.Seed, reason)
-		}
+	if noTraceMemo {
+		return m, nil, nil
 	}
-	return m, nil, nil
+	key := traceKey{p: p, k: cfg.K, n: cfg.N, torus: cfg.Torus, horizon: horizon}
+	tr := traceMemo.do(key, func() *traffic.Trace {
+		cycles := float64(horizon) / float64(p.CyclePeriod)
+		if est := p.TotalRate * cycles; est > perTraceArrivals {
+			fmt.Fprintf(os.Stderr, "exp: workload rate=%g seed=%d: live workload: estimated %.0f arrivals exceed the %d-arrival per-trace budget\n",
+				p.TotalRate, p.Seed, est, perTraceArrivals)
+			return nil
+		}
+		return traffic.Capture(m, horizon)
+	})
+	if tr == nil {
+		return m, nil, nil
+	}
+	return tr, tr, nil
 }
 
-// traceFallbackNotes dedupes workload's notes: a sweep asks for the
-// same oversized workload once per policy variant, and the user needs the
-// fact once.
-var traceFallbackNotes sync.Map
+// Trace budgets, in arrivals. An arrival costs ~5 encoded bytes and replay
+// streams block by block, so they cover every -full figure point; rate 8.0
+// at the full measurement horizon is the one production workload left out
+// and runs live.
+const (
+	perTraceArrivals   = 64_000_000
+	totalTraceArrivals = 192_000_000
+)
+
+// traceKey identifies one two-level workload: the full parameter set, the
+// topology shape, and the horizon.
+type traceKey struct {
+	p       traffic.TwoLevelParams
+	k, n    int
+	torus   bool
+	horizon sim.Time
+}
+
+// traceMemo holds the captured traces, weighted by arrivals, so the
+// variants of a sweep share one capture. A nil trace records a workload
+// over the per-trace budget; it weighs nothing.
+var traceMemo = &sfCache[traceKey, *traffic.Trace]{
+	entries: make(map[traceKey]*flight[*traffic.Trace]),
+	cap:     totalTraceArrivals,
+	cost: func(tr *traffic.Trace) int64 {
+		if tr == nil {
+			return 0
+		}
+		return int64(tr.Len())
+	},
+}
 
 func (s spec) config(o Options) network.Config {
 	cfg := network.NewConfig()
@@ -326,22 +357,18 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 }
 
 // cacheKey is the canonical, versioned serialization of one simulation
-// point: every spec field plus every Options field that reaches the
-// simulation, with the resolved cycle budget folded in (so Quick, Full and
-// the test-only tiny budget cannot collide) and seeds normalized. It is
-// both the in-memory singleflight key and — fingerprint-prefixed by the
-// store — the persistent cache key, so any parameter edit re-simulates
-// exactly the points it touches and nothing else. Audit is proven not to
-// change results, but it stays in the key to keep it a plain serialization
-// of the run spec rather than an equivalence claim.
+// point, by construction rather than by list: the resolved cycle budget
+// (so Quick, Full and the test-only tiny budget cannot collide), Audit,
+// the resolved seed, then every spec field as %#v prints it, so a field
+// added to spec is keyed without anyone remembering to. It is both the
+// in-memory singleflight key and — fingerprint-prefixed by the store — the
+// persistent cache key, so any parameter edit re-simulates exactly the
+// points it touches and nothing else. Audit is proven not to change
+// results, but it stays in the key to keep it a plain serialization of the
+// run spec rather than an equivalence claim.
 func (s spec) cacheKey(o Options) string {
 	warm, meas := o.budget()
-	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|seed=%d|"+
-		"policy=%d|rate=%g|tasks=%d|taskdur=%d|volttran=%d|freqtran=%d|routing=%s|specseed=%d|"+
-		"tllow=%g|tlhigh=%g|dvsh=%d|dvsw=%d|levels=%d|k=%d|n=%d|torus=%t",
-		SchemaVersion, warm, meas, o.Audit, o.seed(),
-		s.policy, s.rate, s.tasks, int64(s.taskDur), int64(s.voltTran), s.freqTran, s.routing, s.seed,
-		s.tlLow, s.tlHigh, s.dvsH, s.dvsW, s.levels, s.k, s.n, s.torus)
+	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|seed=%d|%#v", SchemaVersion, warm, meas, o.Audit, o.seed(), s)
 }
 
 // run executes warmup + measurement and returns the results. Lookups go

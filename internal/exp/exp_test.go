@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/network"
 )
@@ -279,5 +281,35 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 	}
 	if len(registry) < len(want) {
 		t.Errorf("registry has %d entries, want >= %d", len(registry), len(want))
+	}
+}
+
+// TestSpecKeyIsComplete perturbs every spec field and every Options field
+// (each of them reaches the simulation) and requires a new result key each
+// time, so a field added later is keyed without anyone remembering to.
+func TestSpecKeyIsComplete(t *testing.T) {
+	s := defaultSpec(1.0, network.PolicyHistory)
+	o := Options{Seed: 5}
+	base := s.cacheKey(o)
+	if (spec{}).cacheKey(Options{}) != (spec{}).cacheKey(Options{Seed: 1}) {
+		t.Error("seed 0 and its resolved seed 1 key differently")
+	}
+
+	sv := reflect.ValueOf(&s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		c := s
+		f := reflect.ValueOf(&c).Elem().Field(i)
+		perturb(t, reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
+		if c.cacheKey(o) == base {
+			t.Errorf("spec.%s does not reach the result key", sv.Type().Field(i).Name)
+		}
+	}
+	ov := reflect.ValueOf(o)
+	for i := 0; i < ov.NumField(); i++ {
+		p := o
+		perturb(t, reflect.ValueOf(&p).Elem().Field(i))
+		if s.cacheKey(p) == base {
+			t.Errorf("Options.%s does not reach the result key", ov.Type().Field(i).Name)
+		}
 	}
 }

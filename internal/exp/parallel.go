@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/network"
-	"repro/internal/traffic"
 )
 
 // pool gates the number of simulations actually executing at once. Fan-out
@@ -133,24 +132,31 @@ func RunAll(ids []string, o Options) ([][]Table, error) {
 	return out, nil
 }
 
-// flight is one singleflight cache slot: done closes when val is ready.
+// flight is one singleflight cache slot: done closes when val is ready,
+// and cost is what the slot charges its cache from then on.
 type flight[V any] struct {
 	done chan struct{}
 	val  V
+	cost int64
 }
 
 // sfCache is a concurrency-safe, singleflight, size-capped memo table.
 // Concurrent requests for one key run the compute function once; the
-// others block until it finishes. Completed entries beyond the cap are
-// evicted oldest-first (in-flight entries are never evicted).
+// others block until it finishes. Each completed entry costs cost(val), or
+// 1 when cost is nil; once completed entries together cost more than cap,
+// the oldest are evicted until they fit. In-flight entries cost nothing
+// and are never evicted, nor is the entry that has just completed, so one
+// entry larger than the cap is still shared until the next one completes.
 type sfCache[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*flight[V]
 	order   []K // insertion order, for eviction
-	cap     int
+	cap     int64
+	cost    func(V) int64
+	total   int64 // cost of the completed entries
 }
 
-func newSFCache[K comparable, V any](capacity int) *sfCache[K, V] {
+func newSFCache[K comparable, V any](capacity int64) *sfCache[K, V] {
 	return &sfCache[K, V]{entries: make(map[K]*flight[V]), cap: capacity}
 }
 
@@ -166,53 +172,59 @@ func (c *sfCache[K, V]) do(key K, fn func() V) V {
 	f := &flight[V]{done: make(chan struct{})}
 	c.entries[key] = f
 	c.order = append(c.order, key)
-	c.evictLocked()
 	c.mu.Unlock()
 
 	f.val = fn()
+	f.cost = 1
+	if c.cost != nil {
+		f.cost = c.cost(f.val)
+	}
+	c.mu.Lock()
 	close(f.done)
+	if c.entries[key] == f { // else a reset dropped it while it computed
+		c.total += f.cost
+		c.evictLocked(f)
+	}
+	c.mu.Unlock()
 	return f.val
 }
 
-// evictLocked drops the oldest completed entries until the cap holds.
-func (c *sfCache[K, V]) evictLocked() {
-	if c.cap <= 0 || len(c.entries) <= c.cap {
+// evictLocked drops the oldest completed entries other than keep until
+// the cap holds.
+func (c *sfCache[K, V]) evictLocked(keep *flight[V]) {
+	if c.cap <= 0 || c.total <= c.cap {
 		return
 	}
 	kept := c.order[:0]
 	for i, key := range c.order {
-		f, ok := c.entries[key]
-		if !ok {
-			continue // already evicted
-		}
-		evictable := len(c.entries) > c.cap
-		if evictable {
-			select {
-			case <-f.done: // completed: safe to drop
-			default:
-				evictable = false // in flight: keep
-			}
-		}
-		if evictable {
-			delete(c.entries, key)
-		} else {
-			kept = append(kept, key)
-		}
-		if len(c.entries) <= c.cap {
-			kept = append(kept, c.order[i+1:]...)
+		if c.total <= c.cap {
+			kept = append(kept, c.order[i:]...)
 			break
 		}
+		f := c.entries[key]
+		select {
+		case <-f.done:
+			if f != keep {
+				delete(c.entries, key)
+				c.total -= f.cost
+				continue
+			}
+		default: // in flight: its cost is not charged yet
+		}
+		kept = append(kept, key)
 	}
 	c.order = kept
 }
 
 // reset drops every cached entry. Only for tests and benchmarks that need
 // to re-simulate points deliberately; racing it against in-flight runs is
-// safe (waiters keep their flight pointers) but wastes work.
+// safe (waiters keep their flight pointers, and a flight that completes
+// after the reset charges nothing) but wastes work.
 func (c *sfCache[K, V]) reset() {
 	c.mu.Lock()
 	c.entries = make(map[K]*flight[V])
 	c.order = nil
+	c.total = 0
 	c.mu.Unlock()
 }
 
@@ -229,14 +241,15 @@ var runCache = newSFCache[string, network.Results](runCacheCap)
 // fig4 and fig5 share one simulation set per options value.
 var measureCache = newSFCache[Options, *measureSet](16)
 
-// ResetCaches drops all memoized simulation results, forcing subsequent
-// runs to re-simulate. Benchmarks use it to measure real work per
-// iteration; the determinism tests use it to exercise the parallel path.
+// ResetCaches drops all memoized simulation results, characterization
+// sets, warm snapshots and traces, forcing subsequent runs to re-simulate.
+// Benchmarks use it to measure real work per iteration; the determinism
+// tests use it to exercise the parallel path.
 func ResetCaches() {
 	runCache.reset()
 	measureCache.reset()
 	warmSnaps.reset()
-	traffic.ResetTraceCache()
+	traceMemo.reset()
 }
 
 // sweepSpecs simulates every spec across the worker pool and returns

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // renderIDs regenerates the given experiments from an empty cache and
@@ -217,6 +219,130 @@ func TestSFCacheEviction(t *testing.T) {
 	get(9)
 	if computes[9] != 1 {
 		t.Errorf("recent key computed %d times, want 1", computes[9])
+	}
+}
+
+// checkTotal requires the cache's running total to equal the cost of its
+// completed entries.
+func checkTotal[K comparable, V any](t *testing.T, c *sfCache[K, V]) int64 {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for _, f := range c.entries {
+		select {
+		case <-f.done:
+			sum += f.cost
+		default:
+		}
+	}
+	if sum != c.total {
+		t.Errorf("total = %d, completed entries cost %d", c.total, sum)
+	}
+	return sum
+}
+
+// TestSFCacheWeighted: with a cost function the completed weight never
+// exceeds the cap, except that the newest entry survives alone when it
+// exceeds the cap by itself; and a reset racing a compute leaves the
+// total consistent.
+func TestSFCacheWeighted(t *testing.T) {
+	c := newSFCache[string, int64](10)
+	c.cost = func(v int64) int64 { return v }
+	computes := make(map[string]int)
+	get := func(k string, w int64) {
+		c.do(k, func() int64 { computes[k]++; return w })
+	}
+	for i, w := range []int64{3, 4, 2, 5, 1} {
+		get(string(rune('a'+i)), w)
+		if got := checkTotal(t, c); got > 10 {
+			t.Errorf("after weight %d: completed weight %d exceeds the cap 10", w, got)
+		}
+	}
+	if _, ok := c.entries["a"]; ok {
+		t.Error("oldest entry survived an over-cap insert")
+	}
+
+	get("big", 25)
+	if n := len(c.entries); n != 1 || checkTotal(t, c) != 25 {
+		t.Errorf("over-cap entry: %d entries weighing %d, want it alone at 25", n, c.total)
+	}
+	get("big", 25)
+	if computes["big"] != 1 {
+		t.Errorf("newest over-cap entry recomputed %d times, want 1", computes["big"])
+	}
+	get("z", 1)
+	if _, ok := c.entries["big"]; ok || checkTotal(t, c) != 1 {
+		t.Errorf("over-cap entry outlived the next insert (total %d)", c.total)
+	}
+
+	// A compute in flight is never evicted, and if a reset drops it, it
+	// charges nothing when it ends.
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.do("slow", func() int64 { close(started); <-release; return 7 })
+	}()
+	<-started
+	get("y", 30)
+	c.mu.Lock()
+	_, inFlight := c.entries["slow"]
+	c.mu.Unlock()
+	if !inFlight {
+		t.Error("an over-cap insert evicted an entry in flight")
+	}
+	c.reset()
+	get("fast", 2)
+	close(release)
+	<-done
+	if got := checkTotal(t, c); got != 2 {
+		t.Errorf("after a racing reset: total %d, want 2", got)
+	}
+}
+
+// TestTraceMemo: requests for one workload share one trace, distinct seeds
+// do not, a workload over the per-trace budget runs live and is decided
+// once, and ResetCaches drops the trace.
+func TestTraceMemo(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	cfg := network.NewConfig()
+	p := traffic.NewTwoLevelParams(1.0)
+	p.Seed = 9
+	horizon := 10 * sim.Microsecond
+
+	_, a, err := workload(cfg, p, horizon)
+	if err != nil || a == nil {
+		t.Fatalf("trace under budget was not captured (err %v)", err)
+	}
+	if _, b, _ := workload(cfg, p, horizon); b != a {
+		t.Error("second request did not share the memoized trace")
+	}
+	p2 := p
+	p2.Seed = 10
+	if _, c, _ := workload(cfg, p2, horizon); c == a {
+		t.Error("distinct seed shared the same trace")
+	}
+
+	big := traffic.NewTwoLevelParams(4.0)
+	bigHorizon := sim.Time(perTraceArrivals) * big.CyclePeriod
+	m, tr, err := workload(cfg, big, bigHorizon)
+	if err != nil || tr != nil {
+		t.Fatalf("over-budget workload: trace %v, err %v; want a live model", tr, err)
+	}
+	if _, live := m.(*traffic.TwoLevel); !live {
+		t.Errorf("over-budget workload runs %T, want the live two-level model", m)
+	}
+	key := traceKey{p: big, k: cfg.K, n: cfg.N, torus: cfg.Torus, horizon: bigHorizon}
+	traceMemo.do(key, func() *traffic.Trace {
+		t.Error("over-budget workload was decided twice")
+		return nil
+	})
+
+	ResetCaches()
+	if _, b, _ := workload(cfg, p, horizon); b == a {
+		t.Error("ResetCaches did not drop the memoized trace")
 	}
 }
 

@@ -1,12 +1,14 @@
-// Memoized traffic traces. Generating two-level self-similar traffic costs
+// Captured traffic traces. Generating two-level self-similar traffic costs
 // Pareto draws for every ON/OFF period of every session and heap work for
 // every spawn and emission, and every policy-ablation point at one (seed,
 // rate, horizon) regenerates the identical arrival sequence — the model's
-// randomness is independent of the network it drives. Capture runs the model once and encodes the arrivals
-// directly into the tracestore wire form (delta varints, ~5 bytes per
-// arrival instead of a 24-byte struct); the resulting Trace is an
-// immutable Model that replays them with zero steady-state allocation,
-// shared read-only across concurrent sweeps.
+// randomness is independent of the network it drives, which is what lets
+// the experiment harness (internal/exp) memoize one trace per workload.
+// Capture runs the model once and encodes the arrivals directly into the
+// tracestore wire form (delta varints, ~5 bytes per arrival instead of a
+// 24-byte struct); the resulting Trace is an immutable Model that replays
+// them with zero steady-state allocation, shared read-only across
+// concurrent sweeps.
 //
 // Replay streams: each Replay walks the encoded blocks through a private
 // cursor holding one decoded block (tracestore.DefaultBlockLen records) at
@@ -21,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/traffic/tracestore"
 )
 
@@ -279,141 +280,4 @@ func (t *Trace) Resume(sched *sim.Scheduler, inject Injector, index int, pendSeq
 		sched.AtSeq(r.cur.at(index).At, pendSeq, r.step)
 	}
 	return r, nil
-}
-
-// Trace cache: policy ablations sweep many (policy, threshold) variants
-// over the same (seed, rate, pattern, horizon) workload; the cache lets
-// them all share one captured trace. Budgets are in arrivals, but an
-// arrival now costs ~5 encoded bytes, not a 24-byte struct, and replay
-// streams block-by-block — so the budgets sit two orders of magnitude
-// above the old materialized-slice limits and cover every -full figure
-// point (rate 8.0 at the full measurement horizon is the one production
-// workload left out; it falls back to the live model, with a stderr note
-// from the harness). The cache evicts oldest-first once completed traces
-// together exceed totalTraceArrivalBudget.
-const (
-	perTraceArrivalBudget   = 64_000_000
-	totalTraceArrivalBudget = 192_000_000
-)
-
-// twoLevelTraceEligible reports whether a workload fits the per-trace
-// budget and, when it does not, why.
-func twoLevelTraceEligible(p TwoLevelParams, horizon sim.Time) (ok bool, reason string) {
-	if p.CyclePeriod <= 0 {
-		return false, "two-level cycle period is not positive"
-	}
-	cycles := float64(horizon) / float64(p.CyclePeriod)
-	if est := p.TotalRate * cycles; est > perTraceArrivalBudget {
-		return false, fmt.Sprintf("estimated %.0f arrivals exceed the %d-arrival per-trace budget", est, perTraceArrivalBudget)
-	}
-	return true, ""
-}
-
-// traceKey identifies one two-level workload: the full parameter set, the
-// topology shape, and the horizon.
-type traceKey struct {
-	p       TwoLevelParams
-	k, n    int
-	torus   bool
-	horizon sim.Time
-}
-
-// traceFlight is one singleflight slot: done closes when tr is ready.
-// tr stays nil (and reason says why) when no trace could be produced.
-type traceFlight struct {
-	done   chan struct{}
-	tr     *Trace
-	reason string
-}
-
-var traceCache struct {
-	mu      sync.Mutex
-	entries map[traceKey]*traceFlight
-	order   []traceKey // insertion order, for eviction
-	total   int64      // arrivals across completed entries
-}
-
-// SharedTwoLevelTrace returns the memoized trace for a two-level workload,
-// capturing it on first request. Concurrent callers asking for the same
-// key share one capture (singleflight). It returns a nil trace — caller
-// should run the live model — when the estimated trace size exceeds the
-// per-trace budget or the model cannot be built; reason then says why, in
-// terms fit for the harness's fallback note.
-func SharedTwoLevelTrace(p TwoLevelParams, topo *topology.Cube, horizon sim.Time) (tr *Trace, reason string) {
-	if ok, why := twoLevelTraceEligible(p, horizon); !ok {
-		return nil, why
-	}
-	key := traceKey{p: p, k: topo.K(), n: topo.N(), torus: topo.Torus(), horizon: horizon}
-
-	traceCache.mu.Lock()
-	if f, ok := traceCache.entries[key]; ok {
-		traceCache.mu.Unlock()
-		<-f.done
-		return f.tr, f.reason
-	}
-	if traceCache.entries == nil {
-		traceCache.entries = make(map[traceKey]*traceFlight)
-	}
-	f := &traceFlight{done: make(chan struct{})}
-	traceCache.entries[key] = f
-	traceCache.order = append(traceCache.order, key)
-	traceCache.mu.Unlock()
-
-	if m, err := NewTwoLevel(p, topo); err == nil {
-		f.tr = Capture(m, horizon)
-	} else {
-		f.reason = fmt.Sprintf("two-level model construction failed: %v", err)
-	}
-	traceCache.mu.Lock()
-	if f.tr != nil {
-		traceCache.total += int64(f.tr.Len())
-	}
-	evictTracesLocked(key)
-	traceCache.mu.Unlock()
-	close(f.done)
-	return f.tr, f.reason
-}
-
-// evictTracesLocked drops the oldest completed traces (never the one just
-// inserted) until the total arrival budget holds. Evicted traces stay valid
-// for holders of the pointer; they are simply no longer shared.
-func evictTracesLocked(keep traceKey) {
-	if traceCache.total <= totalTraceArrivalBudget {
-		return
-	}
-	kept := traceCache.order[:0]
-	for i, key := range traceCache.order {
-		f, ok := traceCache.entries[key]
-		evict := ok && key != keep && traceCache.total > totalTraceArrivalBudget
-		if evict {
-			select {
-			case <-f.done: // completed: safe to drop
-			default:
-				evict = false // in flight: its size is unknown
-			}
-		}
-		if evict {
-			delete(traceCache.entries, key)
-			if f.tr != nil {
-				traceCache.total -= int64(f.tr.Len())
-			}
-		} else if ok {
-			kept = append(kept, key)
-		}
-		if traceCache.total <= totalTraceArrivalBudget {
-			kept = append(kept, traceCache.order[i+1:]...)
-			break
-		}
-	}
-	traceCache.order = kept
-}
-
-// ResetTraceCache drops every memoized trace. Tests and benchmarks use it
-// to measure real capture work or to force live-model runs.
-func ResetTraceCache() {
-	traceCache.mu.Lock()
-	traceCache.entries = nil
-	traceCache.order = nil
-	traceCache.total = 0
-	traceCache.mu.Unlock()
 }

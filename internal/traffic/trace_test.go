@@ -106,45 +106,6 @@ func TestReplayHorizonMismatchPanics(t *testing.T) {
 	tr.Launch(&sched, horizon+1, func(int, int, sim.Time, int64) {})
 }
 
-func TestSharedTwoLevelTrace(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	topo := topology.NewMesh2D(8)
-	p := NewTwoLevelParams(1.0)
-	p.Seed = 9
-	horizon := 10 * sim.Microsecond
-
-	a, reason := SharedTwoLevelTrace(p, topo, horizon)
-	if a == nil {
-		t.Fatalf("trace under budget was not captured: %s", reason)
-	}
-	if b, _ := SharedTwoLevelTrace(p, topo, horizon); b != a {
-		t.Error("second request did not share the cached trace")
-	}
-	p2 := p
-	p2.Seed = 10
-	if c, _ := SharedTwoLevelTrace(p2, topo, horizon); c == a {
-		t.Error("distinct seed shared the same trace")
-	}
-
-	// A point whose estimated arrivals exceed the per-trace budget must
-	// decline with a reason (callers fall back to the live model and the
-	// harness surfaces the reason on stderr).
-	big := NewTwoLevelParams(4.0)
-	tr, reason := SharedTwoLevelTrace(big, topo, sim.Time(perTraceArrivalBudget)*big.CyclePeriod)
-	if tr != nil {
-		t.Error("over-budget trace was captured")
-	}
-	if !strings.Contains(reason, "budget") {
-		t.Errorf("over-budget refusal reason %q does not name the budget", reason)
-	}
-
-	ResetTraceCache()
-	if b, _ := SharedTwoLevelTrace(p, topo, horizon); b == a {
-		t.Error("ResetTraceCache did not drop the cached trace")
-	}
-}
-
 // A decoded trace must replay event-for-event identically to the trace
 // that captured it — the byte-identity contract the store rests on —
 // across low, moderate, and saturating load.
