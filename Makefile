@@ -88,6 +88,9 @@ fuzz:
 # delivery path, the message ring sized from the link table: the scheduler
 # fallback and its checkpoint record stay gone. Traces are memoized in
 # internal/exp's one memo type; internal/traffic keeps no trace cache.
+# internal/exp keeps its run state in exp.Session: besides the default
+# session, its only package-level variables are the registry/describe
+# tables and the read-only rate lists of the figures.
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
@@ -101,6 +104,8 @@ retired:
 	  echo 'the scheduler fallback for flits and credits is back (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE 'SharedTwoLevelTrace|ResetTraceCache|traceFallbackNotes|evictTracesLocked' -- '*.go' ':!*_test.go' ':!benchmarks'; then \
 	  echo 'a second trace memo is back beside exp.traceMemo (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE '^var ' -- 'internal/exp/*.go' ':!*_test.go' | grep -vE '^[^:]+:[0-9]+:var (registry|describe|defaultSession|sweepRates|congestionRates|measureRates|thresholdRates|transitionRates) '; then \
+	  echo 'internal/exp keeps run state in package variables again; it belongs in exp.Session (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

@@ -36,19 +36,19 @@ func perfHeader() []string {
 
 // variantTable simulates labeled spec variants concurrently and renders one
 // result row per variant, in input order.
-func variantTable(o Options, title string, labels []string, specs []spec, notes []string) Table {
+func variantTable(ses *Session, o Options, title string, labels []string, specs []spec, notes []string) Table {
 	t := Table{Title: title, Header: perfHeader(), Notes: notes}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	for i, label := range labels {
 		resultRow(&t, label, res[i])
 	}
 	return t
 }
 
-func runAblLitmus(o Options) []Table {
+func runAblLitmus(ses *Session, o Options) []Table {
 	// Compare at a congesting rate, where the litmus matters.
 	rate := 6.0
-	return []Table{variantTable(o, "Ablation: buffer-utilization congestion litmus",
+	return []Table{variantTable(ses, o, "Ablation: buffer-utilization congestion litmus",
 		[]string{"history-DVS (with litmus)", "link-util only (no litmus)"},
 		[]spec{
 			defaultSpec(rate, network.PolicyHistory),
@@ -60,7 +60,7 @@ func runAblLitmus(o Options) []Table {
 		})}
 }
 
-func runAblWindow(o Options) []Table {
+func runAblWindow(ses *Session, o Options) []Table {
 	var labels []string
 	var specs []spec
 	for _, h := range []int{50, 200, 800} {
@@ -69,12 +69,12 @@ func runAblWindow(o Options) []Table {
 		labels = append(labels, fmt.Sprintf("H=%d", h))
 		specs = append(specs, s)
 	}
-	return []Table{variantTable(o, "Ablation: history window size H", labels, specs, []string{
+	return []Table{variantTable(ses, o, "Ablation: history window size H", labels, specs, []string{
 		"short windows chase noise (more transitions); long windows lag traffic shifts",
 	})}
 }
 
-func runAblWeight(o Options) []Table {
+func runAblWeight(ses *Session, o Options) []Table {
 	var labels []string
 	var specs []spec
 	for _, w := range []int{1, 3, 7} {
@@ -83,13 +83,13 @@ func runAblWeight(o Options) []Table {
 		labels = append(labels, fmt.Sprintf("W=%d", w))
 		specs = append(specs, s)
 	}
-	return []Table{variantTable(o, "Ablation: EWMA weight W", labels, specs, []string{
+	return []Table{variantTable(ses, o, "Ablation: EWMA weight W", labels, specs, []string{
 		"low W weights history (smooth, slow); high W weights the current window (fast, noisy);",
 		"the paper picks W=3 so the hardware divide reduces to a shift",
 	})}
 }
 
-func runAblAdaptive(o Options) []Table {
+func runAblAdaptive(ses *Session, o Options) []Table {
 	var labels []string
 	var specs []spec
 	for _, rate := range []float64{0.5, 1.5} {
@@ -100,14 +100,14 @@ func runAblAdaptive(o Options) []Table {
 			defaultSpec(rate, network.PolicyHistory),
 			defaultSpec(rate, network.PolicyAdaptiveThresholds))
 	}
-	return []Table{variantTable(o, "Extension: dynamically adjusted thresholds (Sec 4.4.2)",
+	return []Table{variantTable(ses, o, "Extension: dynamically adjusted thresholds (Sec 4.4.2)",
 		labels, specs, []string{
 			"the adaptive controller walks Table 2 settings online: aggressive when buffers",
 			"stay empty, conservative when pressure builds",
 		})}
 }
 
-func runAblRouting(o Options) []Table {
+func runAblRouting(ses *Session, o Options) []Table {
 	var labels []string
 	var specs []spec
 	for _, alg := range []string{"dor", "adaptive"} {
@@ -116,7 +116,7 @@ func runAblRouting(o Options) []Table {
 		labels = append(labels, alg)
 		specs = append(specs, s)
 	}
-	return []Table{variantTable(o, "Ablation: routing protocol under history-based DVS",
+	return []Table{variantTable(ses, o, "Ablation: routing protocol under history-based DVS",
 		labels, specs, []string{
 			"adaptive routing spreads load across productive ports, smoothing per-link",
 			"utilization seen by the DVS policy",
@@ -134,9 +134,9 @@ type routerPowerPayload struct {
 
 // measureRouterPower simulates one policy variant and reports mean
 // router-core and link power over the measurement window.
-func measureRouterPower(s spec, o Options, warm, meas int64) (coreW, linkW float64) {
-	withSimSlot(func() {
-		n, m, horizon := s.build(o, warm+meas+1)
+func measureRouterPower(ses *Session, s spec, o Options, warm, meas int64) (coreW, linkW float64) {
+	ses.withSimSlot(func() {
+		n, m, horizon := ses.build(s, o, warm+meas+1)
 		model := power.NewRouterEnergyModel(n.Table, 4, n.Cfg.RouterPeriod)
 		n.Launch(m, horizon)
 		n.Run(warm)
@@ -168,16 +168,16 @@ func measureRouterPower(s spec, o Options, warm, meas int64) (coreW, linkW float
 // router power: DVS slows links, which can only add arbitration retries —
 // the cheapest router event — while buffer and crossbar energy track the
 // flits moved, which DVS does not change.
-func runAblRouterPower(o Options) []Table {
+func runAblRouterPower(ses *Session, o Options) []Table {
 	t := Table{
 		Title:  "Check: router-core power with and without DVS links (Sec 4.2)",
 		Header: []string{"variant", "router core (W)", "links (W)", "core delta", "link delta"},
 	}
-	warm, meas := o.budget()
+	warm, meas := ses.budget(o)
 	measureOne := func(policy network.PolicyKind) (float64, float64) {
 		s := defaultSpec(2.0, policy)
-		p := cached("ablrouterpower|"+s.cacheKey(o), func() (p routerPowerPayload) {
-			p.CoreW, p.LinkW = measureRouterPower(s, o, warm, meas)
+		p := cached(ses, "ablrouterpower|"+ses.cacheKey(s, o), func() (p routerPowerPayload) {
+			p.CoreW, p.LinkW = measureRouterPower(ses, s, o, warm, meas)
 			return p
 		})
 		return p.CoreW, p.LinkW
@@ -212,7 +212,7 @@ func init() {
 // range of voltages, or only a fixed number of levels". More levels
 // approximate a continuous regulator: smaller steps track demand tighter
 // but each adjustment still pays a voltage ramp.
-func runAblLevels(o Options) []Table {
+func runAblLevels(ses *Session, o Options) []Table {
 	var labels []string
 	var specs []spec
 	for _, lv := range []int{4, 10, 20, 40} {
@@ -221,7 +221,7 @@ func runAblLevels(o Options) []Table {
 		labels = append(labels, fmt.Sprintf("%d levels", lv))
 		specs = append(specs, s)
 	}
-	return []Table{variantTable(o, "Ablation: DVS level granularity", labels, specs, []string{
+	return []Table{variantTable(ses, o, "Ablation: DVS level granularity", labels, specs, []string{
 		"the paper's links quantize to 10 levels; a continuous-voltage regulator",
 		"(many levels) changes the step size, not the 10 us ramp that dominates",
 	})}
@@ -229,7 +229,7 @@ func runAblLevels(o Options) []Table {
 
 // runAblTopology runs the policy on different k-ary n-cubes at the same
 // aggregate load.
-func runAblTopology(o Options) []Table {
+func runAblTopology(ses *Session, o Options) []Table {
 	shapes := []struct {
 		label string
 		k, n  int
@@ -247,7 +247,7 @@ func runAblTopology(o Options) []Table {
 		labels = append(labels, sh.label)
 		specs = append(specs, s)
 	}
-	return []Table{variantTable(o, "Ablation: history-based DVS across topologies",
+	return []Table{variantTable(ses, o, "Ablation: history-based DVS across topologies",
 		labels, specs, []string{
 			"tori and higher dimensions shorten paths, lowering per-link utilization",
 			"and shifting the policy's operating levels",

@@ -14,31 +14,12 @@ package exp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
-
-// warmupCycles counts simulated warmup cycles process-wide. The
-// checkpoint-reduction test asserts a checkpointed sweep executes
-// measurably fewer of them than a straight one; re-executed warmups
-// (capture refusals, straight fallbacks) count every time — it meters
-// work actually done, not work intended.
-var warmupCycles atomic.Int64
-
-// WarmupCyclesExecuted reports the total warmup cycles simulated by this
-// process. Tests diff it around sweeps.
-func WarmupCyclesExecuted() int64 { return warmupCycles.Load() }
-
-// warmSnaps deduplicates warm snapshots inside a sweeping process, one
-// slot per warm key: the first variant at an operating point loads or
-// simulates the snapshot, the rest fork the same decoded state without
-// touching the store. A nil slot means the warm-up could not be captured;
-// every variant then runs straight.
-var warmSnaps = newSFCache[string, *checkpoint.Snapshot](64)
 
 // warmKey identifies everything a held warm-up depends on, by construction
 // rather than by list: it prints every field of the policy-neutral config
@@ -63,30 +44,32 @@ func warmKey(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64) str
 // refusal or a failed restore, the warm-up simulates straight; nothing is
 // captured or encoded on that path. Both paths release the hold at the same
 // instant, so what is measured afterwards is identical either way.
-func Warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse bool) (*network.Network, error) {
-	return warmed(cfg, w, warm, meas, reuse, false)
+func (ses *Session) Warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse bool) (*network.Network, error) {
+	return ses.warmed(cfg, w, warm, meas, reuse, false)
 }
 
 // warmed is Warmed with the sweep's in-process layer selectable: memo puts
-// warmSnaps above the store, so the variants of one sweep share a decoded
-// snapshot (and a sweep shares warm-ups with no store installed at all).
+// the session's warmSnaps above the store, one slot per warm key, so the
+// variants of one sweep share a decoded snapshot (and a sweep shares
+// warm-ups with no store at all); a nil slot means the warm-up
+// could not be captured, and every variant then runs straight.
 // One-shot callers go without: each of their calls stands for a process
 // of its own, and a snapshot nobody will fork again is not worth holding.
-func warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse, memo bool) (*network.Network, error) {
+func (ses *Session) warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reuse, memo bool) (*network.Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
-	m, tr, err := workload(cfg, w, horizon)
+	m, tr, err := ses.workload(cfg, w, horizon)
 	if err != nil {
 		return nil, err
 	}
 	if reuse && tr != nil {
 		key := warmKey(cfg, w, warm, meas)
-		load := func() *checkpoint.Snapshot { return warmSnapshot(key, cfg, tr, horizon, warm) }
+		load := func() *checkpoint.Snapshot { return ses.warmSnapshot(key, cfg, tr, horizon, warm) }
 		var snap *checkpoint.Snapshot
 		if memo {
-			snap = warmSnaps.do(key, load)
+			snap = ses.warmSnaps.do(key, load)
 		} else {
 			snap = load()
 		}
@@ -99,12 +82,12 @@ func warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reus
 			// Decodes but does not restore — a stale or foreign payload
 			// whose shape does not fit this platform: quarantine it so the
 			// next process re-captures, and run straight.
-			if ds := diskStore.Load(); ds != nil {
-				ds.Drop(key)
+			if ses.store != nil {
+				ses.store.Drop(key)
 			}
 		}
 	}
-	n, err := heldWarmup(cfg, m, horizon, warm)
+	n, err := ses.heldWarmup(cfg, m, horizon, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +96,11 @@ func warmed(cfg network.Config, w traffic.TwoLevelParams, warm, meas int64, reus
 }
 
 // heldWarmup builds cfg's network, launches the workload and runs the
-// policy-frozen warm-up. The hold is still on when it returns.
-func heldWarmup(cfg network.Config, m traffic.Model, horizon sim.Time, warm int64) (*network.Network, error) {
+// policy-frozen warm-up, counting its cycles in the session's warm-up
+// meter: re-executed warm-ups (capture refusals, straight fallbacks) count
+// every time, so it meters work actually done, not work intended. The
+// hold is still on when it returns.
+func (ses *Session) heldWarmup(cfg network.Config, m traffic.Model, horizon sim.Time, warm int64) (*network.Network, error) {
 	n, err := network.New(cfg)
 	if err != nil {
 		return nil, err
@@ -122,7 +108,7 @@ func heldWarmup(cfg network.Config, m traffic.Model, horizon sim.Time, warm int6
 	n.Launch(m, horizon)
 	n.SetDVSHold(true)
 	n.Run(warm)
-	warmupCycles.Add(warm)
+	ses.warmupCycles.Add(warm)
 	return n, nil
 }
 
@@ -131,8 +117,8 @@ func heldWarmup(cfg network.Config, m traffic.Model, horizon sim.Time, warm int6
 // warm-up simulated here, captured and stored. nil means the warm-up
 // cannot be captured — a refusal is a correctness escape hatch, not an
 // error — and the caller runs straight.
-func warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim.Time, warm int64) *checkpoint.Snapshot {
-	ds := diskStore.Load()
+func (ses *Session) warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim.Time, warm int64) *checkpoint.Snapshot {
+	ds := ses.store
 	if ds != nil {
 		if b, ok := ds.Get(key); ok {
 			if snap, err := checkpoint.Decode(b); err == nil {
@@ -141,7 +127,7 @@ func warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim
 			ds.Drop(key)
 		}
 	}
-	n, err := heldWarmup(cfg, tr, horizon, warm)
+	n, err := ses.heldWarmup(cfg, tr, horizon, warm)
 	if err != nil {
 		return nil
 	}
@@ -158,9 +144,9 @@ func warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim
 }
 
 // simulate executes warm-up + measurement for one point of a sweep.
-func simulate(s spec, o Options) network.Results {
-	warm, meas := o.budget()
-	n, err := warmed(s.config(o), s.twoLevelParams(o), warm, meas, !noCheckpoint, true)
+func (ses *Session) simulate(s spec, o Options) network.Results {
+	warm, meas := ses.budget(o)
+	n, err := ses.warmed(s.config(o), s.twoLevelParams(o), warm, meas, !ses.noCheckpoint, true)
 	if err != nil {
 		panic(err)
 	}

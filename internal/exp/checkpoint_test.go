@@ -14,21 +14,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// renderTables flattens an experiment's tables to the exact bytes
-// cmd/figures would print.
-func renderTables(t *testing.T, id string, o Options) string {
-	t.Helper()
-	tabs, err := Run(id, o)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	var sb strings.Builder
-	for _, tab := range tabs {
-		tab.Fprint(&sb)
-	}
-	return sb.String()
-}
-
 // TestCheckpointReducesWarmupWork is the acceptance meter for the
 // checkpoint path: a threshold sweep (fig13: 3 rates x 6 Table 2
 // settings) shares one warm key per rate, so the checkpointed sweep must
@@ -36,19 +21,12 @@ func renderTables(t *testing.T, id string, o Options) string {
 // reduction in warmup cycles, far past the required 25% — while
 // producing byte-identical tables.
 func TestCheckpointReducesWarmupWork(t *testing.T) {
-	tinyBudget = true
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-
+	t.Parallel()
 	sweep := func(straight bool) (string, int64) {
-		noCheckpoint = straight
-		defer func() { noCheckpoint = false }()
-		ResetCaches()
-		before := WarmupCyclesExecuted()
-		out := renderTables(t, "fig13", Options{Quick: true})
-		return out, WarmupCyclesExecuted() - before
+		ses := tinySession(nil, 0)
+		ses.noCheckpoint = straight
+		out := render(t, ses, Options{Quick: true}, "fig13")
+		return out, ses.WarmupCyclesExecuted()
 	}
 	straightOut, straight := sweep(true)
 	forkedOut, forked := sweep(false)
@@ -75,9 +53,9 @@ func TestCheckpointReducesWarmupWork(t *testing.T) {
 
 // fig15Point is the operating point every fig15 variant shares: one
 // lowered config, workload and warm key for the whole figure.
-func fig15Point(o Options) (network.Config, traffic.TwoLevelParams, string) {
+func fig15Point(ses *Session, o Options) (network.Config, traffic.TwoLevelParams, string) {
 	s := defaultSpec(fig15Rate, network.PolicyHistory)
-	warm, meas := o.budget()
+	warm, meas := ses.budget(o)
 	cfg, w := s.config(o), s.twoLevelParams(o)
 	return cfg, w, warmKey(cfg, w, warm, meas)
 }
@@ -89,21 +67,17 @@ func fig15Point(o Options) (network.Config, traffic.TwoLevelParams, string) {
 // every later process to trip over; the sweep falls back to straight runs
 // with identical bytes, and the next variant to miss re-captures.
 func TestMisshapedSnapshotIsQuarantined(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
+	t.Parallel()
 	o := Options{Quick: true}
-	want := renderTables(t, "fig15", o) // no store: the reference bytes
+	want := render(t, tinySession(nil, 0), o, "fig15") // no store: the reference bytes
 
-	s, _ := withTestDiskCache(t)
-	cfg, w, key := fig15Point(o)
+	s, _ := testStore(t)
+	ses := tinySession(s, 0)
+	cfg, w, key := fig15Point(ses, o)
 	small := cfg
 	small.K = 4
-	warm, meas := o.budget()
-	n, err := Warmed(small, w, warm, meas, false)
+	warm, meas := ses.budget(o)
+	n, err := tinySession(nil, 0).Warmed(small, w, warm, meas, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +94,7 @@ func TestMisshapedSnapshotIsQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetCaches()
-	before := WarmupCyclesExecuted()
-	if got := renderTables(t, "fig15", o); got != want {
+	if got := render(t, ses, o, "fig15"); got != want {
 		t.Errorf("fig15 drifted over a mis-shaped snapshot\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if st := s.Stats(); st.CorruptDropped != 1 {
@@ -131,21 +103,19 @@ func TestMisshapedSnapshotIsQuarantined(t *testing.T) {
 	if _, ok := s.Get(key); ok {
 		t.Error("the mis-shaped snapshot is still in the store")
 	}
-	if got := WarmupCyclesExecuted() - before; got != 6*warm {
+	if got := ses.WarmupCyclesExecuted(); got != 6*warm {
 		t.Errorf("fallback warmed up %d cycles; want %d (six straight runs)", got, 6*warm)
 	}
 
 	// A later process at the same operating point misses the snapshot and
 	// captures a good one.
-	ResetCaches()
-	run(defaultSpec(fig15Rate, network.PolicyNone), o)
+	tinySession(s, 0).run(defaultSpec(fig15Rate, network.PolicyNone), o)
 	if _, ok := s.Get(key); !ok {
 		t.Error("no snapshot was re-captured after the quarantine")
 	}
-	ResetCaches()
-	before = WarmupCyclesExecuted()
-	run(defaultSpec(fig15Rate, network.PolicyLinkUtilOnly), o)
-	if got := WarmupCyclesExecuted() - before; got != 0 {
+	later := tinySession(s, 0)
+	later.run(defaultSpec(fig15Rate, network.PolicyLinkUtilOnly), o)
+	if got := later.WarmupCyclesExecuted(); got != 0 {
 		t.Errorf("a variant after the re-capture warmed up %d cycles; want 0 (fork)", got)
 	}
 }
@@ -241,15 +211,10 @@ func TestWarmKeyIsComplete(t *testing.T) {
 // missing work — three simulations behind one re-captured warm-up — and
 // render the same bytes.
 func TestInterruptedSweepResumes(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	s, dir := withTestDiskCache(t)
+	t.Parallel()
+	s, dir := testStore(t)
 	o := Options{Quick: true}
-	want := renderTables(t, "fig15", o)
+	want := render(t, tinySession(s, 0), o, "fig15")
 	if st := s.Stats(); st.Puts != 7 {
 		t.Fatalf("cold fig15 stored %d entries; want 6 results and 1 snapshot", st.Puts)
 	}
@@ -280,18 +245,16 @@ func TestInterruptedSweepResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopening the interrupted store: %v", err)
 	}
-	SetDiskCache(reopened)
-	ResetCaches()
-	before := WarmupCyclesExecuted()
-	if got := renderTables(t, "fig15", o); got != want {
+	ses := tinySession(reopened, 0)
+	if got := render(t, ses, o, "fig15"); got != want {
 		t.Errorf("resumed fig15 drifted\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	warm, _ := o.budget()
+	warm, _ := ses.budget(o)
 	st := reopened.Stats()
 	if st.Hits != 3 || st.Puts != 4 || st.CorruptDropped != 1 {
 		t.Errorf("resume stats = %+v; want 3 result hits, 4 puts (3 results + the snapshot), 1 quarantined entry", st)
 	}
-	if got := WarmupCyclesExecuted() - before; got != warm {
+	if got := ses.WarmupCyclesExecuted(); got != warm {
 		t.Errorf("resume warmed up %d cycles; want %d (one shared warm-up for the three missing points)", got, warm)
 	}
 }

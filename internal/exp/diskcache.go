@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"repro/internal/runcache"
 )
@@ -38,22 +37,10 @@ import (
 // of a hand-kept field list.
 const SchemaVersion = 3
 
-// diskStore is the process-wide persistent cache; nil (the default) means
-// results live only in the in-memory caches, exactly the pre-cache
-// behavior.
-var diskStore atomic.Pointer[runcache.Store]
-
-// SetDiskCache installs (or, with nil, removes) the persistent result
-// store under the in-memory caches. Safe to call concurrently with runs;
-// an in-flight computation stores into the store installed when it ends.
-func SetDiskCache(s *runcache.Store) { diskStore.Store(s) }
-
-// DiskCache reports the installed persistent store, or nil.
-func DiskCache() *runcache.Store { return diskStore.Load() }
-
 // OpenDiskCache opens (creating if necessary) a persistent result cache at
-// dir with the canonical code fingerprint and installs it. maxBytes <= 0
-// selects the store's default size cap.
+// dir with the canonical code fingerprint and gives it to the default
+// session (SetDiskCache). maxBytes <= 0 selects the store's default size
+// cap.
 //
 // It refuses — returning an error and installing nothing — when the
 // running binary carries no VCS revision: `go run` and `go test` binaries
@@ -82,36 +69,40 @@ func OpenDiskCache(dir string, maxBytes int64) error {
 	return nil
 }
 
-// DiskCacheStats snapshots the persistent store's counters (zero when no
-// store is installed).
-func DiskCacheStats() runcache.Stats {
-	if s := diskStore.Load(); s != nil {
-		return s.Stats()
+// DiskCacheStats snapshots the session's persistent store's counters (zero
+// when it has none).
+func (ses *Session) DiskCacheStats() runcache.Stats {
+	if ses.store == nil {
+		return runcache.Stats{}
 	}
-	return runcache.Stats{}
+	return ses.store.Stats()
 }
 
 // cached wraps a computation with the persistent layer: disk hit if the
 // payload verifies and decodes, else compute and store. A checksum-valid
 // entry that fails to decode (schema drift within one fingerprint) is
-// quarantined and recomputed, never trusted. With no store installed it is
-// exactly compute().
-func cached[T any](key string, compute func() T) T {
+// quarantined and recomputed, never trusted. With no store in the session
+// it is exactly compute().
+func cached[T any](ses *Session, key string, compute func() T) T {
 	var v T
-	if prefetchIntercept(key) || CacheLookupJSON(key, &v) {
+	if ses.prefetchIntercept(key) || lookupJSON(ses.store, key, &v) {
 		return v
 	}
 	v = compute()
-	CacheStoreJSON(key, v)
+	storeJSON(ses.store, key, v)
 	return v
 }
 
-// CacheLookupJSON and CacheStoreJSON are the persistent layer's one JSON
-// path: cached goes through them, and so does downstream tooling (cmd/netsim
-// caches its one-shot summaries here). A payload that fails to decode is
-// quarantined. Both are no-ops without an installed store.
-func CacheLookupJSON(key string, v any) bool {
-	s := diskStore.Load()
+// CacheLookupJSON and CacheStoreJSON give downstream tooling (cmd/netsim
+// caches its one-shot summaries here) the persistent layer's one JSON
+// path, lookupJSON and storeJSON, over the default session's store;
+// cached goes through the same two. A payload that fails to decode is
+// quarantined. Both are no-ops without a store.
+func CacheLookupJSON(key string, v any) bool { return lookupJSON(DiskCache(), key, v) }
+
+func CacheStoreJSON(key string, v any) { storeJSON(DiskCache(), key, v) }
+
+func lookupJSON(s *runcache.Store, key string, v any) bool {
 	if s == nil {
 		return false
 	}
@@ -126,8 +117,7 @@ func CacheLookupJSON(key string, v any) bool {
 	return true
 }
 
-func CacheStoreJSON(key string, v any) {
-	s := diskStore.Load()
+func storeJSON(s *runcache.Store, key string, v any) {
 	if s == nil {
 		return
 	}

@@ -3,28 +3,21 @@ package exp
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/runcache"
 )
 
-// withTestDiskCache installs a persistent store on a fresh directory with a
-// fixed test fingerprint (test binaries carry no VCS stamp, so the real
-// fingerprint would not isolate tests) and returns it; cleanup removes the
-// store and drops the in-memory caches the test populated.
-func withTestDiskCache(t *testing.T) (*runcache.Store, string) {
+// testStore opens a persistent store on a fresh directory with a fixed
+// test fingerprint (test binaries carry no VCS stamp, so the real
+// fingerprint would not isolate tests) and returns it with its directory.
+func testStore(t *testing.T) (*runcache.Store, string) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := runcache.Open(dir, runcache.Options{Fingerprint: "exp-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetDiskCache(s)
-	t.Cleanup(func() {
-		SetDiskCache(nil)
-		ResetCaches()
-	})
 	return s, dir
 }
 
@@ -53,46 +46,25 @@ func corruptAllEntries(t *testing.T, dir string) {
 	}
 }
 
-// render produces the exact experiment bytes cmd/figures prints.
-func render(t *testing.T, ids []string, o Options) string {
-	t.Helper()
-	var sb strings.Builder
-	for _, id := range ids {
-		tabs, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		for _, tab := range tabs {
-			tab.Fprint(&sb)
-		}
-	}
-	return sb.String()
-}
-
 // TestDiskCacheWarmRerunIdentity: a rerun served entirely from the
 // persistent store must render byte-identically to the cold run that
 // populated it, across every payload shape the harness stores — sweep
 // points (fig10), characterization histograms (fig3), the spatial and
 // temporal workload grids (fig8, fig9) and the router-power check.
 func TestDiskCacheWarmRerunIdentity(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	s, _ := withTestDiskCache(t)
+	t.Parallel()
+	s, _ := testStore(t)
 
 	ids := []string{"fig3", "fig8", "fig9", "fig10", "abl-routerpower"}
 	o := Options{Quick: true}
-	cold := render(t, ids, o)
+	cold := render(t, tinySession(s, 0), o, ids...)
 	afterCold := s.Stats()
 	if afterCold.Puts == 0 {
 		t.Fatalf("cold run stored nothing: %+v", afterCold)
 	}
 
-	ResetCaches() // drop the memory layer so the rerun must go to disk
-	warm := render(t, ids, o)
+	// A fresh session has no memory layer, so the rerun must go to disk.
+	warm := render(t, tinySession(s, 0), o, ids...)
 	afterWarm := s.Stats()
 
 	if warm != cold {
@@ -114,29 +86,22 @@ func TestDiskCacheWarmRerunIdentity(t *testing.T) {
 // served from the store. The parameter edit is modeled by a seed change,
 // which reaches every cache key of the edited run.
 func TestDiskCacheIncremental(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	s, _ := withTestDiskCache(t)
+	t.Parallel()
+	s, _ := testStore(t)
 
 	o := Options{Quick: true}
-	render(t, []string{"fig10"}, o)
+	render(t, tinySession(s, 0), o, "fig10")
 	base := s.Stats()
 
 	// Unchanged rerun: all hits, no new work.
-	ResetCaches()
-	render(t, []string{"fig10"}, o)
+	render(t, tinySession(s, 0), o, "fig10")
 	after := s.Stats()
 	if d := after.Misses - base.Misses; d != 0 {
 		t.Fatalf("unchanged rerun missed %d times; want 0", d)
 	}
 
 	// An "edited" run (new seed family): its points miss and store.
-	ResetCaches()
-	render(t, []string{"fig10"}, Options{Quick: true, Seed: 2})
+	render(t, tinySession(s, 0), Options{Quick: true, Seed: 2}, "fig10")
 	edited := s.Stats()
 	if edited.Misses == after.Misses {
 		t.Fatalf("edited run recomputed nothing: %+v", edited)
@@ -146,8 +111,7 @@ func TestDiskCacheIncremental(t *testing.T) {
 	}
 
 	// The original, untouched run still replays without recomputation.
-	ResetCaches()
-	render(t, []string{"fig10"}, o)
+	render(t, tinySession(s, 0), o, "fig10")
 	final := s.Stats()
 	if d := final.Misses - edited.Misses; d != 0 {
 		t.Errorf("untouched run recomputed %d points after an unrelated edit; want 0", d)
@@ -159,14 +123,11 @@ func TestDiskCacheIncremental(t *testing.T) {
 // stable across code changes, so OpenDiskCache must refuse and install
 // nothing rather than let stale results replay silently.
 func TestOpenDiskCacheRequiresVCSStamp(t *testing.T) {
-	prev := DiskCache()
-	defer SetDiskCache(prev)
-	SetDiskCache(nil)
-
+	before := defaultSession.Load()
 	if err := OpenDiskCache(t.TempDir(), 0); err == nil {
 		t.Fatal("OpenDiskCache succeeded in an unstamped binary; want a refusal")
 	}
-	if DiskCache() != nil {
+	if defaultSession.Load() != before || DiskCache() != nil {
 		t.Error("a store was installed despite the refusal")
 	}
 }
@@ -174,20 +135,14 @@ func TestOpenDiskCacheRequiresVCSStamp(t *testing.T) {
 // TestDiskCacheQuarantineRecovers: a corrupted store entry must be dropped
 // and recomputed, and the recomputed render must match the original.
 func TestDiskCacheQuarantineRecovers(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	s, dir := withTestDiskCache(t)
+	t.Parallel()
+	s, dir := testStore(t)
 
 	o := Options{Quick: true}
-	cold := render(t, []string{"fig10"}, o)
+	cold := render(t, tinySession(s, 0), o, "fig10")
 	corruptAllEntries(t, dir)
 
-	ResetCaches()
-	warm := render(t, []string{"fig10"}, o)
+	warm := render(t, tinySession(s, 0), o, "fig10")
 	if warm != cold {
 		t.Errorf("post-corruption recompute drifted\n--- cold ---\n%s--- recomputed ---\n%s", cold, warm)
 	}

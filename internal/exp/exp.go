@@ -5,6 +5,14 @@
 // Experiments are selected by id ("fig10", "tab1", ...); List enumerates
 // them. Each returns text tables that cmd/figures prints and that the
 // benchmark harness consumes.
+//
+// A Session holds everything a run shares with the runs around it: the
+// persistent store, the worker gate, the memos of results,
+// characterization sets, warm snapshots and traces, and the warm-up
+// counter. Sessions share nothing, so a caller that wants cold caches
+// takes a fresh one. The package-level entry points (Run, RunAll,
+// Prefetch, Warmed, Point, ...) act on one default session, which
+// ResetCaches, SetDiskCache and SetParallelism replace.
 package exp
 
 import (
@@ -43,18 +51,9 @@ func (o Options) validate() error {
 	return nil
 }
 
-// tinyBudget, when set, shrinks cycle budgets far below -quick. It exists
-// only for this package's harness tests (determinism across parallelism
-// levels, cache cold/warm behaviour) that need many full sweeps without
-// caring about statistical quality. The resolved budget is folded into
-// every cache key, so tiny runs can never collide with real ones; tests
-// still ResetCaches around toggling to drop the memory the tiny sweep
-// occupied.
-var tinyBudget bool
-
 // budget reports (warmup, measure) cycles for the options.
-func (o Options) budget() (warm, meas int64) {
-	if tinyBudget {
+func (ses *Session) budget(o Options) (warm, meas int64) {
+	if ses.tinyBudget {
 		return 3_000, 3_000
 	}
 	switch {
@@ -126,8 +125,8 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Runner regenerates one experiment.
-type Runner func(o Options) []Table
+// Runner regenerates one experiment on a session.
+type Runner func(ses *Session, o Options) []Table
 
 // registry maps experiment ids to runners; populated by init functions in
 // the per-figure files.
@@ -156,15 +155,29 @@ func List() []string {
 }
 
 // Run executes the experiment with the given id.
-func Run(id string, o Options) ([]Table, error) {
+func (ses *Session) Run(id string, o Options) ([]Table, error) {
+	rs, err := runners([]string{id}, o)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0](ses, o), nil
+}
+
+// runners looks up the experiments' runners, refusing exclusive budgets
+// and unknown ids before anything runs.
+func runners(ids []string, o Options) ([]Runner, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	r, ok := registry[id]
-	if !ok {
-		return nil, unknownExperiment(id)
+	rs := make([]Runner, len(ids))
+	for i, id := range ids {
+		r, ok := registry[id]
+		if !ok {
+			return nil, unknownExperiment(id)
+		}
+		rs[i] = r
 	}
-	return r(o), nil
+	return rs, nil
 }
 
 func unknownExperiment(id string) error {
@@ -183,7 +196,7 @@ func ids() []string {
 
 // spec describes one simulation run of the paper's platform. All fields
 // participate in the run cache key, so experiments sharing an operating
-// point simulate once per process.
+// point simulate once per session.
 type spec struct {
 	policy   network.PolicyKind
 	rate     float64
@@ -217,28 +230,15 @@ func defaultSpec(rate float64, policy network.PolicyKind) spec {
 	}
 }
 
-// noTraceMemo, when set, disables the shared-trace path so every run
-// regenerates its workload live. It exists only for the equivalence test
-// proving memoized and live runs are byte-identical; callers must
-// ResetCaches around toggling it, since cache keys do not include it.
-var noTraceMemo bool
-
-// noCheckpoint, when set, makes every simulation point run its own warm-up
-// from cycle 0 instead of forking the one its (seed, rate) shares. It
-// exists only for the tests pinning that a fork changes no byte and saves
-// warm-up work; callers must ResetCaches around toggling it, since cache
-// keys do not include it.
-var noCheckpoint bool
-
 // build constructs the network and traffic model for a spec, plus the
 // scheduler horizon for the caller's Launch. horizonCycles is the number
 // of router cycles the caller will run (plus slack); the model's event
 // chains are armed against exactly this horizon, so it participates in
 // trace identity.
-func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.Model, sim.Time) {
+func (ses *Session) build(s spec, o Options, horizonCycles int64) (*network.Network, traffic.Model, sim.Time) {
 	cfg := s.config(o)
 	horizon := sim.Time(horizonCycles) * cfg.RouterPeriod
-	m, _, err := workload(cfg, s.twoLevelParams(o), horizon)
+	m, _, err := ses.workload(cfg, s.twoLevelParams(o), horizon)
 	if err != nil {
 		panic(err)
 	}
@@ -249,25 +249,25 @@ func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.M
 	return n, m, horizon
 }
 
-// workload returns the traffic model a run launches. It is the memoized
-// arrival trace (returned a second time under its own type), shared
-// read-only across every run at the same (parameters, shape, horizon) —
-// policy ablations pay for workload generation once instead of per
-// variant — unless the run must drive the model live: memoization is
+// workload returns the traffic model a run launches. It is the session's
+// memoized arrival trace (returned a second time under its own type),
+// shared read-only across every run at the same (parameters, shape,
+// horizon) — policy ablations pay for workload generation once instead of
+// per variant — unless the run must drive the model live: memoization is
 // disabled, or the workload exceeds the per-trace budget; the trace is
 // then nil, and the memo remembers the refusal, so its stderr note prints
 // once per workload. Parameters the model rejects are an error before
 // either path, never a note.
-func workload(cfg network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
+func (ses *Session) workload(cfg network.Config, p traffic.TwoLevelParams, horizon sim.Time) (traffic.Model, *traffic.Trace, error) {
 	m, err := traffic.NewTwoLevel(p, topology.New(cfg.K, cfg.N, cfg.Torus))
 	if err != nil {
 		return nil, nil, err
 	}
-	if noTraceMemo {
+	if ses.noTraceMemo {
 		return m, nil, nil
 	}
 	key := traceKey{p: p, k: cfg.K, n: cfg.N, torus: cfg.Torus, horizon: horizon}
-	tr := traceMemo.do(key, func() *traffic.Trace {
+	tr := ses.traceMemo.do(key, func() *traffic.Trace {
 		cycles := float64(horizon) / float64(p.CyclePeriod)
 		if est := p.TotalRate * cycles; est > perTraceArrivals {
 			fmt.Fprintf(os.Stderr, "exp: workload rate=%g seed=%d: live workload: estimated %.0f arrivals exceed the %d-arrival per-trace budget\n",
@@ -300,18 +300,13 @@ type traceKey struct {
 	horizon sim.Time
 }
 
-// traceMemo holds the captured traces, weighted by arrivals, so the
-// variants of a sweep share one capture. A nil trace records a workload
-// over the per-trace budget; it weighs nothing.
-var traceMemo = &sfCache[traceKey, *traffic.Trace]{
-	entries: make(map[traceKey]*flight[*traffic.Trace]),
-	cap:     totalTraceArrivals,
-	cost: func(tr *traffic.Trace) int64 {
-		if tr == nil {
-			return 0
-		}
-		return int64(tr.Len())
-	},
+// traceArrivals weighs a trace in the session's traceMemo. A nil trace
+// records a workload over the per-trace budget; it weighs nothing.
+func traceArrivals(tr *traffic.Trace) int64 {
+	if tr == nil {
+		return 0
+	}
+	return int64(tr.Len())
 }
 
 func (s spec) config(o Options) network.Config {
@@ -366,23 +361,23 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 // points it touches and nothing else. Audit is proven not to change
 // results, but it stays in the key to keep it a plain serialization of the
 // run spec rather than an equivalence claim.
-func (s spec) cacheKey(o Options) string {
-	warm, meas := o.budget()
+func (ses *Session) cacheKey(s spec, o Options) string {
+	warm, meas := ses.budget(o)
 	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|seed=%d|%#v", SchemaVersion, warm, meas, o.Audit, o.seed(), s)
 }
 
 // run executes warmup + measurement and returns the results. Lookups go
-// memory -> disk -> compute: runCache (see parallel.go) deduplicates
-// concurrent callers inside the process, and its compute function consults
-// the persistent store (see diskcache.go) before simulating, so the
-// singleflight guarantee covers both layers — one disk read or one
-// simulation per point, no matter how many goroutines ask.
-func run(s spec, o Options) network.Results {
-	key := "point|" + s.cacheKey(o)
-	return runCache.do(key, func() network.Results {
-		return cached(key, func() (r network.Results) {
-			withSimSlot(func() {
-				r = simulate(s, o)
+// memory -> disk -> compute: the session's runCache deduplicates
+// concurrent callers, and its compute function consults the persistent
+// store (see diskcache.go) before simulating, so the singleflight
+// guarantee covers both layers — one disk read or one simulation per
+// point, no matter how many goroutines ask.
+func (ses *Session) run(s spec, o Options) network.Results {
+	key := "point|" + ses.cacheKey(s, o)
+	return ses.runCache.do(key, func() network.Results {
+		return cached(ses, key, func() (r network.Results) {
+			ses.withSimSlot(func() {
+				r = ses.simulate(s, o)
 			})
 			return r
 		})
@@ -391,8 +386,8 @@ func run(s spec, o Options) network.Results {
 
 // Point runs the paper's platform at one two-level-workload operating
 // point: programmatic access for benchmarks and downstream tooling.
-func Point(rate float64, policy network.PolicyKind, o Options) network.Results {
-	return run(defaultSpec(rate, policy), o)
+func (ses *Session) Point(rate float64, policy network.PolicyKind, o Options) network.Results {
+	return ses.run(defaultSpec(rate, policy), o)
 }
 
 // f formats a float compactly.

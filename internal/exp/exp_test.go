@@ -9,10 +9,47 @@ import (
 	"unsafe"
 
 	"repro/internal/network"
+	"repro/internal/runcache"
 )
 
 // quick is the smoke budget shared by every experiment test here.
 var quick = Options{Quick: true}
+
+// shared is the session of the tests that may start warm — the shape
+// tests, the point API and the main golden compare — so fig10 at the quick
+// budget is simulated once for all of them. A test that claims cold caches
+// takes a session of its own.
+var shared = NewSession(nil, 0)
+
+// tinySession returns a fresh session at the tiny budget over store (nil
+// for none) with j workers (0: GOMAXPROCS).
+func tinySession(store *runcache.Store, j int) *Session {
+	ses := NewSession(store, j)
+	ses.tinyBudget = true
+	return ses
+}
+
+// render regenerates the experiments on ses and returns the bytes
+// cmd/figures prints for them.
+func render(t *testing.T, ses *Session, o Options, ids ...string) string {
+	t.Helper()
+	all, err := ses.RunAll(ids, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fprint(all)
+}
+
+// fprint renders RunAll's tables in order.
+func fprint(all [][]Table) string {
+	var sb strings.Builder
+	for _, tabs := range all {
+		for _, tab := range tabs {
+			tab.Fprint(&sb)
+		}
+	}
+	return sb.String()
+}
 
 // skipSims gates the tests that run real quick-budget simulations (tens of
 // seconds each on one core); `go test -short` keeps only the structural
@@ -82,7 +119,8 @@ func TestStaticTables(t *testing.T) {
 // then jump — the property that makes BU a congestion litmus.
 func TestFig3To5Shapes(t *testing.T) {
 	skipSims(t)
-	ms := measures(quick)
+	t.Parallel()
+	ms := measures(shared, quick)
 	last := len(measureRates) - 1
 
 	// LU means increase with load and move substantially overall.
@@ -118,7 +156,8 @@ func TestFig3To5Shapes(t *testing.T) {
 // throughput loss, latency ordering.
 func TestFig10Shape(t *testing.T) {
 	skipSims(t)
-	tabs, err := Run("fig10", quick)
+	t.Parallel()
+	tabs, err := shared.Run("fig10", quick)
 	if err != nil || len(tabs) != 2 {
 		t.Fatalf("fig10: %v (%d tables)", err, len(tabs))
 	}
@@ -159,7 +198,8 @@ func TestFig10Shape(t *testing.T) {
 // TestFig12Shape: power rises with throughput into congestion.
 func TestFig12Shape(t *testing.T) {
 	skipSims(t)
-	tabs, err := Run("fig12", quick)
+	t.Parallel()
+	tabs, err := shared.Run("fig12", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +226,8 @@ func TestFig12Shape(t *testing.T) {
 // TestFig15Pareto: threshold aggressiveness buys power with latency.
 func TestFig15Pareto(t *testing.T) {
 	skipSims(t)
-	tabs, err := Run("fig15", quick)
+	t.Parallel()
+	tabs, err := shared.Run("fig15", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +245,8 @@ func TestFig15Pareto(t *testing.T) {
 // TestHeadlineTable: the abstract-comparison table carries all four rows.
 func TestHeadlineTable(t *testing.T) {
 	skipSims(t)
-	tabs, err := Run("headline", quick)
+	t.Parallel()
+	tabs, err := shared.Run("headline", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +265,9 @@ func TestHeadlineTable(t *testing.T) {
 // TestPointAPI: the programmatic access point matches the cache.
 func TestPointAPI(t *testing.T) {
 	skipSims(t)
-	a := Point(1.0, network.PolicyHistory, quick)
-	b := Point(1.0, network.PolicyHistory, quick)
+	t.Parallel()
+	a := shared.Point(1.0, network.PolicyHistory, quick)
+	b := shared.Point(1.0, network.PolicyHistory, quick)
 	if a != b {
 		t.Error("Point not deterministic/cached")
 	}
@@ -237,7 +280,8 @@ func TestPointAPI(t *testing.T) {
 // higher (the policy keeps pushing stalled links fast).
 func TestAblationLitmus(t *testing.T) {
 	skipSims(t)
-	tabs, err := Run("abl-litmus", quick)
+	t.Parallel()
+	tabs, err := shared.Run("abl-litmus", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +332,11 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 // (each of them reaches the simulation) and requires a new result key each
 // time, so a field added later is keyed without anyone remembering to.
 func TestSpecKeyIsComplete(t *testing.T) {
+	ses := NewSession(nil, 0)
 	s := defaultSpec(1.0, network.PolicyHistory)
 	o := Options{Seed: 5}
-	base := s.cacheKey(o)
-	if (spec{}).cacheKey(Options{}) != (spec{}).cacheKey(Options{Seed: 1}) {
+	base := ses.cacheKey(s, o)
+	if ses.cacheKey(spec{}, Options{}) != ses.cacheKey(spec{}, Options{Seed: 1}) {
 		t.Error("seed 0 and its resolved seed 1 key differently")
 	}
 
@@ -300,7 +345,7 @@ func TestSpecKeyIsComplete(t *testing.T) {
 		c := s
 		f := reflect.ValueOf(&c).Elem().Field(i)
 		perturb(t, reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
-		if c.cacheKey(o) == base {
+		if ses.cacheKey(c, o) == base {
 			t.Errorf("spec.%s does not reach the result key", sv.Type().Field(i).Name)
 		}
 	}
@@ -308,7 +353,7 @@ func TestSpecKeyIsComplete(t *testing.T) {
 	for i := 0; i < ov.NumField(); i++ {
 		p := o
 		perturb(t, reflect.ValueOf(&p).Elem().Field(i))
-		if s.cacheKey(p) == base {
+		if ses.cacheKey(s, p) == base {
 			t.Errorf("Options.%s does not reach the result key", ov.Type().Field(i).Name)
 		}
 	}

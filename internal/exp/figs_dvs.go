@@ -24,17 +24,17 @@ var congestionRates = []float64{2.0, 4.0, 6.0, 8.0, 10.0, 12.0}
 
 func init() {
 	register("fig10", "latency & power vs injection rate, 100 tasks, DVS vs no-DVS",
-		func(o Options) []Table { return dvsSweep(o, 100) })
+		func(ses *Session, o Options) []Table { return dvsSweep(ses, o, 100) })
 	register("fig11", "latency & power vs injection rate, 50 tasks, DVS vs no-DVS",
-		func(o Options) []Table { return dvsSweep(o, 50) })
+		func(ses *Session, o Options) []Table { return dvsSweep(ses, o, 50) })
 	register("fig12", "power and throughput beyond saturation (100 tasks)", runFig12)
 	register("headline", "abstract numbers: power savings, latency and throughput deltas",
-		func(o Options) []Table { return headline(o) })
+		func(ses *Session, o Options) []Table { return headline(ses, o) })
 }
 
 // dvsSweep regenerates Figure 10/11: one row per injection rate comparing
 // the no-DVS baseline with history-based DVS.
-func dvsSweep(o Options, tasks int) []Table {
+func dvsSweep(ses *Session, o Options, tasks int) []Table {
 	perf := Table{
 		Title:  fmt.Sprintf("Figure %d(a): latency/throughput, %d tasks", 10+(100-tasks)/50, tasks),
 		Header: []string{"rate", "lat(noDVS)", "lat(DVS)", "thr(noDVS)", "thr(DVS)", "lat ratio"},
@@ -43,7 +43,7 @@ func dvsSweep(o Options, tasks int) []Table {
 		Title:  fmt.Sprintf("Figure %d(b): normalized network power, %d tasks", 10+(100-tasks)/50, tasks),
 		Header: []string{"rate", "power(noDVS)", "power(DVS)", "savings"},
 	}
-	// Fan the whole (rate x policy) cross-product across the worker pool,
+	// Fan the whole (rate x policy) cross-product across the worker slots,
 	// then assemble rows sequentially in sweep order — the output is
 	// byte-identical to the old per-point loop.
 	specs := make([]spec, 0, 2*len(sweepRates))
@@ -54,7 +54,7 @@ func dvsSweep(o Options, tasks int) []Table {
 		sd.tasks = tasks
 		specs = append(specs, sb, sd)
 	}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	var baseLat, dvsLat, rates, savAt []float64
 	maxSav, sumSav := 0.0, 0.0
 	for i, rate := range sweepRates {
@@ -114,7 +114,7 @@ func dvsSweep(o Options, tasks int) []Table {
 // runFig12 tracks DVS power and throughput as injection pushes far beyond
 // saturation: power first rises with throughput, then dips as congestion
 // idles more links than it loads.
-func runFig12(o Options) []Table {
+func runFig12(ses *Session, o Options) []Table {
 	t := Table{
 		Title:  "Figure 12: power and throughput under network congestion (100 tasks, DVS)",
 		Header: []string{"rate", "throughput", "power(W)", "normalized"},
@@ -123,7 +123,7 @@ func runFig12(o Options) []Table {
 	for i, rate := range congestionRates {
 		specs[i] = defaultSpec(rate, network.PolicyHistory)
 	}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	var thr, pw []float64
 	for i, rate := range congestionRates {
 		r := res[i]
@@ -149,7 +149,7 @@ func runFig12(o Options) []Table {
 
 // headline condenses the Figure 10 sweep into the abstract's comparison
 // numbers.
-func headline(o Options) []Table {
+func headline(ses *Session, o Options) []Table {
 	t := Table{
 		Title:  "Headline comparison vs the paper's abstract",
 		Header: []string{"metric", "paper", "measured"},
@@ -162,12 +162,12 @@ func headline(o Options) []Table {
 			defaultSpec(rate, network.PolicyNone),
 			defaultSpec(rate, network.PolicyHistory))
 	}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	var latRatioSum float64
 	var n int
 	maxSav, sumSav := 0.0, 0.0
 	var thrBase, thrDVS float64
-	zeroLoad := run(defaultSpec(sweepRates[0], network.PolicyHistory), o).MeanLatency
+	zeroLoad := ses.run(defaultSpec(sweepRates[0], network.PolicyHistory), o).MeanLatency
 	for i := range sweepRates {
 		b, d := res[2*i], res[2*i+1]
 		// Pre-saturation points only (the paper's 2x zero-load rule on the
@@ -207,27 +207,27 @@ func init() {
 
 // runSaturation locates each policy's saturation rate by bisection on the
 // paper's 2x-zero-load rule and compares the throughput achieved there.
-func runSaturation(o Options) []Table {
+func runSaturation(ses *Session, o Options) []Table {
 	t := Table{
 		Title:  "Saturation throughput: history-based DVS vs no-DVS",
 		Header: []string{"policy", "saturation rate", "throughput there", "zero-load lat"},
 	}
 	measure := func(policy network.PolicyKind) (rate, thr, zero float64) {
-		zero = run(defaultSpec(0.25, policy), o).MeanLatency
+		zero = ses.run(defaultSpec(0.25, policy), o).MeanLatency
 		lo, hi := 0.5, 12.0
 		// The network must saturate by `hi`; verify, then bisect.
-		if run(defaultSpec(hi, policy), o).MeanLatency <= 2*zero {
-			return hi, run(defaultSpec(hi, policy), o).ThroughputPkts, zero
+		if ses.run(defaultSpec(hi, policy), o).MeanLatency <= 2*zero {
+			return hi, ses.run(defaultSpec(hi, policy), o).ThroughputPkts, zero
 		}
 		for i := 0; i < 5; i++ {
 			mid := (lo + hi) / 2
-			if run(defaultSpec(mid, policy), o).MeanLatency > 2*zero {
+			if ses.run(defaultSpec(mid, policy), o).MeanLatency > 2*zero {
 				hi = mid
 			} else {
 				lo = mid
 			}
 		}
-		r := run(defaultSpec(hi, policy), o)
+		r := ses.run(defaultSpec(hi, policy), o)
 		return hi, r.ThroughputPkts, zero
 	}
 	// Each policy's bisection is inherently sequential, but the two

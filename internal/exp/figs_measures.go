@@ -37,29 +37,29 @@ type measurePayload struct {
 // measuresKey canonicalizes the whole characterization: the sampling
 // window plus the full spec of every rate point, so editing either the
 // rate list or any platform default re-simulates the set.
-func measuresKey(o Options) string {
+func measuresKey(ses *Session, o Options) string {
 	key := fmt.Sprintf("measures|window=%d", measureWindow)
 	for _, rate := range measureRates {
-		key += "|" + defaultSpec(rate, network.PolicyNone).cacheKey(o)
+		key += "|" + ses.cacheKey(defaultSpec(rate, network.PolicyNone), o)
 	}
 	return key
 }
 
 // measures runs the per-rate characterizations, one independent simulation
-// per rate point fanned across the worker pool; measureCache (parallel.go)
-// deduplicates concurrent callers so fig3, fig4 and fig5 in one process
-// share a single simulation set, and the persistent layer shares it across
-// processes.
-func measures(o Options) *measureSet {
-	return measureCache.do(o, func() *measureSet {
-		p := cached(measuresKey(o), func() measurePayload {
+// per rate point fanned across the worker slots; the session's
+// measureCache deduplicates concurrent callers so fig3, fig4 and fig5 in
+// one session share a single simulation set, and the persistent layer
+// shares it across processes.
+func measures(ses *Session, o Options) *measureSet {
+	return ses.measureCache.do(o, func() *measureSet {
+		p := cached(ses, measuresKey(ses, o), func() measurePayload {
 			p := measurePayload{
 				LU: make([]*stats.Histogram, len(measureRates)),
 				BU: make([]*stats.Histogram, len(measureRates)),
 				BA: make([]*stats.Histogram, len(measureRates)),
 			}
 			Sweep(len(measureRates), func(i int) {
-				p.LU[i], p.BU[i], p.BA[i] = measureOneRate(measureRates[i], o)
+				p.LU[i], p.BU[i], p.BA[i] = measureOneRate(ses, measureRates[i], o)
 			})
 			return p
 		})
@@ -69,15 +69,15 @@ func measures(o Options) *measureSet {
 
 // measureOneRate characterizes one load point: it simulates the platform
 // without DVS and samples the tracked link every measureWindow cycles.
-func measureOneRate(rate float64, o Options) (lu, bu, ba *stats.Histogram) {
-	withSimSlot(func() {
+func measureOneRate(ses *Session, rate float64, o Options) (lu, bu, ba *stats.Histogram) {
+	ses.withSimSlot(func() {
 		lu = stats.NewHistogram(0, 1, 10)
 		bu = stats.NewHistogram(0, 1, 10)
 		ba = stats.NewHistogram(0, 100, 10) // cycles in buffer
 
 		s := defaultSpec(rate, network.PolicyNone)
-		warm, meas := o.budget()
-		n, m, horizon := s.build(o, warm+meas+1)
+		warm, meas := ses.budget(o)
+		n, m, horizon := ses.build(s, o, warm+meas+1)
 		// The tracked link: the +x channel out of central node (3,3), and
 		// the input buffers downstream of it at node (4,3).
 		src := n.Topo.NodeAt(3, 3)
@@ -134,16 +134,16 @@ func histTable(title, measure string, hists []*stats.Histogram, notes []string) 
 }
 
 func init() {
-	register("fig3", "link utilization profile vs load (H=50 sampling)", func(o Options) []Table {
-		ms := measures(o)
+	register("fig3", "link utilization profile vs load (H=50 sampling)", func(ses *Session, o Options) []Table {
+		ms := measures(ses, o)
 		return []Table{histTable(
 			"Figure 3: link utilization profile (fraction of samples per LU bin)",
 			"LU bin", ms.lu, []string{
 				"paper shape: LU low at light load, rises with load, dips when congested",
 			})}
 	})
-	register("fig4", "input buffer utilization profile vs load", func(o Options) []Table {
-		ms := measures(o)
+	register("fig4", "input buffer utilization profile vs load", func(ses *Session, o Options) []Table {
+		ms := measures(ses, o)
 		return []Table{histTable(
 			"Figure 4: input buffer utilization profile (fraction of samples per BU bin)",
 			"BU bin", ms.bu, []string{
@@ -151,8 +151,8 @@ func init() {
 				"paper: light->high load moves mean BU by ~0.1 while mean LU moves >0.8",
 			})}
 	})
-	register("fig5", "input buffer age profile vs load", func(o Options) []Table {
-		ms := measures(o)
+	register("fig5", "input buffer age profile vs load", func(ses *Session, o Options) []Table {
+		ms := measures(ses, o)
 		return []Table{histTable(
 			"Figure 5: input buffer age profile (fraction of samples per age bin, cycles)",
 			"age bin", ms.ba, []string{
@@ -170,12 +170,12 @@ type fig8Payload struct {
 }
 
 // runFig8 snapshots per-node injection rates under the two-level workload.
-func runFig8(o Options) []Table {
+func runFig8(ses *Session, o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
-	warm, meas := o.budget()
-	p := cached("fig8|"+s.cacheKey(o), func() (p fig8Payload) {
-		withSimSlot(func() {
-			n, m, horizon := s.build(o, warm+meas+1)
+	warm, meas := ses.budget(o)
+	p := cached(ses, "fig8|"+ses.cacheKey(s, o), func() (p fig8Payload) {
+		ses.withSimSlot(func() {
+			n, m, horizon := ses.build(s, o, warm+meas+1)
 			counts := make([]int64, n.Topo.Nodes())
 			counting := false
 			m.Launch(n.Sched, horizon, func(src, dst int, at sim.Time, task int64) {
@@ -236,15 +236,15 @@ type fig9Payload struct {
 	Agg     []float64
 }
 
-func runFig9(o Options) []Table {
+func runFig9(ses *Session, o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
-	warm, meas := o.budget()
+	warm, meas := ses.budget(o)
 	const binCycles = 100
 	nbins := int(meas/binCycles) + 1
-	p := cached("fig9|"+s.cacheKey(o), func() (p fig9Payload) {
+	p := cached(ses, "fig9|"+ses.cacheKey(s, o), func() (p fig9Payload) {
 		var perNode [][]float64
-		withSimSlot(func() {
-			n, m, horizon := s.build(o, warm+meas+1)
+		ses.withSimSlot(func() {
+			n, m, horizon := ses.build(s, o, warm+meas+1)
 			perNode = make([][]float64, n.Topo.Nodes())
 			for i := range perNode {
 				perNode[i] = make([]float64, nbins)

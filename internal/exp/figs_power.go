@@ -16,7 +16,7 @@ func init() {
 // runFig7 regenerates the router power breakdown (a static
 // characterization: the paper synthesized its router to a TSMC 0.25 um
 // netlist; we encode the published distribution against the link model).
-func runFig7(Options) []Table {
+func runFig7(*Session, Options) []Table {
 	table := link.MustTable(link.NewParams())
 	b := power.RouterBreakdown(table, 4)
 	t := Table{
@@ -42,7 +42,7 @@ func init() {
 // runOrion compares the two independent router-core energy estimates: the
 // bottom-up Orion-style capacitance model and the top-down calibration of
 // the paper's Figure 7 breakdown.
-func runOrion(Options) []Table {
+func runOrion(*Session, Options) []Table {
 	tech := orion.TSMC250()
 	r := orion.Router{Ports: 5, VCs: 2, BufPerPort: 128, FlitBits: 32}
 	buf, xbar, arb := r.Components()
@@ -70,7 +70,7 @@ func runOrion(Options) []Table {
 // runNoise evaluates the Section 2 noise-margin assumption: BER per level
 // under a Gaussian-jitter model, and the jitter budget that keeps the
 // whole range at the paper's 1e-15.
-func runNoise(Options) []Table {
+func runNoise(*Session, Options) []Table {
 	table := link.MustTable(link.NewParams())
 	t := Table{
 		Title:  "Section 2 noise margin: estimated BER per level (40 ps RMS jitter)",

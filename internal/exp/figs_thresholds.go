@@ -28,7 +28,7 @@ func init() {
 	register("fig15", fmt.Sprintf("Pareto curve: latency vs power savings at rate %.1f", fig15Rate), runFig15)
 }
 
-func runTab1(Options) []Table {
+func runTab1(*Session, Options) []Table {
 	p := core.DefaultParams()
 	t := Table{
 		Title:  "Table 1: parameters of the history-based DVS policy",
@@ -39,7 +39,7 @@ func runTab1(Options) []Table {
 	return []Table{t}
 }
 
-func runTab2(Options) []Table {
+func runTab2(*Session, Options) []Table {
 	t := Table{
 		Title:  "Table 2: thresholds used in trade-off analysis",
 		Header: []string{"setting", "TL_low", "TL_high"},
@@ -58,10 +58,10 @@ func thresholdSpec(set core.ThresholdSetting, rate float64) spec {
 }
 
 // thresholdGrid simulates the full (rate x Table 2 setting) cross-product
-// across the worker pool and renders one cell per point. Rows assemble in
+// across the worker slots and renders one cell per point. Rows assemble in
 // fixed (rate, setting) order, so the table matches the sequential path
 // byte for byte.
-func thresholdGrid(o Options, title string, cell func(r network.Results) string, notes []string) Table {
+func thresholdGrid(ses *Session, o Options, title string, cell func(r network.Results) string, notes []string) Table {
 	t := Table{Title: title}
 	t.Header = []string{"rate"}
 	settings := core.Table2Settings()
@@ -74,7 +74,7 @@ func thresholdGrid(o Options, title string, cell func(r network.Results) string,
 			specs = append(specs, thresholdSpec(set, rate))
 		}
 	}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	for i, rate := range thresholdRates {
 		row := []string{f(rate, 2)}
 		for j := range settings {
@@ -86,21 +86,21 @@ func thresholdGrid(o Options, title string, cell func(r network.Results) string,
 	return t
 }
 
-func runFig13(o Options) []Table {
-	return []Table{thresholdGrid(o,
+func runFig13(ses *Session, o Options) []Table {
+	return []Table{thresholdGrid(ses, o,
 		"Figure 13: latency profile under DVS threshold settings (cycles)",
 		func(r network.Results) string { return f(r.MeanLatency, 0) },
 		[]string{"paper shape: more aggressive settings (I -> VI) raise latency"})}
 }
 
-func runFig14(o Options) []Table {
-	return []Table{thresholdGrid(o,
+func runFig14(ses *Session, o Options) []Table {
+	return []Table{thresholdGrid(ses, o,
 		"Figure 14: normalized power under DVS threshold settings",
 		func(r network.Results) string { return f(r.NormalizedPwr, 3) },
 		[]string{"paper shape: more aggressive settings (I -> VI) lower power"})}
 }
 
-func runFig15(o Options) []Table {
+func runFig15(ses *Session, o Options) []Table {
 	t := Table{
 		Title:  fmt.Sprintf("Figure 15: latency vs dynamic power savings at rate %.1f", fig15Rate),
 		Header: []string{"setting", "latency(cycles)", "savings"},
@@ -111,7 +111,7 @@ func runFig15(o Options) []Table {
 	for i, set := range settings {
 		specs[i] = thresholdSpec(set, fig15Rate)
 	}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	var pts []pt
 	for i, set := range settings {
 		r := res[i]

@@ -23,7 +23,7 @@ func init() {
 // transitionTable sweeps one transition parameter at fixed workload: the
 // whole (rate x column) grid simulates concurrently, rows assemble in
 // fixed order.
-func transitionTable(o Options, title string, cols []string, mk func(col int, rate float64) spec) Table {
+func transitionTable(ses *Session, o Options, title string, cols []string, mk func(col int, rate float64) spec) Table {
 	t := Table{Title: title}
 	t.Header = append([]string{"rate"}, cols...)
 	specs := make([]spec, 0, len(transitionRates)*len(cols))
@@ -32,7 +32,7 @@ func transitionTable(o Options, title string, cols []string, mk func(col int, ra
 			specs = append(specs, mk(c, rate))
 		}
 	}
-	res := sweepSpecs(o, specs)
+	res := ses.sweep(o, specs)
 	for i, rate := range transitionRates {
 		row := []string{f(rate, 2)}
 		for c := range cols {
@@ -45,11 +45,11 @@ func transitionTable(o Options, title string, cols []string, mk func(col int, ra
 	return t
 }
 
-func runFig16(o Options) []Table {
+func runFig16(ses *Session, o Options) []Table {
 	voltDelays := []sim.Duration{10 * sim.Microsecond, 5 * sim.Microsecond, 1 * sim.Microsecond}
 	cols := []string{"Vtran=10us", "Vtran=5us", "Vtran=1us"}
 	sub := func(label string, taskDur sim.Duration, freqTran int) Table {
-		return transitionTable(o,
+		return transitionTable(ses, o,
 			fmt.Sprintf("Figure 16%s: task duration %v, frequency transition %d cycles",
 				label, taskDur, freqTran),
 			cols,
@@ -84,11 +84,11 @@ func runFig16(o Options) []Table {
 	return tabs[:]
 }
 
-func runFig17(o Options) []Table {
+func runFig17(ses *Session, o Options) []Table {
 	freqDelays := []int{100, 50, 10}
 	cols := []string{"Ftran=100cyc", "Ftran=50cyc", "Ftran=10cyc"}
 	sub := func(label string, taskDur sim.Duration, voltTran sim.Duration) Table {
-		return transitionTable(o,
+		return transitionTable(ses, o,
 			fmt.Sprintf("Figure 17%s: task duration %v, voltage transition %v",
 				label, taskDur, voltTran),
 			cols,

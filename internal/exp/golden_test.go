@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"repro/internal/runcache"
 )
 
 // update regenerates the golden files instead of comparing against them:
@@ -27,29 +24,15 @@ func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+"_quick.txt")
 }
 
-// renderQuick produces the exact bytes cmd/figures prints for one
-// experiment in quick mode.
-func renderQuick(t *testing.T, id string) string {
-	t.Helper()
-	tabs, err := Run(id, Options{Quick: true})
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	var sb strings.Builder
-	for _, tab := range tabs {
-		tab.Fprint(&sb)
-	}
-	return sb.String()
-}
-
-func compareGolden(t *testing.T, id string) {
+// compareGolden regenerates one experiment in quick mode on ses and
+// requires the exact bytes of its golden file.
+func compareGolden(t *testing.T, ses *Session, id string) {
 	t.Helper()
 	want, err := os.ReadFile(goldenPath(id))
 	if err != nil {
 		t.Fatalf("%s: %v (regenerate with: go test ./internal/exp -run TestGoldenFigures -update)", id, err)
 	}
-	got := renderQuick(t, id)
-	if got != string(want) {
+	if got := render(t, ses, quick, id); got != string(want) {
 		t.Errorf("%s: quick-mode output drifted from %s\n--- got ---\n%s--- want ---\n%s"+
 			"If the change is intentional, regenerate with -update.",
 			id, goldenPath(id), got, want)
@@ -59,16 +42,18 @@ func compareGolden(t *testing.T, id string) {
 // TestGoldenFigures pins quick-mode figure output byte-for-byte against
 // testdata/golden. Any behavioral drift — numeric, formatting, ordering —
 // fails loudly with a diff; deliberate changes are recorded by rerunning
-// with -update. The simulation-backed figures are additionally reproduced
-// from cold caches at parallelism 1, 2 and 8, so the pin also proves
-// determinism across worker counts.
+// with -update. The main compare runs on the session the shape tests
+// share, so it may start warm; the j1/j2/j8 legs reproduce fig10 from an
+// empty session with no store (the -no-cache path) at 1, 2 and 8
+// workers, so the pin also proves determinism across worker counts.
 func TestGoldenFigures(t *testing.T) {
+	t.Parallel()
 	if *update {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range goldenIDs {
-			out := renderQuick(t, id)
+			out := render(t, shared, quick, id)
 			if err := os.WriteFile(goldenPath(id), []byte(out), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +64,7 @@ func TestGoldenFigures(t *testing.T) {
 
 	for _, id := range goldenIDs {
 		if staticGolden[id] {
-			compareGolden(t, id)
+			compareGolden(t, shared, id)
 		}
 	}
 	if testing.Short() {
@@ -87,52 +72,36 @@ func TestGoldenFigures(t *testing.T) {
 	}
 	for _, id := range goldenIDs {
 		if !staticGolden[id] {
-			compareGolden(t, id)
+			compareGolden(t, shared, id)
 		}
 	}
-
-	// Cross-parallelism reproduction: the same bytes must come out of cold
-	// caches at several worker counts. fig10 is the cheapest simulation
-	// figure (12 points); TestParallelDeterminism covers the wider sweep at
-	// tiny budgets.
 	for _, j := range []int{1, 2, 8} {
+		j := j
 		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
-			SetParallelism(j)
-			ResetCaches()
-			compareGolden(t, "fig10")
+			t.Parallel()
+			compareGolden(t, NewSession(nil, j), "fig10")
 		})
 	}
-	SetParallelism(0)
 }
 
-// TestGoldenWithDiskCache: the golden pins must hold with the persistent
-// run cache active, both when it populates (cold) and when it replays
-// (warm) — the cache may change speed, never a byte of output. Quick
-// budget (the pinned one), so it stays out of -short like the other
-// simulation-backed comparisons.
+// TestGoldenWithDiskCache: the golden pin holds with the persistent store
+// at the default worker count, both when an empty session populates it
+// (cold) and when a second empty session replays it (warm) — the store
+// may change speed, never a byte of output.
 func TestGoldenWithDiskCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed golden comparison skipped in -short")
 	}
-	s, err := runcache.Open(t.TempDir(), runcache.Options{Fingerprint: "exp-golden-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetDiskCache(s)
-	defer func() {
-		SetDiskCache(nil)
-		ResetCaches()
-	}()
+	t.Parallel()
+	s, _ := testStore(t)
 
-	ResetCaches()
-	compareGolden(t, "fig10") // cold: simulate and store
+	compareGolden(t, NewSession(s, 0), "fig10") // cold: simulate and store
 	afterCold := s.Stats()
 	if afterCold.Puts == 0 {
 		t.Fatalf("cold golden run stored nothing: %+v", afterCold)
 	}
 
-	ResetCaches()
-	compareGolden(t, "fig10") // warm: replay from disk
+	compareGolden(t, NewSession(s, 0), "fig10") // warm: replay from disk
 	afterWarm := s.Stats()
 	if d := afterWarm.Misses - afterCold.Misses; d != 0 {
 		t.Errorf("warm golden rerun missed %d times; want 0", d)
@@ -142,42 +111,34 @@ func TestGoldenWithDiskCache(t *testing.T) {
 	}
 }
 
-// TestGoldenWithCheckpoint: the golden pins must hold with warmup
-// checkpointing active end to end — warmed snapshots captured, persisted
-// under "ckpt|" keys and forked per variant — cold and warm, at worker
-// counts 1, 2 and 8. The warm rerun must be a pure replay (zero disk
-// misses): checkpointing may change how much work a sweep does, never a
-// byte of its output or a property of its cache.
+// TestGoldenWithCheckpoint: the golden pins hold from an empty session at
+// worker counts 1, 2 and 8 with the persistent store on end to end: results and
+// warm snapshots (under "warm|" keys, forked per variant) stored cold,
+// then replayed by a second empty session over the same store. The warm
+// rerun must be a pure replay (zero disk misses): neither the store nor
+// checkpointing may change a byte of output or a property of the cache.
 func TestGoldenWithCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed golden comparison skipped in -short")
 	}
-	defer func() {
-		SetDiskCache(nil)
-		SetParallelism(0)
-		ResetCaches()
-	}()
-
+	t.Parallel()
 	for _, j := range []int{1, 2, 8} {
+		j := j
 		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
-			s, err := runcache.Open(t.TempDir(), runcache.Options{Fingerprint: "exp-golden-checkpoint-test"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			SetDiskCache(s)
-			SetParallelism(j)
+			t.Parallel()
+			s, _ := testStore(t)
 
-			ResetCaches()
-			compareGolden(t, "fig10") // cold: warm up once per rate, fork, store
-			compareGolden(t, "tab1")
+			cold := NewSession(s, j) // warm up once per rate, fork, store
+			compareGolden(t, cold, "fig10")
+			compareGolden(t, cold, "tab1")
 			afterCold := s.Stats()
 			if afterCold.Puts == 0 {
 				t.Fatalf("cold checkpointed run stored nothing: %+v", afterCold)
 			}
 
-			ResetCaches()
-			compareGolden(t, "fig10") // warm: replay from disk
-			compareGolden(t, "tab1")
+			warm := NewSession(s, j) // replay from disk
+			compareGolden(t, warm, "fig10")
+			compareGolden(t, warm, "tab1")
 			afterWarm := s.Stats()
 			if d := afterWarm.Misses - afterCold.Misses; d != 0 {
 				t.Errorf("warm checkpointed rerun missed %d times; want 0", d)
@@ -197,55 +158,20 @@ func TestGoldenNoCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed golden comparison skipped in -short")
 	}
-	noCheckpoint = true
-	ResetCaches() // the hook shares cache keys; force real straight runs
-	defer func() {
-		noCheckpoint = false
-		ResetCaches()
-	}()
-	want, err := os.ReadFile(goldenPath("fig10"))
-	if err != nil {
-		t.Fatalf("fig10: %v (regenerate with: go test ./internal/exp -run TestGoldenFigures -update)", err)
-	}
-	tabs, err := Run("fig10", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, tab := range tabs {
-		tab.Fprint(&sb)
-	}
-	if sb.String() != string(want) {
-		t.Errorf("fig10: straight warm-up output drifted from the golden pin\n--- got ---\n%s--- want ---\n%s",
-			sb.String(), want)
-	}
+	t.Parallel()
+	ses := NewSession(nil, 0)
+	ses.noCheckpoint = true
+	compareGolden(t, ses, "fig10")
 }
 
 // TestAuditDoesNotPerturbResults: enabling the runtime invariant audit
 // must not change a single simulated number — it reads, never steers.
 func TestAuditDoesNotPerturbResults(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	plain, err := Run("fig10", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	audited, err := Run("fig10", Options{Quick: true, Audit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b strings.Builder
-	for _, tab := range plain {
-		tab.Fprint(&a)
-	}
-	for _, tab := range audited {
-		tab.Fprint(&b)
-	}
-	if a.String() != b.String() {
-		t.Errorf("audit changed results:\n--- plain ---\n%s--- audited ---\n%s", a.String(), b.String())
+	t.Parallel()
+	ses := tinySession(nil, 0)
+	plain := render(t, ses, Options{Quick: true}, "fig10")
+	audited := render(t, ses, Options{Quick: true, Audit: true}, "fig10")
+	if plain != audited {
+		t.Errorf("audit changed results:\n--- plain ---\n%s--- audited ---\n%s", plain, audited)
 	}
 }

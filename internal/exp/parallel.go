@@ -1,6 +1,6 @@
-// Parallel experiment execution: a worker-pool gate bounding concurrent
-// simulations, a goroutine fan-out helper (Sweep), concurrent experiment
-// execution (RunAll), and singleflight-backed result caches.
+// Parallel experiment execution: the session's worker gate bounding
+// concurrent simulations, a goroutine fan-out helper (Sweep), concurrent
+// experiment execution (RunAll), and the singleflight memo type.
 //
 // Every simulation point is independent — each run builds its own network
 // and its own seeded traffic model, so results do not depend on execution
@@ -12,82 +12,32 @@
 package exp
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/network"
 )
 
-// pool gates the number of simulations actually executing at once. Fan-out
-// layers (Sweep, RunAll) spawn goroutines freely; only the simulation
-// bodies hold a slot, so nested fan-outs cannot deadlock and real
-// concurrency is bounded by Parallelism() everywhere.
-var pool = struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	limit int // 0 means GOMAXPROCS
-	busy  int
-}{}
-
-func init() { pool.cond = sync.NewCond(&pool.mu) }
-
-// SetParallelism bounds the number of concurrently executing simulations.
-// j <= 0 restores the default, GOMAXPROCS. It is safe to call while runs
-// are in flight; the new bound applies as slots free up.
-func SetParallelism(j int) {
-	pool.mu.Lock()
-	if j < 0 {
-		j = 0
-	}
-	pool.limit = j
-	pool.mu.Unlock()
-	pool.cond.Broadcast()
-}
-
-// Parallelism reports the current simulation concurrency bound.
-func Parallelism() int {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	if pool.limit == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return pool.limit
-}
-
-// withSimSlot runs fn while holding one worker slot. Every simulation body
-// in this package — cached or direct — funnels through it.
-func withSimSlot(fn func()) {
-	if ps := prefetchRec.Load(); ps != nil {
+// withSimSlot runs fn while holding one of the session's worker slots.
+// Every simulation body in this package — cached or direct — funnels
+// through it. Fan-out layers (Sweep, RunAll) spawn goroutines freely; only
+// the simulation bodies hold a slot, so nested fan-outs cannot deadlock
+// and real concurrency is bounded by the session's worker count
+// everywhere.
+func (ses *Session) withSimSlot(fn func()) {
+	if ses.walk != nil {
 		// A prefetch walk must never simulate; count the leak so the walk
 		// can fail loudly (and still run fn — a wrong result is worse than
 		// a slow one if a caller ignores the error).
-		ps.sims.Add(1)
+		ses.walk.sims.Add(1)
 	}
-	pool.mu.Lock()
-	for {
-		limit := pool.limit
-		if limit == 0 {
-			limit = runtime.GOMAXPROCS(0)
-		}
-		if pool.busy < limit {
-			break
-		}
-		pool.cond.Wait()
-	}
-	pool.busy++
-	pool.mu.Unlock()
-	defer func() {
-		pool.mu.Lock()
-		pool.busy--
-		pool.mu.Unlock()
-		pool.cond.Broadcast()
-	}()
+	ses.slots <- struct{}{}
+	defer func() { <-ses.slots }()
 	fn()
 }
 
 // Sweep fans fn over n independent indices, one goroutine each, and blocks
 // until all complete. Concurrency of the underlying simulations is bounded
-// by the worker pool, not by n, so callers may sweep whole cross-products.
+// by the worker slots, not by n, so callers may sweep whole cross-products.
 // fn must treat distinct indices as independent (no shared mutable state
 // without synchronization); results keyed by index keep output order — and
 // therefore rendered tables — identical to a sequential loop.
@@ -112,23 +62,16 @@ func Sweep(n int, fn func(i int)) {
 
 // RunAll executes several experiments concurrently and returns each one's
 // tables in input order. Unknown ids and exclusive budgets fail up front,
-// before any simulation starts. Experiments share the process-wide run
-// cache, so points common to several artifacts (fig10 and headline, say)
-// still simulate once.
-func RunAll(ids []string, o Options) ([][]Table, error) {
-	if err := o.validate(); err != nil {
+// before any simulation starts. Experiments share the session's memos, so
+// points common to several artifacts (fig10 and headline, say) still
+// simulate once.
+func (ses *Session) RunAll(ids []string, o Options) ([][]Table, error) {
+	rs, err := runners(ids, o)
+	if err != nil {
 		return nil, err
 	}
-	runners := make([]Runner, len(ids))
-	for i, id := range ids {
-		r, ok := registry[id]
-		if !ok {
-			return nil, unknownExperiment(id)
-		}
-		runners[i] = r
-	}
 	out := make([][]Table, len(ids))
-	Sweep(len(ids), func(i int) { out[i] = runners[i](o) })
+	Sweep(len(ids), func(i int) { out[i] = rs[i](ses, o) })
 	return out, nil
 }
 
@@ -181,10 +124,8 @@ func (c *sfCache[K, V]) do(key K, fn func() V) V {
 	}
 	c.mu.Lock()
 	close(f.done)
-	if c.entries[key] == f { // else a reset dropped it while it computed
-		c.total += f.cost
-		c.evictLocked(f)
-	}
+	c.total += f.cost
+	c.evictLocked(f)
 	c.mu.Unlock()
 	return f.val
 }
@@ -216,46 +157,15 @@ func (c *sfCache[K, V]) evictLocked(keep *flight[V]) {
 	c.order = kept
 }
 
-// reset drops every cached entry. Only for tests and benchmarks that need
-// to re-simulate points deliberately; racing it against in-flight runs is
-// safe (waiters keep their flight pointers, and a flight that completes
-// after the reset charges nothing) but wastes work.
-func (c *sfCache[K, V]) reset() {
-	c.mu.Lock()
-	c.entries = make(map[K]*flight[V])
-	c.order = nil
-	c.total = 0
-	c.mu.Unlock()
-}
-
 // runCacheCap bounds the memoized simulation results. A full `-exp all`
 // regeneration touches ~120 distinct points; the cap leaves generous
 // headroom while bounding long-lived processes that sweep many seeds.
 const runCacheCap = 1024
 
-// runCache memoizes simulation runs so experiments that share operating
-// points — fig10 and headline, for example — simulate once per process.
-var runCache = newSFCache[string, network.Results](runCacheCap)
-
-// measureCache memoizes the Section 3.1 characterization runs so fig3,
-// fig4 and fig5 share one simulation set per options value.
-var measureCache = newSFCache[Options, *measureSet](16)
-
-// ResetCaches drops all memoized simulation results, characterization
-// sets, warm snapshots and traces, forcing subsequent runs to re-simulate.
-// Benchmarks use it to measure real work per iteration; the determinism
-// tests use it to exercise the parallel path.
-func ResetCaches() {
-	runCache.reset()
-	measureCache.reset()
-	warmSnaps.reset()
-	traceMemo.reset()
-}
-
-// sweepSpecs simulates every spec across the worker pool and returns
-// results in spec order.
-func sweepSpecs(o Options, specs []spec) []network.Results {
+// sweep simulates every spec across the session's worker slots and
+// returns results in spec order.
+func (ses *Session) sweep(o Options, specs []spec) []network.Results {
 	out := make([]network.Results, len(specs))
-	Sweep(len(specs), func(i int) { out[i] = run(specs[i], o) })
+	Sweep(len(specs), func(i int) { out[i] = ses.run(specs[i], o) })
 	return out
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,24 +12,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// renderIDs regenerates the given experiments from an empty cache and
-// returns the concatenated rendered tables.
-func renderIDs(t *testing.T, ids []string, o Options) string {
-	t.Helper()
-	ResetCaches()
-	var buf bytes.Buffer
-	tabs, err := RunAll(ids, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, exp := range tabs {
-		for _, tab := range exp {
-			tab.Fprint(&buf)
-		}
-	}
-	return buf.String()
-}
-
 // TestParallelDeterminism is the core guarantee of the parallel executor:
 // regenerating fig10 and fig13 at three distinct parallelism levels, each
 // from a cold cache, produces byte-identical tables. Every simulation
@@ -37,21 +20,16 @@ func renderIDs(t *testing.T, ids []string, o Options) string {
 // default, this also proves concurrent sweeps racing on the trace cache
 // (singleflight capture, shared read-only replay) stay deterministic.
 func TestParallelDeterminism(t *testing.T) {
-	tinyBudget = true
-	defer func() { tinyBudget = false; ResetCaches() }()
-	defer SetParallelism(0)
-
+	t.Parallel()
 	ids := []string{"fig10", "fig13"}
 	o := Options{Quick: true}
 
-	SetParallelism(1)
-	sequential := renderIDs(t, ids, o)
+	sequential := render(t, tinySession(nil, 1), o, ids...)
 	if !strings.Contains(sequential, "Figure 10(a)") || !strings.Contains(sequential, "Figure 13") {
 		t.Fatalf("reference output incomplete:\n%s", sequential)
 	}
 	for _, j := range []int{2, 8} {
-		SetParallelism(j)
-		if got := renderIDs(t, ids, o); got != sequential {
+		if got := render(t, tinySession(nil, j), o, ids...); got != sequential {
 			t.Errorf("-j %d output differs from sequential output\n--- j=%d ---\n%s\n--- j=1 ---\n%s",
 				j, j, got, sequential)
 		}
@@ -64,20 +42,96 @@ func TestParallelDeterminism(t *testing.T) {
 // byte-identical tables. fig10/fig13 sweep several policies over shared
 // operating points, so the memoized run exercises real trace reuse.
 func TestTraceMemoEquivalence(t *testing.T) {
-	tinyBudget = true
-	defer func() { tinyBudget = false; noTraceMemo = false; ResetCaches() }()
-
+	t.Parallel()
 	ids := []string{"fig10", "fig13"}
 	o := Options{Quick: true}
 
-	noTraceMemo = false
-	memoized := renderIDs(t, ids, o)
-	noTraceMemo = true
-	live := renderIDs(t, ids, o)
+	memoized := render(t, tinySession(nil, 0), o, ids...)
+	liveSession := tinySession(nil, 0)
+	liveSession.noTraceMemo = true
+	live := render(t, liveSession, o, ids...)
 	if memoized != live {
 		t.Errorf("memoized traces change results\n--- memoized ---\n%s\n--- live ---\n%s",
 			memoized, live)
 	}
+}
+
+// TestSessionsAreIsolated: two sessions regenerating fig10 at once — one
+// over a store at one worker, one without a store at two — render the same
+// bytes, and neither sees the other's memos or warm-ups. It is also the
+// one test of the default session's entry points: SetDiskCache and
+// SetParallelism configure it, and ResetCaches replaces it with an empty
+// session of the same configuration and drops nothing from any other.
+func TestSessionsAreIsolated(t *testing.T) {
+	t.Parallel()
+	s, _ := testStore(t)
+	a, b := tinySession(s, 1), tinySession(nil, 2)
+	sessions := []*Session{a, b}
+	outs := make([]string, 2)
+	errs := make([]error, 2)
+	Sweep(2, func(i int) {
+		var all [][]Table
+		all, errs[i] = sessions[i].RunAll([]string{"fig10"}, quick)
+		outs[i] = fprint(all)
+	})
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	if outs[0] != outs[1] || !strings.Contains(outs[0], "Figure 10(a)") {
+		t.Errorf("concurrent sessions rendered different bytes\n--- store, j1 ---\n%s--- no store, j2 ---\n%s", outs[0], outs[1])
+	}
+	// Each session warms up once per rate: a shared snapshot memo would
+	// leave one of them short, a shared meter would count both sweeps.
+	warm, _ := a.budget(quick)
+	for i, ses := range sessions {
+		if got := ses.WarmupCyclesExecuted(); got != int64(len(sweepRates))*warm {
+			t.Errorf("session %d warmed up %d cycles; want %d, one warm-up per rate", i, got, int64(len(sweepRates))*warm)
+		}
+	}
+	if len(a.runCache.entries) != 2*len(sweepRates) || len(b.runCache.entries) != 2*len(sweepRates) {
+		t.Errorf("sessions memoized %d and %d points; want %d each", len(a.runCache.entries), len(b.runCache.entries), 2*len(sweepRates))
+	}
+	for key, f := range a.runCache.entries {
+		if g := b.runCache.entries[key]; g == nil || g == f {
+			t.Errorf("point %s is not memoized separately in each session", key)
+		}
+	}
+	for key, f := range a.traceMemo.entries {
+		if g := b.traceMemo.entries[key]; g == nil || g.val == f.val {
+			t.Errorf("the sessions do not each hold their own trace for %+v", key.p)
+		}
+	}
+
+	// The default session: configured, given work, then reset.
+	SetDiskCache(s)
+	SetParallelism(3)
+	d := defaultSession.Load()
+	if d.store != s || DiskCache() != s || cap(d.slots) != 3 {
+		t.Fatalf("default session has store %p and %d slots; want %p and 3", d.store, cap(d.slots), s)
+	}
+	cfg := network.NewConfig()
+	cfg.K = 4
+	if _, err := Warmed(cfg, traffic.NewTwoLevelParams(0.5), 500, 500, false); err != nil {
+		t.Fatal(err)
+	}
+	if WarmupCyclesExecuted() != 500 || len(d.traceMemo.entries) != 1 {
+		t.Fatalf("default session warmed up %d cycles holding %d traces; want 500 and 1", WarmupCyclesExecuted(), len(d.traceMemo.entries))
+	}
+	before := s.Stats()
+	ResetCaches()
+	if r := defaultSession.Load(); r == d || r.store != s || cap(r.slots) != 3 ||
+		len(r.traceMemo.entries) != 0 || WarmupCyclesExecuted() != 0 {
+		t.Errorf("ResetCaches left store %p, %d slots, %d traces, %d warm-up cycles; want %p, 3, 0, 0",
+			r.store, cap(r.slots), len(r.traceMemo.entries), WarmupCyclesExecuted(), s)
+	}
+	if got := render(t, a, quick, "fig10"); got != outs[0] || a.WarmupCyclesExecuted() != int64(len(sweepRates))*warm {
+		t.Error("ResetCaches changed what an explicit session holds")
+	}
+	if st := s.Stats(); st.Hits != before.Hits || st.Misses != before.Misses {
+		t.Errorf("a rerun on an explicit session after ResetCaches went to the store: %+v -> %+v", before, st)
+	}
+	SetDiskCache(nil)
+	SetParallelism(0)
 }
 
 // TestRunAllMatchesRun: RunAll returns exactly what id-by-id Run returns,
@@ -119,11 +173,9 @@ func TestRunAllUnknownID(t *testing.T) {
 // the old plain-map caches raced here; the singleflight cache must both
 // survive the race detector and return identical results everywhere.
 func TestPointConcurrent(t *testing.T) {
-	tinyBudget = true
-	defer func() { tinyBudget = false; ResetCaches() }()
-	ResetCaches()
-
-	reference := Point(1.0, network.PolicyHistory, quick)
+	t.Parallel()
+	ses := tinySession(nil, 0)
+	reference := ses.Point(1.0, network.PolicyHistory, quick)
 	const goroutines = 16
 	var wg sync.WaitGroup
 	results := make([]network.Results, goroutines)
@@ -131,7 +183,7 @@ func TestPointConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = Point(1.0, network.PolicyHistory, quick)
+			results[g] = ses.Point(1.0, network.PolicyHistory, quick)
 		}(g)
 	}
 	wg.Wait()
@@ -145,13 +197,12 @@ func TestPointConcurrent(t *testing.T) {
 // TestSweepRunsAllIndices: every index runs exactly once even when n far
 // exceeds the worker bound.
 func TestSweepRunsAllIndices(t *testing.T) {
-	SetParallelism(3)
-	defer SetParallelism(0)
+	ses := NewSession(nil, 3)
 	const n = 100
 	hits := make([]int, n)
 	var mu sync.Mutex
 	Sweep(n, func(i int) {
-		withSimSlot(func() {
+		ses.withSimSlot(func() {
 			mu.Lock()
 			hits[i]++
 			mu.Unlock()
@@ -244,8 +295,8 @@ func checkTotal[K comparable, V any](t *testing.T, c *sfCache[K, V]) int64 {
 
 // TestSFCacheWeighted: with a cost function the completed weight never
 // exceeds the cap, except that the newest entry survives alone when it
-// exceeds the cap by itself; and a reset racing a compute leaves the
-// total consistent.
+// exceeds the cap by itself; and an entry in flight is neither evicted
+// nor charged until it completes.
 func TestSFCacheWeighted(t *testing.T) {
 	c := newSFCache[string, int64](10)
 	c.cost = func(v int64) int64 { return v }
@@ -276,8 +327,7 @@ func TestSFCacheWeighted(t *testing.T) {
 		t.Errorf("over-cap entry outlived the next insert (total %d)", c.total)
 	}
 
-	// A compute in flight is never evicted, and if a reset drops it, it
-	// charges nothing when it ends.
+	// A compute in flight is never evicted, and is charged when it ends.
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -292,42 +342,43 @@ func TestSFCacheWeighted(t *testing.T) {
 	if !inFlight {
 		t.Error("an over-cap insert evicted an entry in flight")
 	}
-	c.reset()
-	get("fast", 2)
+	if got := checkTotal(t, c); got != 30 {
+		t.Errorf("with an entry in flight: total %d, want 30 (the entry is not charged yet)", got)
+	}
 	close(release)
 	<-done
-	if got := checkTotal(t, c); got != 2 {
-		t.Errorf("after a racing reset: total %d, want 2", got)
+	if _, ok := c.entries["slow"]; !ok || checkTotal(t, c) != 7 {
+		t.Errorf("after the in-flight entry completed: total %d, want it alone at 7", c.total)
 	}
 }
 
 // TestTraceMemo: requests for one workload share one trace, distinct seeds
 // do not, a workload over the per-trace budget runs live and is decided
-// once, and ResetCaches drops the trace.
+// once, and another session does not see the trace.
 func TestTraceMemo(t *testing.T) {
-	ResetCaches()
-	defer ResetCaches()
+	t.Parallel()
+	ses := NewSession(nil, 0)
 	cfg := network.NewConfig()
 	p := traffic.NewTwoLevelParams(1.0)
 	p.Seed = 9
 	horizon := 10 * sim.Microsecond
 
-	_, a, err := workload(cfg, p, horizon)
+	_, a, err := ses.workload(cfg, p, horizon)
 	if err != nil || a == nil {
 		t.Fatalf("trace under budget was not captured (err %v)", err)
 	}
-	if _, b, _ := workload(cfg, p, horizon); b != a {
+	if _, b, _ := ses.workload(cfg, p, horizon); b != a {
 		t.Error("second request did not share the memoized trace")
 	}
 	p2 := p
 	p2.Seed = 10
-	if _, c, _ := workload(cfg, p2, horizon); c == a {
+	if _, c, _ := ses.workload(cfg, p2, horizon); c == a {
 		t.Error("distinct seed shared the same trace")
 	}
 
 	big := traffic.NewTwoLevelParams(4.0)
 	bigHorizon := sim.Time(perTraceArrivals) * big.CyclePeriod
-	m, tr, err := workload(cfg, big, bigHorizon)
+	m, tr, err := ses.workload(cfg, big, bigHorizon)
 	if err != nil || tr != nil {
 		t.Fatalf("over-budget workload: trace %v, err %v; want a live model", tr, err)
 	}
@@ -335,27 +386,28 @@ func TestTraceMemo(t *testing.T) {
 		t.Errorf("over-budget workload runs %T, want the live two-level model", m)
 	}
 	key := traceKey{p: big, k: cfg.K, n: cfg.N, torus: cfg.Torus, horizon: bigHorizon}
-	traceMemo.do(key, func() *traffic.Trace {
+	ses.traceMemo.do(key, func() *traffic.Trace {
 		t.Error("over-budget workload was decided twice")
 		return nil
 	})
 
-	ResetCaches()
-	if _, b, _ := workload(cfg, p, horizon); b == a {
-		t.Error("ResetCaches did not drop the memoized trace")
+	if _, b, _ := NewSession(nil, 0).workload(cfg, p, horizon); b == a {
+		t.Error("a fresh session shared another session's memoized trace")
 	}
 }
 
 func TestParallelismBounds(t *testing.T) {
-	SetParallelism(2)
-	defer SetParallelism(0)
-	if got := Parallelism(); got != 2 {
-		t.Errorf("Parallelism() = %d, want 2", got)
+	ses := NewSession(nil, 2)
+	if got := cap(ses.slots); got != 2 {
+		t.Errorf("session of 2 workers has %d slots", got)
+	}
+	if got, want := cap(NewSession(nil, -1).slots), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("session of -1 workers has %d slots, want GOMAXPROCS = %d", got, want)
 	}
 	var mu sync.Mutex
 	active, peak := 0, 0
 	Sweep(16, func(i int) {
-		withSimSlot(func() {
+		ses.withSimSlot(func() {
 			mu.Lock()
 			active++
 			if active > peak {

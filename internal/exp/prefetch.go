@@ -6,11 +6,12 @@
 //
 // Mechanism: every simulation result in this package funnels through
 // cached() (diskcache.go) on its way to being computed — point results,
-// figure payloads and the Section 3.1 characterization set alike. While a
-// walk is active, cached() records its key, probes the store for presence,
-// and returns the zero value instead of computing, so the registered
-// runners drive the exact key set of a real run at rendering cost only.
-// The "ckpt|" warm-snapshot keys are deliberately out of scope: they are
+// figure payloads and the Section 3.1 characterization set alike. A walk
+// runs the registered runners on a throwaway session of its own, on which
+// cached() records each key, probes the store for presence, and returns
+// the zero value instead of computing, so the runners drive the exact key
+// set of a real run at rendering cost only.
+// The "warm|" snapshot keys are deliberately out of scope: they are
 // consulted only inside a point's compute function, which a hit never
 // reaches, so their presence does not affect what a warm rerun recomputes.
 package exp
@@ -40,9 +41,6 @@ type prefetchState struct {
 	sims    atomic.Int64
 }
 
-// prefetchRec is the active walk, nil outside Prefetch.
-var prefetchRec atomic.Pointer[prefetchState]
-
 func (ps *prefetchState) record(key string, hit bool) {
 	ps.mu.Lock()
 	if !ps.seen[key] {
@@ -52,64 +50,47 @@ func (ps *prefetchState) record(key string, hit bool) {
 	ps.mu.Unlock()
 }
 
-// prefetchIntercept is cached()'s hook: when a walk is active it records
-// the key (with a disk-presence probe) and reports that the caller must
-// return the zero value instead of computing.
-func prefetchIntercept(key string) bool {
-	ps := prefetchRec.Load()
-	if ps == nil {
+// prefetchIntercept is cached()'s hook: on a walk's session it records the
+// key (with a disk-presence probe) and reports that the caller must return
+// the zero value instead of computing.
+func (ses *Session) prefetchIntercept(key string) bool {
+	if ses.walk == nil {
 		return false
 	}
 	hit := false
-	if s := diskStore.Load(); s != nil {
-		_, hit = s.Get(key)
+	if ses.store != nil {
+		_, hit = ses.store.Get(key)
 	}
-	ps.record(key, hit)
+	ses.walk.record(key, hit)
 	return true
 }
 
 // Prefetch dry-runs the given experiments and reports, in sorted key
 // order, every persistent-cache key they would consult and whether it is
-// present in the installed store (all misses when none is installed). No
-// simulation runs; the in-memory memo caches are reset afterwards, since
-// the walk populates them with zero-valued placeholders.
-//
-// Walks are process-exclusive (the interception is a package-wide mode);
-// concurrent real runs would be starved of results, so don't.
-func Prefetch(ids []string, o Options) ([]PrefetchEntry, error) {
-	if err := o.validate(); err != nil {
+// present in the session's store (all misses when it has none). No
+// simulation runs. The walk runs on a throwaway session over the same
+// store: its memos start empty, as a fresh process's do, so every lookup
+// reaches the persistent layer, and the zero-valued placeholders it
+// memoizes go with it. The session Prefetch is called on is untouched.
+func (ses *Session) Prefetch(ids []string, o Options) ([]PrefetchEntry, error) {
+	rs, err := runners(ids, o)
+	if err != nil {
 		return nil, err
 	}
-	runners := make([]Runner, len(ids))
-	for i, id := range ids {
-		r, ok := registry[id]
-		if !ok {
-			return nil, unknownExperiment(id)
-		}
-		runners[i] = r
-	}
-	ps := &prefetchState{seen: make(map[string]bool)}
-	if !prefetchRec.CompareAndSwap(nil, ps) {
-		return nil, fmt.Errorf("exp: a prefetch walk is already running")
-	}
-	defer func() {
-		prefetchRec.Store(nil)
-		ResetCaches() // drop the zero-valued placeholders the walk memoized
-	}()
-	// A warm memory layer would satisfy lookups before they reach the
-	// persistent layer and silently shrink the reported key set; the walk
-	// must start cold to enumerate what a fresh process would consult.
-	ResetCaches()
-	for _, r := range runners {
+	walk := NewSession(ses.store, cap(ses.slots))
+	walk.tinyBudget = ses.tinyBudget
+	walk.walk = &prefetchState{seen: make(map[string]bool)}
+	for _, r := range rs {
 		func() {
 			// Runners render from the payloads cached() hands back; zero
 			// payloads can break rendering (nil histograms, empty grids).
 			// Every key is recorded before its payload is used, so a
 			// rendering panic costs nothing.
 			defer func() { _ = recover() }()
-			r(o)
+			r(walk, o)
 		}()
 	}
+	ps := walk.walk
 	if n := ps.sims.Load(); n != 0 {
 		return nil, fmt.Errorf("exp: prefetch walk executed %d simulations; the dry-run interception has a gap", n)
 	}

@@ -12,18 +12,14 @@ import (
 // bytes as one with no walk before it — the zero-valued placeholders a
 // walk memoizes must not leak.
 func TestPrefetchReportsMissesThenHits(t *testing.T) {
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	s, _ := withTestDiskCache(t)
+	t.Parallel()
+	s, _ := testStore(t)
+	ses := tinySession(s, 0)
 
 	ids := []string{"fig10", "tab1"}
 	o := Options{Quick: true}
 
-	cold, err := Prefetch(ids, o)
+	cold, err := ses.Prefetch(ids, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +37,18 @@ func TestPrefetchReportsMissesThenHits(t *testing.T) {
 	if st := s.Stats(); st.Puts != 0 {
 		t.Fatalf("walk wrote %d entries; a dry run must write nothing", st.Puts)
 	}
+	if n := len(ses.runCache.entries); n != 0 {
+		t.Fatalf("walk memoized %d results in the session it was called on; want 0", n)
+	}
 
 	// The real run is undisturbed by the walk that preceded it.
-	got := render(t, ids, o)
-	ResetCaches()
-	want := render(t, ids, o)
+	got := render(t, ses, o, ids...)
+	want := render(t, tinySession(s, 0), o, ids...)
 	if got != want {
 		t.Errorf("render after a walk drifted from a plain render\n--- after walk ---\n%s--- plain ---\n%s", got, want)
 	}
 
-	warm, err := Prefetch(ids, o)
+	warm, err := ses.Prefetch(ids, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,7 @@ func TestQuickFullRefused(t *testing.T) {
 	if _, err := Prefetch([]string{"fig10"}, o); err == nil {
 		t.Error("Prefetch accepted Quick and Full together")
 	}
-	if prefetchRec.Load() != nil {
+	if defaultSession.Load().walk != nil {
 		t.Error("a refused Prefetch left walk state installed")
 	}
 }
@@ -85,16 +83,11 @@ func TestQuickFullRefused(t *testing.T) {
 // TestPrefetchUnknownID: an unknown experiment fails up front, before any
 // walk state is installed, so a subsequent walk still runs.
 func TestPrefetchUnknownID(t *testing.T) {
-	if _, err := Prefetch([]string{"fig10", "nope"}, Options{Quick: true}); err == nil {
+	ses := tinySession(nil, 0)
+	if _, err := ses.Prefetch([]string{"fig10", "nope"}, Options{Quick: true}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	tinyBudget = true
-	ResetCaches()
-	defer func() {
-		tinyBudget = false
-		ResetCaches()
-	}()
-	if _, err := Prefetch([]string{"fig10"}, Options{Quick: true}); err != nil {
+	if _, err := ses.Prefetch([]string{"fig10"}, Options{Quick: true}); err != nil {
 		t.Fatalf("walk after a rejected id list failed: %v", err)
 	}
 }
