@@ -13,9 +13,11 @@ import (
 //	go test ./internal/exp -run TestGoldenFigures -update
 var update = flag.Bool("update", false, "rewrite testdata/golden from current output")
 
-// goldenIDs are the pinned artifacts: the two static tables plus the two
-// headline simulation figures (DVS latency and threshold profiles).
-var goldenIDs = []string{"tab1", "tab2", "fig10", "fig13"}
+// goldenIDs are the pinned artifacts: the two static tables, the two
+// headline simulation figures (DVS latency and threshold profiles), the
+// link-measure characterization (fig3; fig4 and fig5 render the same
+// measure set) and the two workload profiles (fig8, fig9).
+var goldenIDs = []string{"tab1", "tab2", "fig3", "fig8", "fig9", "fig10", "fig13"}
 
 // staticGolden need no simulation; they are compared even under -short.
 var staticGolden = map[string]bool{"tab1": true, "tab2": true}
