@@ -90,7 +90,10 @@ fuzz:
 # internal/exp's one memo type; internal/traffic keeps no trace cache.
 # internal/exp keeps its run state in exp.Session: besides the default
 # session, its only package-level variables are the registry/describe
-# tables and the read-only rate lists of the figures.
+# tables and the read-only rate lists of the figures. The network takes no
+# observer callbacks (Probe, ProbeEvery, OnDeliver; the audit checker's
+# own OnDeliver hook stays), and the experiments have one run path: the
+# session has no build method beside the warm-up stage.
 retired:
 	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
@@ -106,6 +109,10 @@ retired:
 	  echo 'a second trace memo is back beside exp.traceMemo (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE '^var ' -- 'internal/exp/*.go' ':!*_test.go' | grep -vE '^[^:]+:[0-9]+:var (registry|describe|defaultSession|sweepRates|congestionRates|measureRates|thresholdRates|transitionRates) '; then \
 	  echo 'internal/exp keeps run state in package variables again; it belongs in exp.Session (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE '^[[:space:]]+(Probe|ProbeEvery|OnDeliver)[[:space:]]|\.(Probe|ProbeEvery|OnDeliver)\b' -- 'internal/network/*.go' ':!*_test.go' | grep -v 'aud\.OnDeliver('; then \
+	  echo 'the network takes observer callbacks again (see the matches above)' >&2; exit 1; fi
+	@if git grep -nE 'func \([a-z]+ \*Session\) build\(' -- 'internal/exp/*.go' ':!*_test.go'; then \
+	  echo 'exp.Session has a second run path beside the warm-up stage again (see the matches above)' >&2; exit 1; fi
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

@@ -130,7 +130,10 @@ func main() {
 			fail(err)
 		}
 		if *traceN > 0 {
-			n.EnableTrace(*traceN) // measurement events only; warmup is pre-trace
+			// Measurement events only; warmup is pre-trace.
+			if err := n.EnableTrace(*traceN); err != nil {
+				fail(err)
+			}
 		}
 	} else {
 		n, err = noc.New(cfg)
@@ -138,7 +141,9 @@ func main() {
 			fail(err)
 		}
 		if *traceN > 0 {
-			n.EnableTrace(*traceN)
+			if err := n.EnableTrace(*traceN); err != nil {
+				fail(err)
+			}
 		}
 		switch *traffic {
 		case "uniform":
@@ -242,6 +247,8 @@ func validateBudget(warmup, measure int64, traceN int, traceKind string) error {
 		return fmt.Errorf("-warmup %d: must not be negative", warmup)
 	case traceN < 0:
 		return fmt.Errorf("-trace %d: must not be negative", traceN)
+	case traceN > noc.MaxTraceEvents:
+		return fmt.Errorf("-trace %d: at most %d events", traceN, noc.MaxTraceEvents)
 	}
 	return noc.ValidTraceKind(traceKind)
 }

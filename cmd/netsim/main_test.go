@@ -30,6 +30,9 @@ func TestValidateBudget(t *testing.T) {
 		{"negative cycles", 60_000, -5, 0, "", false},
 		{"negative warmup", -7, 150_000, 0, "", false},
 		{"negative trace", 60_000, 150_000, -1, "", false},
+		{"largest trace", 60_000, 150_000, noc.MaxTraceEvents, "", true},
+		{"trace above the ring's bound", 60_000, 150_000, noc.MaxTraceEvents + 1, "", false},
+		{"trace that cannot be allocated", 0, 10, math.MaxInt, "", false},
 		{"unknown trace kind", 60_000, 150_000, 3, "bogus", false},
 		{"unknown trace kind without -trace", 60_000, 150_000, 0, "bogus", false},
 	} {
@@ -60,6 +63,8 @@ func TestValidateWorkload(t *testing.T) {
 		{"twolevel", math.Inf(1), false},
 		{"twolevel", 1e300, false},
 		{"twolevel", 65, false},
+		{"twolevel", 1e-12, true},
+		{"twolevel", 1e-18, false}, // a source's emission gap overflows sim.Time
 		{"uniform", 0.5, true},
 		{"uniform", 1, true},
 		{"uniform", 0, false},

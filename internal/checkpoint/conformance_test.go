@@ -9,10 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/flow"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -405,9 +405,9 @@ func TestCaptureRefusals(t *testing.T) {
 		}
 		n.Launch(tr, horizon)
 		n.SetDVSHold(true)
-		n.OnDeliver = func(*flow.Packet) {}
+		n.Trace = trace.NewBuffer(16)
 		if _, err := checkpoint.Capture(n); err == nil {
-			t.Error("capture with an OnDeliver observer should refuse")
+			t.Error("capture with an event trace attached should refuse")
 		}
 	})
 }

@@ -10,10 +10,9 @@
 // (captures are refused once a policy window has closed — experiment
 // warmups run under network.SetDVSHold, so the state never exists), live
 // traffic-model event chains (only recorded traces, whose replay walk is
-// resumable, may be attached), attached observers (Probe, OnDeliver, event
-// trace), and the trace's arrival data itself (the forker re-derives the
-// trace from its parameters and the restore verifies identity by name,
-// length and horizon).
+// resumable, may be attached), an attached event trace, and the trace's
+// arrival data itself (the forker re-derives the trace from its parameters
+// and the restore verifies identity by name, length and horizon).
 package checkpoint
 
 import (

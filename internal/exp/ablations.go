@@ -132,11 +132,22 @@ type routerPowerPayload struct {
 	CoreW, LinkW float64
 }
 
-// measureRouterPower simulates one policy variant and reports mean
-// router-core and link power over the measurement window.
+// measureRouterPower simulates one policy variant, warming up with the
+// policy live rather than through the shared held stage (EXPERIMENTS.md
+// measures the difference), and reports mean router-core and link power
+// over the measurement window.
 func measureRouterPower(ses *Session, s spec, o Options, warm, meas int64) (coreW, linkW float64) {
 	ses.withSimSlot(func() {
-		n, m, horizon := ses.build(s, o, warm+meas+1)
+		cfg := s.config(o)
+		horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
+		m, _, err := ses.workload(cfg, s.twoLevelParams(o), horizon)
+		if err != nil {
+			panic(err)
+		}
+		n, err := network.New(cfg)
+		if err != nil {
+			panic(err)
+		}
 		model := power.NewRouterEnergyModel(n.Table, 4, n.Cfg.RouterPeriod)
 		n.Launch(m, horizon)
 		n.Run(warm)

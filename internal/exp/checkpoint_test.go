@@ -120,6 +120,24 @@ func TestMisshapedSnapshotIsQuarantined(t *testing.T) {
 	}
 }
 
+// TestFig3ForksSweepWarmups: the link-measure characterization warms up
+// through the sweeps' stage, under their warm keys. On a session that has
+// rendered fig10, fig3 forks fig10's warm-ups at the rates the two share
+// and simulates one warm-up of its own, for rate 8.0, which fig10 does not
+// sweep.
+func TestFig3ForksSweepWarmups(t *testing.T) {
+	t.Parallel()
+	ses := tinySession(nil, 0)
+	o := Options{Quick: true}
+	warm, _ := ses.budget(o)
+	render(t, ses, o, "fig10")
+	before := ses.WarmupCyclesExecuted()
+	render(t, ses, o, "fig3")
+	if got := ses.WarmupCyclesExecuted() - before; got != warm {
+		t.Errorf("fig3 after fig10 warmed up %d cycles; want %d (rate 8.0 only)", got, warm)
+	}
+}
+
 // perturb moves one settable leaf field to a different value, for the
 // key-completeness walks.
 func perturb(t *testing.T, v reflect.Value) {

@@ -230,25 +230,6 @@ func defaultSpec(rate float64, policy network.PolicyKind) spec {
 	}
 }
 
-// build constructs the network and traffic model for a spec, plus the
-// scheduler horizon for the caller's Launch. horizonCycles is the number
-// of router cycles the caller will run (plus slack); the model's event
-// chains are armed against exactly this horizon, so it participates in
-// trace identity.
-func (ses *Session) build(s spec, o Options, horizonCycles int64) (*network.Network, traffic.Model, sim.Time) {
-	cfg := s.config(o)
-	horizon := sim.Time(horizonCycles) * cfg.RouterPeriod
-	m, _, err := ses.workload(cfg, s.twoLevelParams(o), horizon)
-	if err != nil {
-		panic(err)
-	}
-	n, err := network.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return n, m, horizon
-}
-
 // workload returns the traffic model a run launches. It is the session's
 // memoized arrival trace (returned a second time under its own type),
 // shared read-only across every run at the same (parameters, shape,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // Figures 3-5 characterize the candidate DVS measures — link utilization,
@@ -67,8 +68,11 @@ func measures(ses *Session, o Options) *measureSet {
 	})
 }
 
-// measureOneRate characterizes one load point: it simulates the platform
-// without DVS and samples the tracked link every measureWindow cycles.
+// measureOneRate characterizes one load point: it forks the platform
+// without DVS from the rate's shared warm-up (the sweep points' warm key)
+// and samples the tracked link every measureWindow cycles of the
+// measurement. Releasing the warm-up's hold drained the link's windows at
+// the last warm-up edge, so the first sample covers exactly one window.
 func measureOneRate(ses *Session, rate float64, o Options) (lu, bu, ba *stats.Histogram) {
 	ses.withSimSlot(func() {
 		lu = stats.NewHistogram(0, 1, 10)
@@ -77,7 +81,10 @@ func measureOneRate(ses *Session, rate float64, o Options) (lu, bu, ba *stats.Hi
 
 		s := defaultSpec(rate, network.PolicyNone)
 		warm, meas := ses.budget(o)
-		n, m, horizon := ses.build(s, o, warm+meas+1)
+		n, err := ses.warmed(s.config(o), s.twoLevelParams(o), warm, meas, !ses.noCheckpoint, true)
+		if err != nil {
+			panic(err)
+		}
 		// The tracked link: the +x channel out of central node (3,3), and
 		// the input buffers downstream of it at node (4,3).
 		src := n.Topo.NodeAt(3, 3)
@@ -86,27 +93,17 @@ func measureOneRate(ses *Session, rate float64, o Options) (lu, bu, ba *stats.Hi
 		outPort := n.Routers[src].Outputs[n.Topo.PortFor(0, topology.Plus)]
 		inPort := n.Routers[dst].Inputs[n.Topo.PortFor(0, topology.Minus)]
 
-		n.Launch(m, horizon)
 		window := sim.Duration(measureWindow) * n.Cfg.RouterPeriod
-		measuring := false
-		n.ProbeEvery = measureWindow
-		n.Probe = func(now sim.Time) {
+		for range meas / measureWindow {
+			n.Run(measureWindow)
+			now := n.Now()
 			busy, dead := l.TakeUtilization(now)
-			luv := core.LinkUtilization(busy, window-dead)
-			buv := core.BufferUtilization(outPort.TakeOccupancyIntegral(now), outPort.TotalSlots(), window)
-			res, dep := inPort.TakeAgeWindow()
-			if !measuring {
-				return
-			}
-			lu.Add(luv)
-			bu.Add(buv)
-			if dep > 0 {
+			lu.Add(core.LinkUtilization(busy, window-dead))
+			bu.Add(core.BufferUtilization(outPort.TakeOccupancyIntegral(now), outPort.TotalSlots(), window))
+			if res, dep := inPort.TakeAgeWindow(); dep > 0 {
 				ba.Add(core.BufferAge(res, dep) / float64(n.Cfg.RouterPeriod))
 			}
 		}
-		n.Run(warm)
-		measuring = true
-		n.Run(meas)
 	})
 	return lu, bu, ba
 }
@@ -169,32 +166,63 @@ type fig8Payload struct {
 	Grid [][]int64
 }
 
+// binCycles is the width of fig9's injection bins, in router cycles.
+const binCycles = 100
+
+// measuredInjections counts, per source node in binCycles-cycle bins, the
+// arrivals of s's workload that a run of the session's budget injects
+// while it measures: timestamps in ((warm-1)·P, (warm+meas-1)·P], the span
+// the measured cycles' edges deliver (the part before warm·P truncates
+// into bin 0). Which arrivals a workload makes does not depend on the
+// network, so they are read off the session's memoized trace, or off one
+// captured here when the session drives the model live.
+func measuredInjections(ses *Session, s spec, o Options) [][]float64 {
+	warm, meas := ses.budget(o)
+	cfg := s.config(o)
+	horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
+	perNode := make([][]float64, topology.New(cfg.K, cfg.N, cfg.Torus).Nodes())
+	for i := range perNode {
+		perNode[i] = make([]float64, meas/binCycles+1)
+	}
+	ses.withSimSlot(func() {
+		m, tr, err := ses.workload(cfg, s.twoLevelParams(o), horizon)
+		if err != nil {
+			panic(err)
+		}
+		if tr == nil {
+			tr = traffic.Capture(m, horizon)
+		}
+		from, to := sim.Time(warm-1)*cfg.RouterPeriod, sim.Time(warm+meas-1)*cfg.RouterPeriod
+		for i := range tr.Len() {
+			a := tr.At(i)
+			if a.At > to {
+				break
+			}
+			if a.At > from {
+				perNode[a.Src][int((a.At-sim.Time(warm)*cfg.RouterPeriod)/(binCycles*cfg.RouterPeriod))]++
+			}
+		}
+	})
+	return perNode
+}
+
 // runFig8 snapshots per-node injection rates under the two-level workload.
 func runFig8(ses *Session, o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
-	warm, meas := ses.budget(o)
+	_, meas := ses.budget(o)
 	p := cached(ses, "fig8|"+ses.cacheKey(s, o), func() (p fig8Payload) {
-		ses.withSimSlot(func() {
-			n, m, horizon := ses.build(s, o, warm+meas+1)
-			counts := make([]int64, n.Topo.Nodes())
-			counting := false
-			m.Launch(n.Sched, horizon, func(src, dst int, at sim.Time, task int64) {
-				if counting {
-					counts[src]++
-				}
-				n.Inject(src, dst, at, task)
-			})
-			n.Run(warm)
-			counting = true
-			n.Run(meas)
-			p.Grid = make([][]int64, n.Cfg.K)
-			for y := range p.Grid {
-				p.Grid[y] = make([]int64, n.Cfg.K)
-				for x := range p.Grid[y] {
-					p.Grid[y][x] = counts[n.Topo.NodeAt(x, y)]
+		perNode := measuredInjections(ses, s, o)
+		cfg := s.config(o)
+		topo := topology.New(cfg.K, cfg.N, cfg.Torus)
+		p.Grid = make([][]int64, cfg.K)
+		for y := range p.Grid {
+			p.Grid[y] = make([]int64, cfg.K)
+			for x := range p.Grid[y] {
+				for _, c := range perNode[topo.NodeAt(x, y)] {
+					p.Grid[y][x] += int64(c)
 				}
 			}
-		})
+		}
 		return p
 	})
 
@@ -224,10 +252,6 @@ func runFig8(ses *Session, o Options) []Table {
 	return []Table{t}
 }
 
-// runFig9 profiles the injection process of one router over time and
-// verifies its long-range dependence. It profiles whichever router
-// injected the most during the measurement window, so the profile always
-// carries signal (a fixed node may host no task session under some seeds).
 // fig9Payload is the persistent form of the temporal-variance measurement:
 // the busiest node's binned injection series plus the network aggregate.
 type fig9Payload struct {
@@ -236,34 +260,14 @@ type fig9Payload struct {
 	Agg     []float64
 }
 
+// runFig9 profiles the injection process of one router over time and
+// verifies its long-range dependence. It profiles whichever router
+// injected the most during the measurement window, so the profile always
+// carries signal (a fixed node may host no task session under some seeds).
 func runFig9(ses *Session, o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
-	warm, meas := ses.budget(o)
-	const binCycles = 100
-	nbins := int(meas/binCycles) + 1
 	p := cached(ses, "fig9|"+ses.cacheKey(s, o), func() (p fig9Payload) {
-		var perNode [][]float64
-		ses.withSimSlot(func() {
-			n, m, horizon := ses.build(s, o, warm+meas+1)
-			perNode = make([][]float64, n.Topo.Nodes())
-			for i := range perNode {
-				perNode[i] = make([]float64, nbins)
-			}
-			counting := false
-			m.Launch(n.Sched, horizon, func(src, dst int, at sim.Time, task int64) {
-				if counting {
-					b := int((at - sim.Time(warm)*n.Cfg.RouterPeriod) / (binCycles * n.Cfg.RouterPeriod))
-					if b >= 0 && b < nbins {
-						perNode[src][b]++
-					}
-				}
-				n.Inject(src, dst, at, task)
-			})
-			n.Run(warm)
-			counting = true
-			n.Run(meas)
-		})
-
+		perNode := measuredInjections(ses, s, o)
 		busiest, best := 0, -1.0
 		for node, bs := range perNode {
 			sum := 0.0
@@ -279,7 +283,7 @@ func runFig9(ses *Session, o Options) []Table {
 		// Network-wide aggregate: the statistically meaningful LRD check at
 		// scaled budgets (one node's window holds too few ON/OFF cycles for
 		// a stable Hurst estimate).
-		p.Agg = make([]float64, nbins)
+		p.Agg = make([]float64, len(p.Bins))
 		for _, bs := range perNode {
 			for i, c := range bs {
 				p.Agg[i] += c

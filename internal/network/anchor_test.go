@@ -7,6 +7,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/link"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -64,13 +65,17 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 				if mode == "noskip" {
 					useNoSkip(t, n)
 				}
-				var got sim.Duration
-				n.OnDeliver = func(p *flow.Packet) { got = p.Latency() }
+				// A one-event ring: after the run it holds the packet's
+				// delivery, which carries its latency, or else its injection.
+				n.Trace = trace.NewBuffer(1)
 				for h := 1; h <= n.Topo.MaxDistance(); h++ {
-					got = 0
 					n.Inject(0, n.Topo.NodesAtDistance(0, h)[0], sim.Time(n.Cycle())*cfg.RouterPeriod, -1)
 					for i := 0; i < 1_000 && n.InFlight > 0; i++ {
 						n.Run(1)
+					}
+					var got sim.Duration
+					if e := n.Trace.Events()[0]; e.Kind == trace.PacketDelivered {
+						got = sim.Duration(e.C)
 					}
 					if want := zeroLoadLatency(n, lvl, h); got != sim.Duration(want)*cfg.RouterPeriod {
 						t.Errorf("%s/level=%d/%s: %d hops took %v, closed form %d cycles", plat.name, lvl, mode, h, got, want)

@@ -21,8 +21,8 @@ import (
 // compatibility) lives in internal/checkpoint; this file owns the walk
 // over live state.
 //
-// Capture refuses configurations it cannot make exact: attached observers
-// (Probe, OnDeliver, event trace), live traffic models (only recorded
+// Capture refuses configurations it cannot make exact: an attached event
+// trace, live traffic models (only recorded
 // traces carry resumable progress), and networks whose DVS policies have
 // already consumed history windows (controller-internal state is not
 // captured; experiment warmups run under SetDVSHold so it never exists).
@@ -181,10 +181,6 @@ func (n *Network) CaptureCheckpoint() (*CheckpointState, error) {
 		// straight warmup path instead, which is byte-identical to the
 		// forked one (PR 7 conformance suite).
 		return nil, fmt.Errorf("network: cannot checkpoint a tiled network (Tiles=%d)", n.Cfg.Tiles)
-	case n.Probe != nil:
-		return nil, fmt.Errorf("network: cannot checkpoint with a Probe attached")
-	case n.OnDeliver != nil:
-		return nil, fmt.Errorf("network: cannot checkpoint with an OnDeliver observer attached")
 	case n.Trace != nil:
 		return nil, fmt.Errorf("network: cannot checkpoint with an event trace attached")
 	case n.policiesTouched:

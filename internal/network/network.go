@@ -302,8 +302,6 @@ type Network struct {
 
 	// pool recycles packet/flit blocks: a delivered packet's storage backs
 	// a future injection, so steady-state traffic allocates nothing.
-	// Recycling is skipped while an OnDeliver observer is attached, since
-	// the observer may legitimately retain delivered packets.
 	pool flow.Pool
 
 	// Measurement state (reset by BeginMeasurement).
@@ -317,14 +315,6 @@ type Network struct {
 	// InFlight tracks packets injected but not yet delivered (for drain
 	// checks and deadlock detection in tests).
 	InFlight int64
-
-	// Probe, when set, runs every ProbeEvery cycles before the DVS policy
-	// (used by the figure harnesses to sample utilizations).
-	Probe      func(now sim.Time)
-	ProbeEvery int64
-
-	// OnDeliver, when set, observes every delivered packet.
-	OnDeliver func(p *flow.Packet)
 
 	// Trace, when non-nil, records packet and DVS events.
 	Trace *trace.Buffer
@@ -457,7 +447,7 @@ type SkipStats struct {
 	// TileWindows counts planned lookahead windows; TileBarriers counts the
 	// windows that ended in a real merge (outbox drain + accumulator
 	// replay); TileBarriersElided counts the merges skipped because every
-	// cross-tile outbox was empty and no probe or audit scan forced one.
+	// cross-tile outbox was empty and no audit scan forced one.
 	TileWindows        int64
 	TileBarriers       int64
 	TileBarriersElided int64
@@ -845,10 +835,7 @@ func (n *Network) Now() sim.Time { return n.Sched.Now() }
 // transmit or eject reads this cycle; arrivals and credits sit in separate
 // per-bucket lists, each still appended in ascending node order; and
 // ejections — which feed the order-sensitive latency accumulator and the
-// packet pool — still happen in ascending node order. What does change is
-// what an OnDeliver observer could see beyond its packet: higher-numbered
-// routers have not ticked yet, so the network is not settled mid-cycle (it
-// never was under Tiles).
+// packet pool — still happen in ascending node order.
 func (n *Network) Step() {
 	if n.tiles != nil {
 		panic("network: Step on a tiled network — use Run")
@@ -901,9 +888,6 @@ func (n *Network) Step() {
 	if !n.dvsHold && n.cycle%int64(n.Cfg.DVS.H) == 0 {
 		n.runPolicies(now)
 	}
-	if n.Probe != nil && n.ProbeEvery > 0 && n.cycle%n.ProbeEvery == 0 {
-		n.Probe(now)
-	}
 	if n.aud != nil {
 		n.aud.EndCycle(n.cycle, now)
 	}
@@ -914,9 +898,9 @@ func (n *Network) Step() {
 // messages — it fast-forwards the cycle counter straight to the next
 // interesting edge instead of stepping empty cycles. The jump is exact, not
 // approximate: every cycle that could observe or change state (the first
-// cycle delivering a scheduler event, each policy-window close, each probe
-// tick, each audit scan) still executes with the same cycle number and the
-// same simulation instant as in the cycle-by-cycle baseline.
+// cycle delivering a scheduler event, each policy-window close, each audit
+// scan) still executes with the same cycle number and the same simulation
+// instant as in the cycle-by-cycle baseline.
 func (n *Network) Run(cycles int64) {
 	if n.tiles != nil {
 		n.runTiled(cycles)
@@ -945,7 +929,7 @@ func boundaryFrom(from, every int64) int64 {
 // that must execute while the network is quiescent: the cycle whose
 // RunUntil delivers the earliest pending scheduler event (traffic
 // injections and DVS transition completions live there), the next DVS
-// policy-window close, the next probe tick, and the next audit scan.
+// policy-window close, and the next audit scan.
 // Everything in between is provably empty: no router state, link window,
 // energy ledger or occupancy integral changes on those cycles (the lazily
 // accrued quantities integrate over the jump exactly).
@@ -953,32 +937,26 @@ func boundaryFrom(from, every int64) int64 {
 func (n *Network) nextInterestingCycle(target int64) int64 {
 	next := target
 	if n.Sched.Pending() > 0 {
-		if c := n.dueCycle(n.Sched.PeekTime()); c < next {
-			next = c
-		}
+		next = min(next, n.dueCycle(n.Sched.PeekTime()))
 	}
+	return n.edgeBound(next)
+}
+
+// edgeBound lowers next to the first cycle at or after the current one
+// whose Step closes a DVS policy window or runs an audit scan, and floors
+// it at the current cycle: the cycles the network's own machinery must
+// execute, which both engines' fast-forward and window planning respect.
+func (n *Network) edgeBound(next int64) int64 {
 	if n.Cfg.Policy != PolicyNone && !n.dvsHold {
 		// With PolicyNone every controller is core.NoDVS and runPolicies is
 		// a no-op, so window closes need not execute; the same holds while
 		// the policies are frozen by a DVS hold.
-		if c := boundaryFrom(n.cycle, int64(n.Cfg.DVS.H)); c < next {
-			next = c
-		}
-	}
-	if n.Probe != nil && n.ProbeEvery > 0 {
-		if c := boundaryFrom(n.cycle, n.ProbeEvery); c < next {
-			next = c
-		}
+		next = min(next, boundaryFrom(n.cycle, int64(n.Cfg.DVS.H)))
 	}
 	if n.aud != nil {
-		if c := boundaryFrom(n.cycle, n.aud.ScanEvery()); c < next {
-			next = c
-		}
+		next = min(next, boundaryFrom(n.cycle, n.aud.ScanEvery()))
 	}
-	if next < n.cycle {
-		next = n.cycle
-	}
-	return next
+	return max(next, n.cycle)
 }
 
 // fastForward jumps the cycle counter to c and advances the scheduler clock
@@ -1168,15 +1146,11 @@ func (n *Network) ejectNode(r *router.Router, now sim.Time) {
 		if n.aud != nil {
 			n.aud.OnDeliver(p, n.cycle)
 		}
-		if n.OnDeliver != nil {
-			n.OnDeliver(p)
-		} else {
-			// The last reference to the packet and its flits just died (the
-			// audit ledgers key by ID and dropped theirs in OnDeliver, and
-			// trace/latency records copy values), so the block can back a
-			// future injection.
-			n.pool.Recycle(p)
-		}
+		// The last reference to the packet and its flits just died (the
+		// audit ledgers key by ID and dropped theirs in OnDeliver, and
+		// trace/latency records copy values), so the block can back a
+		// future injection.
+		n.pool.Recycle(p)
 	}
 }
 
@@ -1216,7 +1190,7 @@ func (n *Network) runPolicies(now sim.Time) {
 	for _, c := range n.ctls {
 		if _, fixed := c.policy.(core.NoDVS); fixed {
 			// The baseline never moves; leave the utilization and occupancy
-			// windows to instrumentation probes.
+			// windows to whoever samples them between Runs.
 			continue
 		}
 		n.policiesTouched = true

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/flow"
+	"repro/internal/audit"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -307,17 +307,6 @@ func TestTwoLevelTrafficEndToEnd(t *testing.T) {
 	}
 }
 
-func TestProbeRuns(t *testing.T) {
-	n := mustNew(t, smallConfig(PolicyNone))
-	count := 0
-	n.ProbeEvery = 50
-	n.Probe = func(sim.Time) { count++ }
-	n.Run(1000)
-	if count != 20 {
-		t.Errorf("probe ran %d times, want 20", count)
-	}
-}
-
 func TestLinkAtAccessor(t *testing.T) {
 	n := mustNew(t, smallConfig(PolicyNone))
 	// Interior node: all four directions exist.
@@ -347,58 +336,69 @@ func TestRouterConfigMatchesPaper(t *testing.T) {
 	}
 }
 
+// auditedSmall is smallConfig's network under the audit, its violations
+// collected into the returned slice instead of panicking.
+func auditedSmall(t *testing.T, policy PolicyKind) (*Network, *[]audit.Violation) {
+	t.Helper()
+	cfg := smallConfig(policy)
+	var got []audit.Violation
+	cfg.Audit = audit.Options{Enabled: true, OnViolation: func(v audit.Violation) { got = append(got, v) }}
+	return mustNew(t, cfg), &got
+}
+
 // TestFlitConservationProperty: for random seeds and rates, every injected
 // packet is eventually delivered exactly once after a drain period — no
-// loss, no duplication, no deadlock.
+// loss, no duplication, no deadlock. The audit's packet ledger keeps the
+// books: a second delivery of a packet is a violation (it is no longer in
+// flight), and after the drain the ledger must hold nothing while every
+// injected packet counts as delivered.
 func TestFlitConservationProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, policy := range []PolicyKind{PolicyNone, PolicyHistory} {
-			n := mustNew(t, smallConfig(policy))
-			delivered := map[int64]int{}
-			n.OnDeliver = func(p *flow.Packet) { delivered[p.ID]++ }
+			n, violations := auditedSmall(t, policy)
 			u := &traffic.Uniform{
 				Topo: n.Topo, RatePerNode: 0.03,
 				CyclePeriod: n.Cfg.RouterPeriod, Seed: seed,
 			}
 			n.Launch(u, 10*sim.Microsecond)
+			n.BeginMeasurement()
 			n.Run(10_000)
 			n.Run(30_000) // generous drain (links may be slow/transitioning)
 			if n.InFlight != 0 {
 				t.Fatalf("seed %d policy %v: %d packets lost or stuck", seed, policy, n.InFlight)
 			}
-			for id, count := range delivered {
-				if count != 1 {
-					t.Fatalf("seed %d: packet %d delivered %d times", seed, id, count)
-				}
+			r := n.Snapshot()
+			if r.InjectedPkts == 0 || r.DeliveredPkts != r.InjectedPkts {
+				t.Fatalf("seed %d policy %v: %d packets delivered of %d injected", seed, policy, r.DeliveredPkts, r.InjectedPkts)
+			}
+			if l := len(n.Auditor().Checkpoint().Ledger); l != 0 {
+				t.Fatalf("seed %d policy %v: audit ledger still holds %d packets", seed, policy, l)
+			}
+			for _, v := range *violations {
+				t.Fatalf("seed %d policy %v: %v", seed, policy, v)
 			}
 		}
 	}
 }
 
 // TestPacketFlitOrderProperty: flits of each packet eject in sequence
-// order (wormhole ordering survives DVS link churn).
+// order (wormhole ordering survives DVS link churn). The audit's eject rule
+// checks every ejected flit against the count of its packet's flits
+// ejected before it, so any reordering or interleaving is a violation.
 func TestPacketFlitOrderProperty(t *testing.T) {
-	n := mustNew(t, smallConfig(PolicyHistory))
-	lastSeq := map[int64]int{}
-	// Observe ejections by wrapping the sink: OnDeliver sees tails only, so
-	// instead verify per-packet latency sanity and count.
-	n.OnDeliver = func(p *flow.Packet) {
-		if p.Delivered < p.Created {
-			t.Errorf("packet %d delivered before creation", p.ID)
-		}
-		if _, dup := lastSeq[p.ID]; dup {
-			t.Errorf("packet %d delivered twice", p.ID)
-		}
-		lastSeq[p.ID] = 1
-	}
+	n, violations := auditedSmall(t, PolicyHistory)
 	u := &traffic.Uniform{
 		Topo: n.Topo, RatePerNode: 0.05,
 		CyclePeriod: n.Cfg.RouterPeriod, Seed: 77,
 	}
 	n.Launch(u, 10*sim.Microsecond)
+	n.BeginMeasurement()
 	n.Run(40_000)
-	if len(lastSeq) == 0 {
+	if n.Snapshot().DeliveredPkts == 0 {
 		t.Fatal("nothing delivered")
+	}
+	for _, v := range *violations {
+		t.Errorf("%v", v)
 	}
 }
 

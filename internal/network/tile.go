@@ -10,8 +10,8 @@
 // barrier every router cycle). A window end that finds every cross-tile
 // outbox empty elides the merge entirely: deliveries, counters and tick
 // logs keep accumulating until the next real merge (bounded by
-// maxTileWindow), while policy windows, probes and audit scans still run
-// at their exact cycles.
+// maxTileWindow), while policy windows and audit scans still run at their
+// exact cycles.
 //
 // Why the output is byte-identical to the sequential core:
 //
@@ -46,14 +46,13 @@
 //     step ejects at its routers in ascending order. Elision only defers
 //     the replay; the buffered (cycle, tile) keys are unchanged. Integer
 //     counters (injected, delivered, InFlight) merge additively.
-//   - Synchronized global machinery. DVS policy windows, probes and audit
-//     scans run at window ends on the single coordinating goroutine:
-//     windows are clamped so an end lands exactly on every policy/probe/
-//     scan boundary, with the same cycle number and simulation instant as
-//     the sequential Step. Policy edges do not force a merge — runPolicies
-//     reads only per-link and per-port state, all tile-owned and settled at
-//     the window end. Probe ticks and audit scans do force one: probes read
-//     the global accumulators and scans walk every ledger.
+//   - Synchronized global machinery. DVS policy windows and audit scans
+//     run at window ends on the single coordinating goroutine: windows are
+//     clamped so an end lands exactly on every policy/scan boundary, with
+//     the same cycle number and simulation instant as the sequential Step.
+//     Policy edges do not force a merge — runPolicies reads only per-link
+//     and per-port state, all tile-owned and settled at the window end.
+//     Audit scans do force one: they walk every ledger.
 //   - Packet identity. Each tile draws packet IDs from a disjoint space
 //     (tile index in the high bits). IDs differ from the sequential run's
 //     but are semantically inert: allocation arbiters are positional, and
@@ -531,8 +530,8 @@ func (t *tileState) runTo(e int64) {
 // step is Network.Step restricted to one tile: deliver the tile's pending
 // events, inject at the tile's sources, then the same single pass over its
 // active routers (tick, transmit, eject, retire) at identical instants.
-// Policy windows, probes and audit scans are window-end work and
-// deliberately absent here.
+// Policy windows and audit scans are window-end work and deliberately
+// absent here.
 func (t *tileState) step() {
 	n := t.n
 	now := sim.Time(t.cycle) * n.Cfg.RouterPeriod
@@ -710,7 +709,7 @@ func (t *tileState) walkTransit(v audit.TransitVisitor) {
 
 // runTiled is Run for the tiled engine: advance in extracted-lookahead
 // windows, merging cross-tile state only when a window produced cross-tile
-// messages (or a probe/audit edge or the deferral cap forces it), and
+// messages (or an audit edge or the deferral cap forces it), and
 // fast-forwarding fully quiescent stretches exactly like the sequential
 // core. Unaudited windows run on one persistent worker goroutine per tile
 // when the host has more than one CPU (or forceTileWorkers is set);
@@ -802,30 +801,10 @@ func (n *Network) nextInterestingCycleTiled(target int64) int64 {
 	next := target
 	for _, t := range n.tiles {
 		if t.sched.Pending() > 0 {
-			if c := n.dueCycle(t.sched.PeekTime()); c < next {
-				next = c
-			}
+			next = min(next, n.dueCycle(t.sched.PeekTime()))
 		}
 	}
-	if n.Cfg.Policy != PolicyNone && !n.dvsHold {
-		if c := boundaryFrom(n.cycle, int64(n.Cfg.DVS.H)); c < next {
-			next = c
-		}
-	}
-	if n.Probe != nil && n.ProbeEvery > 0 {
-		if c := boundaryFrom(n.cycle, n.ProbeEvery); c < next {
-			next = c
-		}
-	}
-	if n.aud != nil {
-		if c := boundaryFrom(n.cycle, n.aud.ScanEvery()); c < next {
-			next = c
-		}
-	}
-	if next < n.cycle {
-		next = n.cycle
-	}
-	return next
+	return n.edgeBound(next)
 }
 
 // fastForwardTiled jumps every tile (and the global clock) to cycle c; no
@@ -853,12 +832,13 @@ func (n *Network) fastForwardTiled(c int64) {
 // tilePlanWindow reports the next window end: the minimum over tiles of
 // each tile's promised bound — lowered by the hazard horizon of cross-tile
 // arrivals merged after that promise was computed — capped at the merge
-// deferral limit, clamped so every policy-window close, probe tick and
-// audit scan lands on a window end (mirroring the boundary set
-// nextInterestingCycle respects), and floored at one cycle: a single-cycle
-// window is intrinsically safe because every cross-tile message is delayed
-// by at least one top-level link period. Each tile's pledge — the bound
-// its outboxed messages are verified against — is fixed here.
+// deferral limit, clamped so every policy-window close and audit scan
+// lands on a window end (edgeBound, the boundary set nextInterestingCycle
+// respects, one cycle on: a window ends after its last cycle), and floored
+// at one cycle: a single-cycle window is intrinsically safe because every
+// cross-tile message is delayed by at least one top-level link period.
+// Each tile's pledge — the bound its outboxed messages are verified
+// against — is fixed here.
 func (n *Network) tilePlanWindow(target int64) int64 {
 	e := target
 	if capAt := n.tileMerged + maxTileWindow; e > capAt {
@@ -874,31 +854,14 @@ func (n *Network) tilePlanWindow(target int64) int64 {
 			e = b
 		}
 	}
-	clamp := func(every int64) {
-		if b := boundaryFrom(n.cycle, every) + 1; b < e {
-			e = b
-		}
-	}
-	if n.Cfg.Policy != PolicyNone && !n.dvsHold {
-		clamp(int64(n.Cfg.DVS.H))
-	}
-	if n.Probe != nil && n.ProbeEvery > 0 {
-		clamp(n.ProbeEvery)
-	}
-	if n.aud != nil {
-		clamp(n.aud.ScanEvery())
-	}
-	if e <= n.cycle {
-		e = n.cycle + 1
-	}
-	return e
+	return n.edgeBound(e-1) + 1
 }
 
 // tileWindowEnd closes the window ending at cycle e: advance the global
 // clock, merge the tiles — or elide the merge when every cross-tile outbox
-// is empty and no probe tick, audit scan or deferral cap forces one — then
-// run the cycle-aligned global machinery (policy windows, probes, audit
-// scans) at exactly the instants the sequential Step would.
+// is empty and no audit scan or deferral cap forces one — then run the
+// cycle-aligned global machinery (policy windows, audit scans) at exactly
+// the instants the sequential Step would.
 func (n *Network) tileWindowEnd(e int64) {
 	n.cycle = e
 	edge := sim.Time(e-1) * n.Cfg.RouterPeriod
@@ -918,9 +881,6 @@ func (n *Network) tileWindowEnd(e int64) {
 			}
 		}
 	}
-	if !merge && n.Probe != nil && n.ProbeEvery > 0 && e%n.ProbeEvery == 0 {
-		merge = true // probes read the global accumulators
-	}
 	if !merge && n.aud != nil && e%n.aud.ScanEvery() == 0 {
 		merge = true // scans walk every ledger, including deferred state
 	}
@@ -931,9 +891,6 @@ func (n *Network) tileWindowEnd(e int64) {
 	}
 	if !n.dvsHold && e%int64(n.Cfg.DVS.H) == 0 {
 		n.runPolicies(edge)
-	}
-	if n.Probe != nil && n.ProbeEvery > 0 && e%n.ProbeEvery == 0 {
-		n.Probe(edge)
 	}
 	if n.aud != nil && e%n.aud.ScanEvery() == 0 {
 		n.aud.EndCycle(e, edge)
@@ -1004,11 +961,7 @@ func (n *Network) mergeTiles(e int64) {
 					n.Lat.Add(p.Latency())
 					n.delivered++
 				}
-				if n.OnDeliver != nil {
-					n.OnDeliver(p)
-				} else {
-					t.pool.Recycle(p)
-				}
+				t.pool.Recycle(p)
 			}
 		}
 	}

@@ -102,6 +102,7 @@ func TestTwoLevelParamsValidate(t *testing.T) {
 		func(p *TwoLevelParams) { p.SphereProb = 2 },
 		func(p *TwoLevelParams) { p.RateJitter = -0.1 },
 		func(p *TwoLevelParams) { p.SourcesPerTask = 0 },
+		func(p *TwoLevelParams) { p.RateJitter = 1 }, // a session's rate can reach zero
 	}
 	for i, mutate := range bad {
 		p := NewTwoLevelParams(1.0)
@@ -109,6 +110,25 @@ func TestTwoLevelParamsValidate(t *testing.T) {
 		if p.Validate() == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestTwoLevelGapBound: a rate so low that a source's emission gap would
+// overflow the simulation clock is refused up front (a wrapped gap makes a
+// near-silent source emit every picosecond, and capture does not finish),
+// while the lowest rates whose gaps fit still run, to no arrivals at all
+// over a short horizon.
+func TestTwoLevelGapBound(t *testing.T) {
+	topo := topology.New(8, 2, false)
+	if _, err := NewTwoLevel(NewTwoLevelParams(1e-18), topo); err == nil {
+		t.Error("rate 1e-18 accepted")
+	}
+	m, err := NewTwoLevel(NewTwoLevelParams(1e-12), topo)
+	if err != nil {
+		t.Fatalf("rate 1e-12 refused: %v", err)
+	}
+	if tr := Capture(m, 100*sim.Nanosecond); tr.Len() != 0 {
+		t.Errorf("rate 1e-12 made %d arrivals in 100 cycles", tr.Len())
 	}
 }
 

@@ -97,8 +97,21 @@ func (p TwoLevelParams) Validate() error {
 		return fmt.Errorf("traffic: Pareto locations must be positive")
 	case p.RateJitter < 0 || p.RateJitter > 1:
 		return fmt.Errorf("traffic: RateJitter = %g outside [0,1]", p.RateJitter)
+	case !(p.maxGap() < float64(sim.Infinity)):
+		return fmt.Errorf("traffic: TotalRate = %g with RateJitter = %g: a source's emission gap can reach %.3g ps, beyond the simulation clock's range",
+			p.TotalRate, p.RateJitter, p.maxGap())
 	}
 	return nil
+}
+
+// maxGap bounds the emission spacing, in picoseconds, that any source can
+// draw (see startTask): a session's gap is CyclePeriod·SourcesPerTask·duty /
+// rate, its duty is at most one, and its rate at least the jitter's floor.
+// A gap past sim.Time's range would wrap when converted, and the wrapped
+// gap turns a near-silent source into one emitting every picosecond.
+func (p TwoLevelParams) maxGap() float64 {
+	slowest := (1 - p.RateJitter) * p.TotalRate / float64(p.AvgTasks)
+	return float64(p.CyclePeriod) * float64(p.SourcesPerTask) / slowest
 }
 
 // DutyCycle reports the long-run ON fraction of one Pareto ON/OFF source.

@@ -432,10 +432,19 @@ func (n *Network) LevelHistogram() []int {
 	return hist
 }
 
+// MaxTraceEvents bounds EnableTrace's ring, which is allocated whole up
+// front at 48 bytes an event: a million events, 48 MiB.
+const MaxTraceEvents = 1 << 20
+
 // EnableTrace starts recording packet and DVS events into a ring holding
-// the most recent `capacity` events.
-func (n *Network) EnableTrace(capacity int) {
+// the most recent `capacity` events. A capacity outside [1,
+// MaxTraceEvents] is an error.
+func (n *Network) EnableTrace(capacity int) error {
+	if capacity < 1 || capacity > MaxTraceEvents {
+		return fmt.Errorf("noc: trace capacity %d outside [1, %d]", capacity, MaxTraceEvents)
+	}
 	n.inner.Trace = trace.NewBuffer(capacity)
+	return nil
 }
 
 // DumpTrace writes retained trace events to w. kind filters to one event

@@ -227,7 +227,14 @@ func TestTracing(t *testing.T) {
 	if err := n.DumpTrace(nil, ""); err == nil {
 		t.Error("DumpTrace without EnableTrace should fail")
 	}
-	n.EnableTrace(100)
+	for _, capacity := range []int{0, -1, MaxTraceEvents + 1, math.MaxInt} {
+		if err := n.EnableTrace(capacity); err == nil {
+			t.Errorf("EnableTrace(%d) accepted", capacity)
+		}
+	}
+	if err := n.EnableTrace(100); err != nil {
+		t.Fatal(err)
+	}
 	n.Inject(0, 15)
 	n.Measure(300)
 	var buf bytes.Buffer
