@@ -48,7 +48,7 @@ func main() {
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
 		levels   = flag.Bool("levels", false, "print the final DVS level histogram")
-		traceN   = flag.Int("trace", 0, "dump the last N trace events after the run")
+		traceN   = flag.Int("trace", 0, "dump the last N trace events (of -tracekind, if given) after the run")
 		traceK   = flag.String("tracekind", "", "trace filter: inject | deliver | transition | policy")
 
 		cacheDir   = flag.String("cache-dir", "", "persistent run cache directory (default: user cache dir)")
@@ -131,7 +131,7 @@ func main() {
 		}
 		if *traceN > 0 {
 			// Measurement events only; warmup is pre-trace.
-			if err := n.EnableTrace(*traceN); err != nil {
+			if err := n.EnableTrace(*traceN, *traceK); err != nil {
 				fail(err)
 			}
 		}
@@ -141,7 +141,7 @@ func main() {
 			fail(err)
 		}
 		if *traceN > 0 {
-			if err := n.EnableTrace(*traceN); err != nil {
+			if err := n.EnableTrace(*traceN, *traceK); err != nil {
 				fail(err)
 			}
 		}
@@ -200,7 +200,7 @@ func main() {
 	}
 	if *traceN > 0 {
 		fmt.Println("trace      :")
-		if err := n.DumpTrace(os.Stdout, *traceK); err != nil {
+		if err := n.DumpTrace(os.Stdout); err != nil {
 			fail(err)
 		}
 	}

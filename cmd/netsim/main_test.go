@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,6 +13,49 @@ import (
 
 	"repro/noc"
 )
+
+// TestMain lets a test run the command itself: a test binary started with
+// "netsim" as its first argument runs main on the arguments after it.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "netsim" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// netsim runs the command in a child process and returns its stdout.
+func netsim(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(os.Args[0], append([]string{"netsim"}, args...)...).Output()
+	if err != nil {
+		t.Fatalf("netsim %s: %v", strings.Join(args, " "), err)
+	}
+	return string(out)
+}
+
+// TestTraceKindKeepsLastNOfThatKind: -trace N -tracekind K prints the last
+// N events of kind K. The filter used to run only at dump time, over a ring
+// that had kept the last N events of every kind, so this command printed
+// an empty trace block.
+func TestTraceKindKeepsLastNOfThatKind(t *testing.T) {
+	out := netsim(t, "-mesh", "4", "-rate", "0.5", "-warmup", "0", "-cycles", "300",
+		"-no-cache", "-trace", "3", "-tracekind", "deliver")
+	_, block, ok := strings.Cut(out, "trace      :\n")
+	if !ok {
+		t.Fatalf("no trace block in:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSuffix(block, "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("trace block has %d lines, want 3:\n%s", len(lines), block)
+	}
+	for _, l := range lines {
+		if f := strings.Fields(l); len(f) < 2 || f[1] != "deliver" {
+			t.Errorf("trace line %q is not a delivery", l)
+		}
+	}
+}
 
 // TestValidateBudget: budgets and trace filters that used to simulate first
 // and print an all-zero summary (or an error after the whole run) are

@@ -120,11 +120,9 @@ func (ses *Session) heldWarmup(cfg network.Config, m traffic.Model, horizon sim.
 func (ses *Session) warmSnapshot(key string, cfg network.Config, tr *traffic.Trace, horizon sim.Time, warm int64) *checkpoint.Snapshot {
 	ds := ses.store
 	if ds != nil {
-		if b, ok := ds.Get(key); ok {
-			if snap, err := checkpoint.Decode(b); err == nil {
-				return snap
-			}
-			ds.Drop(key)
+		var snap *checkpoint.Snapshot
+		if ds.Load(key, func(b []byte) (err error) { snap, err = checkpoint.Decode(b); return err }) {
+			return snap
 		}
 	}
 	n, err := ses.heldWarmup(cfg, tr, horizon, warm)

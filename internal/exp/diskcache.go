@@ -97,7 +97,7 @@ func cached[T any](ses *Session, key string, compute func() T) T {
 // caches its one-shot summaries here) the persistent layer's one JSON
 // path, lookupJSON and storeJSON, over the default session's store;
 // cached goes through the same two. A payload that fails to decode is
-// quarantined. Both are no-ops without a store.
+// quarantined and counted as a miss. Both are no-ops without a store.
 func CacheLookupJSON(key string, v any) bool { return lookupJSON(DiskCache(), key, v) }
 
 func CacheStoreJSON(key string, v any) { storeJSON(DiskCache(), key, v) }
@@ -106,15 +106,7 @@ func lookupJSON(s *runcache.Store, key string, v any) bool {
 	if s == nil {
 		return false
 	}
-	b, ok := s.Get(key)
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		s.Drop(key)
-		return false
-	}
-	return true
+	return s.Load(key, func(b []byte) error { return json.Unmarshal(b, v) })
 }
 
 func storeJSON(s *runcache.Store, key string, v any) {

@@ -150,3 +150,21 @@ func TestDiskCacheQuarantineRecovers(t *testing.T) {
 		t.Errorf("corrupted entries were not quarantined: %+v", s.Stats())
 	}
 }
+
+// TestLookupRejectCountsAsMiss: a checksum-valid payload that is not JSON
+// is quarantined and counted as a miss (delete + count + miss), so
+// -cachestats never reports a hit that served nothing.
+func TestLookupRejectCountsAsMiss(t *testing.T) {
+	t.Parallel()
+	s, _ := testStore(t)
+	if err := s.Put("k", []byte("not json")); err != nil {
+		t.Fatal(err)
+	}
+	var v map[string]int
+	if lookupJSON(s, "k", &v) {
+		t.Fatal("a payload that is not JSON was served")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.CorruptDropped != 1 {
+		t.Errorf("stats = %+v; want Hits:0 Misses:1 CorruptDropped:1", st)
+	}
+}

@@ -200,3 +200,36 @@ func TestIndexTracksEviction(t *testing.T) {
 		t.Fatalf("indexed size %d != scanned size %d after eviction", got, want)
 	}
 }
+
+// A reopened store sizes itself from the sidecar at its first write — a
+// quarantine or a Put — so that write adjusts the recorded entries instead
+// of rewriting the sidecar from an index that was never loaded.
+func TestFirstWriteAfterReopenKeepsIndex(t *testing.T) {
+	for _, quarantineFirst := range []bool{false, true} {
+		dir := t.TempDir()
+		a := open(t, dir, Options{Fingerprint: "fp"})
+		fillStore(t, a, 5)
+		if err := os.WriteFile(a.path("k0"), []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b := open(t, dir, Options{Fingerprint: "fp"})
+		if quarantineFirst {
+			if _, ok := b.Get("k0"); ok {
+				t.Fatal("corrupt entry served")
+			}
+		}
+		if err := b.Put("new", []byte("payload-new")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := b.Get("k0"); ok {
+			t.Fatal("corrupt entry served")
+		}
+		c := open(t, dir, Options{Fingerprint: "fp"})
+		if !c.IndexLoaded() {
+			t.Fatal("index not loaded after the reopened store's writes")
+		}
+		if got, want := c.size.Load(), c.scanSize(); got != want {
+			t.Errorf("quarantine first=%t: indexed size %d != scanned size %d", quarantineFirst, got, want)
+		}
+	}
+}

@@ -4,8 +4,8 @@ import "repro/internal/runcache"
 
 // Store persists encoded traces through a runcache.Store under the
 // caller's keys. The fingerprint requirements, atomic-write discipline and
-// corruption quarantine are runcache's; this layer adds only encode/decode
-// and the decode-failure drop.
+// corruption quarantine are runcache's; this layer adds only encode/decode,
+// and runcache's Load drops an entry that fails decode.
 type Store struct {
 	rc *runcache.Store
 }
@@ -17,19 +17,17 @@ func NewStore(rc *runcache.Store) *Store { return &Store{rc: rc} }
 // including the full Validate pass, so a loaded trace is guaranteed to
 // replay a schedule some capture actually produced. An entry that passes
 // runcache's checksum but fails trace decode or validation (schema skew
-// within one fingerprint should make this unreachable) is dropped so the
-// next capture overwrites it.
+// within one fingerprint should make this unreachable) is dropped, and
+// counted as a miss, so the next capture overwrites it.
 func (s *Store) Load(key string) (*Encoded, bool) {
-	payload, ok := s.rc.Get(key)
+	var enc *Encoded
+	ok := s.rc.Load(key, func(payload []byte) (err error) {
+		if enc, err = Decode(payload); err == nil {
+			err = enc.Validate()
+		}
+		return err
+	})
 	if !ok {
-		return nil, false
-	}
-	enc, err := Decode(payload)
-	if err == nil {
-		err = enc.Validate()
-	}
-	if err != nil {
-		s.rc.Drop(key)
 		return nil, false
 	}
 	return enc, true

@@ -224,28 +224,28 @@ func TestRunExperimentsParallelFacade(t *testing.T) {
 
 func TestTracing(t *testing.T) {
 	n, _ := New(smallCfg(PolicyNone))
-	if err := n.DumpTrace(nil, ""); err == nil {
+	if err := n.DumpTrace(nil); err == nil {
 		t.Error("DumpTrace without EnableTrace should fail")
 	}
 	for _, capacity := range []int{0, -1, MaxTraceEvents + 1, math.MaxInt} {
-		if err := n.EnableTrace(capacity); err == nil {
+		if err := n.EnableTrace(capacity, ""); err == nil {
 			t.Errorf("EnableTrace(%d) accepted", capacity)
 		}
 	}
-	if err := n.EnableTrace(100); err != nil {
+	if err := n.EnableTrace(100, "bogus"); err == nil {
+		t.Error("unknown kind accepted")
+	}
+	if err := n.EnableTrace(100, "deliver"); err != nil {
 		t.Fatal(err)
 	}
 	n.Inject(0, 15)
 	n.Measure(300)
 	var buf bytes.Buffer
-	if err := n.DumpTrace(&buf, "deliver"); err != nil {
+	if err := n.DumpTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "deliver") {
-		t.Errorf("trace missing delivery:\n%s", buf.String())
-	}
-	if err := n.DumpTrace(&buf, "bogus"); err == nil {
-		t.Error("unknown kind accepted")
+	if !strings.Contains(buf.String(), "deliver") || strings.Contains(buf.String(), "inject") {
+		t.Errorf("trace filtered to deliveries holds other kinds or misses the delivery:\n%s", buf.String())
 	}
 }
 
