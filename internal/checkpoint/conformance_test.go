@@ -405,7 +405,7 @@ func TestCaptureRefusals(t *testing.T) {
 		}
 		n.Launch(tr, horizon)
 		n.SetDVSHold(true)
-		n.Trace = trace.NewBuffer(16)
+		n.Trace = trace.NewBuffer(16, -1)
 		if _, err := checkpoint.Capture(n); err == nil {
 			t.Error("capture with an event trace attached should refuse")
 		}

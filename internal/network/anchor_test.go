@@ -67,7 +67,7 @@ func TestZeroLoadLatencyClosedForm(t *testing.T) {
 				}
 				// A one-event ring: after the run it holds the packet's
 				// delivery, which carries its latency, or else its injection.
-				n.Trace = trace.NewBuffer(1)
+				n.Trace = trace.NewBuffer(1, -1)
 				for h := 1; h <= n.Topo.MaxDistance(); h++ {
 					n.Inject(0, n.Topo.NodesAtDistance(0, h)[0], sim.Time(n.Cycle())*cfg.RouterPeriod, -1)
 					for i := 0; i < 1_000 && n.InFlight > 0; i++ {

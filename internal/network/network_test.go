@@ -405,7 +405,7 @@ func TestPacketFlitOrderProperty(t *testing.T) {
 // TestTraceHooks: the network logs injections, deliveries and transitions.
 func TestTraceHooks(t *testing.T) {
 	n := mustNew(t, smallConfig(PolicyHistory))
-	n.Trace = trace.NewBuffer(100000)
+	n.Trace = trace.NewBuffer(100000, -1)
 	u := &traffic.Uniform{
 		Topo: n.Topo, RatePerNode: 0.02,
 		CyclePeriod: n.Cfg.RouterPeriod, Seed: 5,
