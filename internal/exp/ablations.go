@@ -195,7 +195,7 @@ func runAblRouterPower(ses *Session, o Options) []Table {
 	}
 	// The two variants are independent simulations; run them concurrently.
 	var coreBase, linkBase, coreDVS, linkDVS float64
-	Sweep(2, func(i int) {
+	ses.fanOut(2, func(i int) {
 		if i == 0 {
 			coreBase, linkBase = measureOne(network.PolicyNone)
 		} else {

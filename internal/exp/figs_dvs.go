@@ -234,7 +234,7 @@ func runSaturation(ses *Session, o Options) []Table {
 	// policies explore independent points — run them concurrently.
 	var sat [2][3]float64
 	policies := []network.PolicyKind{network.PolicyNone, network.PolicyHistory}
-	Sweep(len(policies), func(i int) {
+	ses.fanOut(len(policies), func(i int) {
 		sat[i][0], sat[i][1], sat[i][2] = measure(policies[i])
 	})
 	rb, tb, zb := sat[0][0], sat[0][1], sat[0][2]

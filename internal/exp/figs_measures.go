@@ -59,7 +59,7 @@ func measures(ses *Session, o Options) *measureSet {
 				BU: make([]*stats.Histogram, len(measureRates)),
 				BA: make([]*stats.Histogram, len(measureRates)),
 			}
-			Sweep(len(measureRates), func(i int) {
+			ses.fanOut(len(measureRates), func(i int) {
 				p.LU[i], p.BU[i], p.BA[i] = measureOneRate(ses, measureRates[i], o)
 			})
 			return p

@@ -73,7 +73,7 @@ func runFig16(ses *Session, o Options) []Table {
 		{"(c)", sim.Millisecond, 10},
 		{"(d)", 10 * sim.Microsecond, 10},
 	}
-	Sweep(len(parts), func(i int) {
+	ses.fanOut(len(parts), func(i int) {
 		tabs[i] = sub(parts[i].label, parts[i].taskDur, parts[i].freqTran)
 	})
 	tabs[1].Notes = append(tabs[1].Notes,
@@ -111,7 +111,7 @@ func runFig17(ses *Session, o Options) []Table {
 		{"(c)", sim.Millisecond, 1 * sim.Microsecond},
 		{"(d)", 10 * sim.Microsecond, 1 * sim.Microsecond},
 	}
-	Sweep(len(parts), func(i int) {
+	ses.fanOut(len(parts), func(i int) {
 		tabs[i] = sub(parts[i].label, parts[i].taskDur, parts[i].voltTran)
 	})
 	tabs[1].Notes = append(tabs[1].Notes,

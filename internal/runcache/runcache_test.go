@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -147,6 +148,44 @@ func TestCorruptEmptyFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestOversizedEntryIsQuarantined: an entry grown past the store's cap
+// (no resident entry can be larger: put evicts down to the cap, the newest
+// entry last) is quarantined unread and counted as a miss, so one
+// oversized file cannot make a reader allocate its whole size. The entry
+// is a valid one — its payload is the zeros of a sparse file a few KiB
+// over a small cap — so only the size check can turn it away.
+func TestOversizedEntryIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	const max = 4 << 10
+	s := open(t, dir, Options{Fingerprint: "fp", MaxBytes: max})
+	if err := s.Put("k", []byte("precious bytes")); err != nil {
+		t.Fatal(err)
+	}
+	const payloadLen = max + 3<<10
+	sum := sha256.Sum256(make([]byte, payloadLen))
+	if err := os.WriteFile(s.path("k"), append(append([]byte{}, magic...), sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(s.path("k"), headerLen+payloadLen); err != nil {
+		t.Fatal(err)
+	}
+	if s.Load("k", func([]byte) error { t.Error("decode ran on an oversized entry"); return nil }) {
+		t.Fatal("oversized entry served as a hit")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.CorruptDropped != 1 || st.BytesRead != 0 {
+		t.Errorf("stats = %+v; want 0 hits, 1 miss, 1 quarantined entry, 0 bytes read", st)
+	}
+	if remaining := entryFiles(t, dir); len(remaining) != 0 {
+		t.Errorf("oversized entry not quarantined: %v", remaining)
+	}
+	if err := s.Put("k", []byte("recomputed")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("k"); !ok || string(got) != "recomputed" {
+		t.Errorf("recomputed entry not served: %q, %v", got, ok)
+	}
 }
 
 // TestDropQuarantines: a caller-reported decode failure (checksum fine,
