@@ -75,8 +75,10 @@ fuzz:
 	$(GO) test ./noc -run xxx -fuzz FuzzLoadConfig -fuzztime 10s -fuzzminimizetime=10x
 
 # Names that must not come back: the second warm-key namespace and the raw
-# store pass-throughs it needed (one run pipeline, exp.Warmed), and the
-# first benchmark system (benchmarks/ replaced it). The reference paths the
+# store pass-throughs it needed (one run pipeline, exp.Warmed), the
+# JSON-only payload pass-throughs (exp.CacheLookup/CacheStore pick the
+# codec from the value's type), and the first benchmark system
+# (benchmarks/ replaced it). The reference paths the
 # equivalence tests compare against (the tick-everything core, the full-scan
 # allocators, lookahead verification) are test hooks and stay out of
 # production Go and CI. The tile-parallel engine is reachable only through
@@ -95,7 +97,7 @@ fuzz:
 # own OnDeliver hook stays), and the experiments have one run path: the
 # session has no build method beside the warm-up stage.
 retired:
-	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
+	@if git grep -nE 'ckpt-netsim\||CacheLookupRaw|CacheLookupJSON|CacheStoreJSON|internal/bench"|benchjson|BENCH_pr' -- '*.go' .github ':!benchmarks'; then \
 	  echo 'retired names are back (see the matches above)' >&2; exit 1; fi
 	@if git grep -nE 'RefAllocators|VerifyLookahead|Cfg\.NoSkip|NoSkip:|"noskip"|-noskip' -- '*.go' .github ':!*_test.go' ':!benchmarks'; then \
 	  echo 'test-only oracles are reachable outside the tests again (see the matches above)' >&2; exit 1; fi

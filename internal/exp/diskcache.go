@@ -6,18 +6,24 @@
 // into a handful of file reads.
 //
 // Keys are canonical, versioned serializations of the full run spec (see
-// spec.cacheKey); the store mixes in a code fingerprint — SchemaVersion
+// Session.cacheKey); the store mixes in a code fingerprint — SchemaVersion
 // plus the binary's VCS revision — so entries invalidate automatically on
-// commit or schema bump. Payloads are canonical JSON: Go encodes float64
-// with the shortest round-tripping decimal, so a decoded result renders
-// byte-identically to the freshly simulated one (the golden tests pin
-// this).
+// commit or schema bump. The payload codec follows the value's type (see
+// storePayload): a fixed-size value (network.Results, the router-power
+// pair) is its raw little-endian record, anything else canonical JSON.
+// Both round-trip every float64 bit for bit — the record by copying the
+// bits, JSON by Go's shortest round-tripping decimal — so a decoded result
+// renders byte-identically to the freshly simulated one (the golden tests
+// pin this).
 package exp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 
 	"repro/internal/runcache"
 )
@@ -35,7 +41,11 @@ import (
 //
 // v3: result keys print the spec by construction (spec.cacheKey) instead
 // of a hand-kept field list.
-const SchemaVersion = 3
+//
+// v4: result keys append each field by name (Session.cacheKey) instead of
+// printing the spec with %#v, and fixed-size payloads are raw
+// little-endian records instead of JSON.
+const SchemaVersion = 4
 
 // OpenDiskCache opens (creating if necessary) a persistent result cache at
 // dir with the canonical code fingerprint and gives it to the default
@@ -85,35 +95,76 @@ func (ses *Session) DiskCacheStats() runcache.Stats {
 // it is exactly compute().
 func cached[T any](ses *Session, key string, compute func() T) T {
 	var v T
-	if ses.prefetchIntercept(key) || lookupJSON(ses.store, key, &v) {
+	if ses.prefetchIntercept(key) || lookupPayload(ses.store, key, &v) {
 		return v
 	}
 	v = compute()
-	storeJSON(ses.store, key, v)
+	storePayload(ses.store, key, &v)
 	return v
 }
 
-// CacheLookupJSON and CacheStoreJSON give downstream tooling (cmd/netsim
-// caches its one-shot summaries here) the persistent layer's one JSON
-// path, lookupJSON and storeJSON, over the default session's store;
+// CacheLookup and CacheStore give downstream tooling (cmd/netsim caches
+// its one-shot summaries here) the persistent layer's one payload path,
+// lookupPayload and storePayload, over the default session's store;
 // cached goes through the same two. A payload that fails to decode is
 // quarantined and counted as a miss. Both are no-ops without a store.
-func CacheLookupJSON(key string, v any) bool { return lookupJSON(DiskCache(), key, v) }
+func CacheLookup(key string, v any) bool { return lookupPayload(DiskCache(), key, v) }
 
-func CacheStoreJSON(key string, v any) { storeJSON(DiskCache(), key, v) }
+func CacheStore(key string, v any) { storePayload(DiskCache(), key, v) }
 
-func lookupJSON(s *runcache.Store, key string, v any) bool {
+// lookupPayload decodes the payload stored under key into v, a pointer,
+// with the codec storePayload picks for v's type. A fixed-size record
+// must fill v exactly: a short payload or one with bytes left over fails
+// decode, so the entry is quarantined and counted as a miss.
+func lookupPayload(s *runcache.Store, key string, v any) bool {
 	if s == nil {
 		return false
 	}
-	return s.Load(key, func(b []byte) error { return json.Unmarshal(b, v) })
+	if !fixedSize(v) {
+		return s.Load(key, func(b []byte) error { return json.Unmarshal(b, v) })
+	}
+	return s.Load(key, func(b []byte) error {
+		r := bytes.NewReader(b)
+		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+			return err
+		}
+		if r.Len() != 0 {
+			return fmt.Errorf("exp: %d bytes past a fixed-size payload", r.Len())
+		}
+		return nil
+	})
 }
 
-func storeJSON(s *runcache.Store, key string, v any) {
+// storePayload stores v, a value or a pointer to one, under key. A
+// fixed-size value — fixed-width numbers, bools, and arrays and structs of
+// them — is written as its raw little-endian record, which copies every
+// bit (NaN and the infinities included) and decodes without parsing;
+// anything else is JSON. An encoding error stores nothing, so the value is
+// recomputed next time.
+func storePayload(s *runcache.Store, key string, v any) {
 	if s == nil {
 		return
 	}
-	if b, err := json.Marshal(v); err == nil {
-		s.Put(key, b)
+	var b []byte
+	if fixedSize(v) {
+		var buf bytes.Buffer
+		if binary.Write(&buf, binary.LittleEndian, v) != nil {
+			return
+		}
+		b = buf.Bytes()
+	} else {
+		var err error
+		if b, err = json.Marshal(v); err != nil {
+			return
+		}
 	}
+	s.Put(key, b)
+}
+
+// fixedSize reports whether v's payloads are raw records. The choice
+// follows v's type alone, never its value, so lookup and store always
+// agree: a slice has a binary.Size too, but one that depends on its
+// length, so slices stay JSON.
+func fixedSize(v any) bool {
+	return binary.Size(v) > 0 && reflect.Indirect(reflect.ValueOf(v)).Kind() != reflect.Slice
 }

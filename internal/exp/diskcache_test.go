@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/network"
 	"repro/internal/runcache"
 )
 
@@ -151,20 +155,80 @@ func TestDiskCacheQuarantineRecovers(t *testing.T) {
 	}
 }
 
-// TestLookupRejectCountsAsMiss: a checksum-valid payload that is not JSON
-// is quarantined and counted as a miss (delete + count + miss), so
-// -cachestats never reports a hit that served nothing.
+// TestLookupRejectCountsAsMiss: a checksum-valid payload that does not
+// decode into the caller's type — not JSON, or a record of the wrong
+// length for a fixed-size value — is quarantined and counted as a miss
+// (delete + count + miss), so -cachestats never reports a hit that served
+// nothing.
 func TestLookupRejectCountsAsMiss(t *testing.T) {
 	t.Parallel()
-	s, _ := testStore(t)
-	if err := s.Put("k", []byte("not json")); err != nil {
+	jsonResults, err := json.Marshal(network.Results{Cycles: 1, MeanLatency: 2.5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var v map[string]int
-	if lookupJSON(s, "k", &v) {
-		t.Fatal("a payload that is not JSON was served")
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		into    any
+	}{
+		{"not-json", []byte("not json"), new(map[string]int)},
+		{"short-record", make([]byte, 79), new(network.Results)},
+		{"long-record", make([]byte, 81), new(network.Results)},
+		{"json-results", jsonResults, new(network.Results)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := testStore(t)
+			if err := s.Put("k", tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if lookupPayload(s, "k", tc.into) {
+				t.Fatal("a payload that does not decode was served")
+			}
+			if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.CorruptDropped != 1 {
+				t.Errorf("stats = %+v; want Hits:0 Misses:1 CorruptDropped:1", st)
+			}
+		})
 	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.CorruptDropped != 1 {
-		t.Errorf("stats = %+v; want Hits:0 Misses:1 CorruptDropped:1", st)
+}
+
+// TestPayloadRoundTripsBits: a stored network.Results comes back bit for
+// bit, including the values JSON cannot carry (NaN, the infinities) and
+// the ones it could blur (negative zero, the smallest subnormal).
+func TestPayloadRoundTripsBits(t *testing.T) {
+	t.Parallel()
+	s, _ := testStore(t)
+	in := network.Results{
+		Cycles:         math.MaxInt64,
+		InjectedPkts:   math.MinInt64,
+		DeliveredPkts:  -1,
+		MeanLatency:    math.Copysign(0, -1),
+		P50Latency:     math.NaN(),
+		P99Latency:     math.Inf(1),
+		ThroughputPkts: math.Inf(-1),
+		AvgPowerW:      math.SmallestNonzeroFloat64,
+		NormalizedPwr:  math.MaxFloat64,
+		SavingsX:       1.0 / 3,
+	}
+	storePayload(s, "k", in)
+	var out network.Results
+	if !lookupPayload(s, "k", &out) {
+		t.Fatalf("stored result not served: %+v", s.Stats())
+	}
+	ints := func(r network.Results) []int64 { return []int64{r.Cycles, r.InjectedPkts, r.DeliveredPkts} }
+	floats := func(r network.Results) []float64 {
+		return []float64{r.MeanLatency, r.P50Latency, r.P99Latency, r.ThroughputPkts, r.AvgPowerW, r.NormalizedPwr, r.SavingsX}
+	}
+	for i, want := range ints(in) {
+		if got := ints(out)[i]; got != want {
+			t.Errorf("integer field %d = %d; want %d", i, got, want)
+		}
+	}
+	for i, want := range floats(in) {
+		if got := floats(out)[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("float field %d = %v (%#x); want %v (%#x)", i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if n := reflect.TypeOf(in).NumField(); n != 10 {
+		t.Errorf("network.Results has %d fields; this test compares 10", n)
 	}
 }

@@ -20,7 +20,9 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -85,7 +87,9 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table with aligned columns, in one Write. Widths are
+// measured in bytes and cells padded by runes, as fmt's %-*s pads them;
+// each line loses its trailing spaces.
 func (t *Table) Fprint(w io.Writer) {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
@@ -98,17 +102,32 @@ func (t *Table) Fprint(w io.Writer) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "== %s ==\n", t.Title)
+	size := len(t.Title) + 8
+	for _, wd := range widths {
+		size += (wd + 2) * (len(t.Rows) + 2)
+	}
+	for _, n := range t.Notes {
+		size += len(n) + 3
+	}
+	b := make([]byte, 0, size)
+	b = append(append(append(b, "== "...), t.Title...), " ==\n"...)
 	line := func(cells []string) {
-		parts := make([]string, len(cells))
+		start := len(b)
 		for i, c := range cells {
+			if i > 0 {
+				b = append(b, "  "...)
+			}
+			b = append(b, c...)
 			if i < len(widths) {
-				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-			} else {
-				parts[i] = c
+				for n := utf8.RuneCountInString(c); n < widths[i]; n++ {
+					b = append(b, ' ')
+				}
 			}
 		}
-		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
+		for len(b) > start && b[len(b)-1] == ' ' {
+			b = b[:len(b)-1]
+		}
+		b = append(b, '\n')
 	}
 	line(t.Header)
 	sep := make([]string, len(t.Header))
@@ -120,9 +139,10 @@ func (t *Table) Fprint(w io.Writer) {
 		line(row)
 	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(w, "# %s\n", n)
+		b = append(append(append(b, "# "...), n...), '\n')
 	}
-	fmt.Fprintln(w)
+	b = append(b, '\n')
+	w.Write(b)
 }
 
 // Runner regenerates one experiment on a session.
@@ -333,18 +353,56 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 }
 
 // cacheKey is the canonical, versioned serialization of one simulation
-// point, by construction rather than by list: the resolved cycle budget
-// (so Quick, Full and the test-only tiny budget cannot collide), Audit,
-// the resolved seed, then every spec field as %#v prints it, so a field
-// added to spec is keyed without anyone remembering to. It is both the
-// in-memory singleflight key and — fingerprint-prefixed by the store — the
+// point: the resolved cycle budget (so Quick, Full and the test-only tiny
+// budget cannot collide), Audit, the resolved seed, then every spec field
+// by name, floats in the shortest form that round-trips and routing
+// quoted, so distinct specs give distinct keys. It is both the in-memory
+// singleflight key and — fingerprint-prefixed by the store — the
 // persistent cache key, so any parameter edit re-simulates exactly the
-// points it touches and nothing else. Audit is proven not to change
-// results, but it stays in the key to keep it a plain serialization of the
-// run spec rather than an equivalence claim.
+// points it touches and nothing else. Audit is proven not to change results, but it stays in the key to
+// keep it a plain serialization of the run spec rather than an equivalence
+// claim.
 func (ses *Session) cacheKey(s spec, o Options) string {
+	// Appended field by field into a stack buffer: a warm regeneration
+	// builds one key per point it reads, and fmt's %#v of the spec cost
+	// three times as much. TestSpecKeyIsComplete perturbs every spec and
+	// Options field and fails on any the list below leaves out.
+	var buf [256]byte
+	b := buf[:0]
 	warm, meas := ses.budget(o)
-	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|seed=%d|%#v", SchemaVersion, warm, meas, o.Audit, o.seed(), s)
+	b = append(b, 'v')
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	b = keyInt(b, "warm", warm)
+	b = keyInt(b, "meas", meas)
+	b = strconv.AppendBool(append(b, "|audit="...), o.Audit)
+	b = strconv.AppendUint(append(b, "|seed="...), o.seed(), 10)
+	b = keyInt(b, "policy", int64(s.policy))
+	b = keyFloat(b, "rate", s.rate)
+	b = keyInt(b, "tasks", int64(s.tasks))
+	b = keyInt(b, "taskDur", int64(s.taskDur))
+	b = keyInt(b, "voltTran", int64(s.voltTran))
+	b = keyInt(b, "freqTran", int64(s.freqTran))
+	b = strconv.AppendQuote(append(b, "|routing="...), s.routing)
+	b = strconv.AppendUint(append(b, "|seed="...), s.seed, 10)
+	b = keyFloat(b, "tlLow", s.tlLow)
+	b = keyFloat(b, "tlHigh", s.tlHigh)
+	b = keyInt(b, "dvsH", int64(s.dvsH))
+	b = keyInt(b, "dvsW", int64(s.dvsW))
+	b = keyInt(b, "levels", int64(s.levels))
+	b = keyInt(b, "k", int64(s.k))
+	b = keyInt(b, "n", int64(s.n))
+	b = strconv.AppendBool(append(b, "|torus="...), s.torus)
+	return string(b)
+}
+
+func keyInt(b []byte, name string, v int64) []byte {
+	b = append(append(append(b, '|'), name...), '=')
+	return strconv.AppendInt(b, v, 10)
+}
+
+func keyFloat(b []byte, name string, v float64) []byte {
+	b = append(append(append(b, '|'), name...), '=')
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // run executes warmup + measurement and returns the results. Lookups go
@@ -372,7 +430,7 @@ func (ses *Session) Point(rate float64, policy network.PolicyKind, o Options) ne
 }
 
 // f formats a float compactly.
-func f(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
+func f(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
 
 // FprintCSV renders the table as RFC-4180-ish CSV (title and notes as
 // comment lines), for piping into plotting tools.

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"strconv"
 	"strings"
@@ -98,6 +100,77 @@ func TestTableRendering(t *testing.T) {
 	for _, want := range []string{"== T ==", "a", "bb", "# note"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// fprintReference is Table.Fprint as it was written with fmt, kept as the
+// reference the appending renderer must match byte for byte.
+func fprintReference(t *Table, w io.Writer) {
+	widths := make([]int, len(t.Header))
+	for i, h := range t.Header {
+		widths[i] = len(h)
+	}
+	for _, row := range t.Rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	fmt.Fprintf(w, "== %s ==\n", t.Title)
+	line := func(cells []string) {
+		parts := make([]string, len(cells))
+		for i, c := range cells {
+			if i < len(widths) {
+				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
+			} else {
+				parts[i] = c
+			}
+		}
+		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
+	}
+	line(t.Header)
+	sep := make([]string, len(t.Header))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	line(sep)
+	for _, row := range t.Rows {
+		line(row)
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(w, "# %s\n", n)
+	}
+	fmt.Fprintln(w)
+}
+
+// TestFprintPadsByRunes: every golden is ASCII, so this pins what they
+// cannot — a multi-byte cell (widths count bytes, padding counts runes),
+// a row wider than its header, empty and space-ended cells — against the
+// fmt-based renderer.
+func TestFprintPadsByRunes(t *testing.T) {
+	tabs := []Table{
+		{
+			Title:  "latency",
+			Header: []string{"unit", "value", "x"},
+			Rows: [][]string{
+				{"µs", "1.5", "a"},
+				{"ns", "µµµµ", "b", "extra", "wider  "},
+				{"cycles", "", ""},
+				{"", "2"},
+			},
+			Notes: []string{"µ note", ""},
+		},
+		{Title: "", Header: []string{"", "a"}, Rows: [][]string{{"  ", " "}}},
+		{Title: "empty"},
+	}
+	for i := range tabs {
+		var got, want bytes.Buffer
+		tabs[i].Fprint(&got)
+		fprintReference(&tabs[i], &want)
+		if got.String() != want.String() {
+			t.Errorf("table %d:\n--- got ---\n%q\n--- want ---\n%q", i, got.String(), want.String())
 		}
 	}
 }

@@ -4,7 +4,8 @@
 // one directory never observe partial entries.
 //
 // The store is deliberately dumb about payloads — callers serialize their
-// own values (the experiment harness uses canonical JSON) — and strict
+// own values (the experiment harness stores fixed-size results as raw
+// little-endian records and everything else as canonical JSON) — and strict
 // about integrity: every entry carries a SHA-256 of its payload, and a
 // truncated, bit-flipped or otherwise unverifiable entry is quarantined
 // (deleted) and reported as a miss, never trusted. Eviction is size-capped

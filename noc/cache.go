@@ -81,9 +81,12 @@ func FprintCacheStats(w io.Writer) {
 
 // RunCacheLookup and RunCacheStore expose the persistent layer to
 // downstream tooling that caches its own derived artifacts (cmd/netsim's
-// one-shot summaries). Keys are namespaced by the caller; payloads are
-// JSON. Both are no-ops (lookup always misses) without an enabled cache.
-func RunCacheLookup(key string, v any) bool { return exp.CacheLookupJSON(key, v) }
+// one-shot summaries). Keys are namespaced by the caller. The payload
+// codec follows v's type: a fixed-size value (fixed-width numbers and
+// structs of them, like netsim's summary) is stored as its raw
+// little-endian record, anything else as JSON. Both are no-ops (lookup
+// always misses) without an enabled cache.
+func RunCacheLookup(key string, v any) bool { return exp.CacheLookup(key, v) }
 
-// RunCacheStore serializes v as JSON and stores it under key.
-func RunCacheStore(key string, v any) { exp.CacheStoreJSON(key, v) }
+// RunCacheStore encodes v (see RunCacheLookup) and stores it under key.
+func RunCacheStore(key string, v any) { exp.CacheStore(key, v) }
