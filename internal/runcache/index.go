@@ -80,7 +80,7 @@ func (s *Store) loadIndex() (total int64, ok bool) {
 	}
 	idx := make(map[string]indexEntry, len(b.Entries))
 	for _, e := range b.Entries {
-		if filepath.Ext(e.Name) != entrySuffix || e.Name != filepath.Base(e.Name) {
+		if !isEntryName(e.Name) {
 			return 0, false
 		}
 		idx[e.Name] = e

@@ -135,6 +135,33 @@ func TestIndexCorruptionFallsBackToRescan(t *testing.T) {
 	}
 }
 
+// A sidecar that lists a file not named like an entry, as one written by
+// a scan that took any name with the entry suffix for an entry, is not
+// trusted: sizing rescans and the rewritten sidecar drops the name.
+func TestIndexNamingForeignFileFallsBackToRescan(t *testing.T) {
+	dir := t.TempDir()
+	a := open(t, dir, Options{Fingerprint: "fp"})
+	fillStore(t, a, 3)
+	if err := os.WriteFile(filepath.Join(dir, "startup.rc"), []byte("user file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a.idxMu.Lock()
+	a.idx["startup.rc"] = indexEntry{Name: "startup.rc", Size: 9}
+	a.writeIndexLocked()
+	a.idxMu.Unlock()
+
+	b := open(t, dir, Options{Fingerprint: "fp"})
+	if b.IndexLoaded() {
+		t.Fatal("a sidecar naming a foreign file was trusted")
+	}
+	if _, ok := b.idx["startup.rc"]; ok {
+		t.Error("the rescan indexed the foreign file")
+	}
+	if c := open(t, dir, Options{Fingerprint: "fp"}); !c.IndexLoaded() {
+		t.Error("the rescan did not repair the sidecar")
+	}
+}
+
 // stats12Hits performs the same 12 lookups the fallback handle did and
 // returns the resulting counters, giving the corruption test an
 // operation-for-operation reference.

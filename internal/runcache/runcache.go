@@ -13,11 +13,12 @@
 // the cap delete the stalest entries first.
 //
 // Reading is cheap: Open does no I/O beyond creating the directory, a hit
-// does everything through one descriptor — open, stat, read, LRU touch,
-// close (see readEntry) — and the resident size the cap needs is worked
-// out at the first write (see sized), so a process that only reads never
-// opens the index sidecar. An entry larger than the cap is quarantined
-// unread.
+// builds its entry path on the stack and makes four system calls — open,
+// read, LRU touch, close (see readEntry); only an entry too big for the
+// first read's 512-byte buffer adds a stat — and the resident size the cap
+// needs is worked out at the first write (see sized), so a process that
+// only reads never opens the index sidecar. An entry larger than the cap
+// is quarantined unread.
 //
 // The fingerprint mixed into every key is the cross-process invalidation
 // lever: callers derive it from a schema version plus the binary's VCS
@@ -46,9 +47,11 @@ var magic = []byte("RUNCACH1")
 
 const (
 	entrySuffix    = ".rc"
+	entryNameLen   = 2*sha256.Size + len(entrySuffix)
 	tmpPattern     = "put-*.tmp"
 	headerLen      = 8 + sha256.Size
 	defaultMaxSize = 256 << 20 // 256 MiB
+	smallEntry     = 512       // readEntry's first read: an entry that fits needs no stat
 )
 
 // Options configure a Store.
@@ -90,8 +93,14 @@ func (s Stats) HitRate() float64 {
 // computations), so last-write-wins races are byte-level no-ops.
 type Store struct {
 	dir      string
+	base     string // what filepath.Join puts before an entry name: the cleaned dir and a separator ("" for ".")
 	maxBytes int64
 	prefix   []byte // length-prefixed fingerprint, prepended to every key preimage
+
+	// atimeRefused: an open with O_NOATIME failed with EPERM (an entry
+	// owned by another user), so later opens go without it (Linux only,
+	// see readEntry).
+	atimeRefused atomic.Bool
 
 	sizeOnce sync.Once    // sized: the first write path loads the sidecar or rescans
 	size     atomic.Int64 // approximate resident bytes once sized; eviction recomputes exactly
@@ -116,6 +125,11 @@ func Open(dir string, o Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runcache: %w", err)
 	}
+	return newStore(dir, o), nil
+}
+
+// newStore is Open without the directory.
+func newStore(dir string, o Options) *Store {
 	max := o.MaxBytes
 	if max <= 0 {
 		max = defaultMaxSize
@@ -123,7 +137,10 @@ func Open(dir string, o Options) (*Store, error) {
 	var prefix []byte
 	prefix = binary.AppendUvarint(prefix, uint64(len(o.Fingerprint)))
 	prefix = append(prefix, o.Fingerprint...)
-	return &Store{dir: dir, maxBytes: max, prefix: prefix}, nil
+	// Join cleans its result; an entry name is one plain element, so the
+	// part of a join before it is the same for every name.
+	j := filepath.Join(dir, "x")
+	return &Store{dir: dir, base: j[:len(j)-1], maxBytes: max, prefix: prefix}
 }
 
 // sized works out the resident size once, the first time a write path
@@ -146,13 +163,24 @@ func (s *Store) sized() {
 // Dir reports the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path maps a key to its entry file: content addressing over the
-// fingerprint-prefixed key.
+// pathBuf holds an entry path, and the NUL that readEntry adds on Linux,
+// when the directory and its separator take at most 188 bytes.
+type pathBuf [256]byte
+
+// appendPath appends key's entry path to dst: content addressing over the
+// fingerprint-prefixed key. Hit and miss paths pass a pathBuf on their
+// stack; a key or directory too long for the fixed buffers moves to the
+// heap.
+func (s *Store) appendPath(dst []byte, key string) []byte {
+	var pre [512]byte
+	sum := sha256.Sum256(append(append(pre[:0], s.prefix...), key...))
+	return append(hex.AppendEncode(append(dst, s.base...), sum[:]), entrySuffix...)
+}
+
+// path is appendPath as a string, for the write and quarantine paths.
 func (s *Store) path(key string) string {
-	h := sha256.New()
-	h.Write(s.prefix)
-	h.Write([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(h.Sum(nil))+entrySuffix)
+	var buf pathBuf
+	return string(s.appendPath(buf[:0], key))
 }
 
 // Get returns the cached payload for key. A missing entry is a miss; an
@@ -182,15 +210,16 @@ func (s *Store) Load(key string, decode func(payload []byte) error) bool {
 var errTooLarge = errors.New("entry larger than the store's cap")
 
 func (s *Store) get(key string, decode func([]byte) error) ([]byte, bool) {
-	p := s.path(key)
-	data, err := readEntry(p, s.maxBytes)
+	var buf pathBuf
+	p := s.appendPath(buf[:0], key)
+	data, err := s.readEntry(p)
 	if err != nil {
 		if err == errTooLarge {
 			// The resident counter may hold the size the entry was
 			// written at, not its size now, so nothing is subtracted: a
 			// counter too high only brings the next exact eviction pass
 			// forward, one too low would put it off.
-			s.quarantine(p, 0)
+			s.quarantine(string(p), 0)
 		}
 		s.misses.Add(1)
 		return nil, false
@@ -200,7 +229,7 @@ func (s *Store) get(key string, decode func([]byte) error) ([]byte, bool) {
 		ok = decode(payload) == nil
 	}
 	if !ok {
-		s.quarantine(p, int64(len(data)))
+		s.quarantine(string(p), int64(len(data)))
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -249,13 +278,14 @@ func (s *Store) put(key string, payload []byte) error {
 		}
 		return werr
 	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
+	p := s.path(key)
+	if err := os.Rename(tmp.Name(), p); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
 	s.puts.Add(1)
 	s.bytesWritten.Add(int64(len(entry)))
-	s.indexRecord(filepath.Base(s.path(key)), int64(len(entry)))
+	s.indexRecord(filepath.Base(p), int64(len(entry)))
 	if s.size.Add(int64(len(entry))) > s.maxBytes {
 		s.evict()
 	}
@@ -308,6 +338,22 @@ func decodeEntry(data []byte) ([]byte, bool) {
 	return payload, true
 }
 
+// isEntryName reports whether name is an entry file's: 64 lowercase hex
+// digits and the suffix. Sizing, eviction and the index count and delete
+// only these, so a foreign file that happens to end in the suffix in a
+// shared directory is never touched.
+func isEntryName(name string) bool {
+	if len(name) != entryNameLen || !strings.HasSuffix(name, entrySuffix) {
+		return false
+	}
+	for _, c := range []byte(name[:2*sha256.Size]) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // isTmpName reports whether name matches Put's CreateTemp pattern. The
 // sizing sweep removes only these: a caller may point the store at a
 // pre-existing, non-dedicated directory, so anything the store did not
@@ -333,7 +379,7 @@ func (s *Store) scanSize() int64 {
 			continue
 		}
 		switch {
-		case filepath.Ext(e.Name()) == entrySuffix:
+		case isEntryName(e.Name()):
 			total += fi.Size()
 			seen = append(seen, indexEntry{Name: e.Name(), Size: fi.Size(), Mtime: fi.ModTime().UnixNano()})
 		case isTmpName(e.Name()) && fi.ModTime().Before(cutoff):
@@ -365,7 +411,7 @@ func (s *Store) evict() {
 	var total int64
 	cutoff := time.Now().Add(-time.Hour)
 	for _, e := range ents {
-		if filepath.Ext(e.Name()) != entrySuffix {
+		if !isEntryName(e.Name()) {
 			// Indexed sizing skips the scan that sweeps abandoned temp
 			// files, so the eviction walk sweeps them too.
 			if isTmpName(e.Name()) {

@@ -188,6 +188,94 @@ func TestOversizedEntryIsQuarantined(t *testing.T) {
 	}
 }
 
+// TestRoundTripAcrossReadBuffer: entries that end short of, at and just
+// past the first read's buffer, and one many times its size, read back
+// whole. The empty payload makes the smallest valid entry.
+func TestRoundTripAcrossReadBuffer(t *testing.T) {
+	s := open(t, t.TempDir(), Options{Fingerprint: "fp"})
+	for _, n := range []int{0, smallEntry - 1 - headerLen, smallEntry - headerLen, smallEntry + 1 - headerLen, 64 << 10} {
+		key := fmt.Sprintf("k%d", n)
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+			t.Errorf("entry of %d bytes: Get = %d bytes, %v; want the %d-byte payload", headerLen+n, len(got), ok, n)
+		}
+	}
+	if st := s.Stats(); st.Hits != 5 || st.Misses != 0 || st.CorruptDropped != 0 {
+		t.Errorf("stats = %+v; want 5 hits, 0 misses, 0 quarantined", st)
+	}
+}
+
+// TestEntryAtCapIsAHit: an entry of exactly the cap is served; a valid
+// one a byte over is quarantined unread, for caps below, at and above the
+// first read's buffer.
+func TestEntryAtCapIsAHit(t *testing.T) {
+	for _, max := range []int{100, smallEntry - 1, smallEntry, smallEntry + 1, 4 << 10} {
+		t.Run(fmt.Sprint(max), func(t *testing.T) {
+			dir := t.TempDir()
+			s := open(t, dir, Options{Fingerprint: "fp", MaxBytes: int64(max)})
+			payload := bytes.Repeat([]byte("a"), max-headerLen)
+			if err := s.Put("at", payload); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get("at"); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("entry at the cap: Get = %d bytes, %v", len(got), ok)
+			}
+			over := bytes.Repeat([]byte("b"), max+1-headerLen)
+			sum := sha256.Sum256(over)
+			entry := append(append(append([]byte{}, magic...), sum[:]...), over...)
+			if err := os.WriteFile(s.path("over"), entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s.Load("over", func([]byte) error { t.Error("decode ran on an entry over the cap"); return nil }) {
+				t.Fatal("entry over the cap served as a hit")
+			}
+			if _, err := os.Stat(s.path("over")); !os.IsNotExist(err) {
+				t.Errorf("entry over the cap not quarantined (err=%v)", err)
+			}
+			if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.CorruptDropped != 1 || st.BytesRead != int64(len(payload)) {
+				t.Errorf("stats = %+v; want 1 hit, 1 miss, 1 quarantined entry", st)
+			}
+		})
+	}
+}
+
+// TestEntryPathMatchesJoin: the path built in fixed buffers is the one
+// filepath.Join gives, for directories Join cleans, and for a key too long
+// for the hash buffer.
+func TestEntryPathMatchesJoin(t *testing.T) {
+	long := strings.Repeat("k", 5<<10)
+	for _, dir := range []string{"rel/dir", "rel/dir/", ".", "./a/../b", "/abs//y/", "/", strings.Repeat("d", 300)} {
+		s := newStore(dir, Options{Fingerprint: "fp"})
+		for _, key := range []string{"k", long} {
+			sum := sha256.Sum256([]byte(string(s.prefix) + key))
+			want := filepath.Join(dir, fmt.Sprintf("%x", sum)+entrySuffix)
+			if got := s.path(key); got != want {
+				t.Errorf("dir %.20q, key of %d bytes: path %q, want %q", dir, len(key), got, want)
+			}
+		}
+	}
+}
+
+// TestLongKeyHits: keys of several KiB, which hash from the heap, hit, and
+// two that differ only in their last byte are two entries.
+func TestLongKeyHits(t *testing.T) {
+	s := open(t, t.TempDir(), Options{Fingerprint: "fp"})
+	base := strings.Repeat("k", 6<<10)
+	for _, c := range []string{"a", "b"} {
+		if err := s.Put(base+c, []byte(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []string{"a", "b"} {
+		if got, ok := s.Get(base + c); !ok || string(got) != c {
+			t.Errorf("long key ending %q: Get = %q, %v", c, got, ok)
+		}
+	}
+}
+
 // TestDropQuarantines: a caller-reported decode failure (checksum fine,
 // schema drifted) deletes the entry.
 func TestDropQuarantines(t *testing.T) {
@@ -497,6 +585,49 @@ func TestOpenSweepsOnlyAbandonedTmpFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(abandoned); !os.IsNotExist(err) {
 		t.Errorf("abandoned tmp file survived the sweep (err=%v)", err)
+	}
+}
+
+// TestEvictionSparesForeignFiles: sizing and eviction count and delete
+// only files named like entries (64 lowercase hex digits and the suffix),
+// so a foreign file with the entry suffix, however stale, is neither
+// counted toward the cap nor evicted.
+func TestEvictionSparesForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	old := time.Now().Add(-48 * time.Hour)
+	hexName := fmt.Sprintf("%x", sha256.Sum256(nil))
+	var foreign []string
+	for _, name := range []string{"startup.rc", strings.ToUpper(hexName) + entrySuffix, hexName + "0" + entrySuffix} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, bytes.Repeat([]byte("u"), 100), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+		foreign = append(foreign, p)
+	}
+	payload := bytes.Repeat([]byte("x"), 100)
+	entrySize := int64(headerLen + len(payload))
+	s := open(t, dir, Options{Fingerprint: "fp", MaxBytes: 3 * entrySize})
+	if s.IndexLoaded(); s.size.Load() != 0 {
+		t.Errorf("sizing counted %d bytes of foreign files", s.size.Load())
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range foreign {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("eviction removed the foreign file %s: %v", filepath.Base(p), err)
+		}
+	}
+	if st := s.Stats(); st.Evictions != 1 {
+		t.Errorf("Evictions = %d, want 1 (of the store's own entries)", st.Evictions)
+	}
+	if got := len(entryFiles(t, dir)) - len(foreign); got != 3 {
+		t.Errorf("%d entries resident, want 3", got)
 	}
 }
 
