@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/traffic/tracestore -run xxx -fuzz FuzzTraceDecode -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/traffic -run xxx -fuzz FuzzMachineMatchesReference -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./noc -run xxx -fuzz FuzzLoadConfig -fuzztime 10s -fuzzminimizetime=10x
+	$(GO) test ./internal/exp -run xxx -fuzz FuzzFixed -fuzztime 10s -fuzzminimizetime=10x
 
 # Names that must not come back: the second warm-key namespace and the raw
 # store pass-throughs it needed (one run pipeline, exp.Warmed), the

@@ -27,7 +27,7 @@ func init() {
 
 func resultRow(t *Table, label string, r network.Results) {
 	t.AddRow(label, f(r.MeanLatency, 0), f(r.ThroughputPkts, 3),
-		f(r.NormalizedPwr, 3), f(r.SavingsX, 2)+"X")
+		f(r.NormalizedPwr, 3), fx(r.SavingsX, 2))
 }
 
 func perfHeader() []string {
@@ -187,7 +187,7 @@ func runAblRouterPower(ses *Session, o Options) []Table {
 	warm, meas := ses.budget(o)
 	measureOne := func(policy network.PolicyKind) (float64, float64) {
 		s := defaultSpec(2.0, policy)
-		p := cached(ses, "ablrouterpower|"+ses.cacheKey(s, o), func() (p routerPowerPayload) {
+		p := cached(ses, ses.prefixedKey("ablrouterpower|", s, o), func() (p routerPowerPayload) {
 			p.CoreW, p.LinkW = measureRouterPower(ses, s, o, warm, meas)
 			return p
 		})

@@ -15,6 +15,13 @@
 // bits, JSON by Go's shortest round-tripping decimal — so a decoded result
 // renders byte-identically to the freshly simulated one (the golden tests
 // pin this).
+//
+// Records have one codec for both directions, recordCodec over the field
+// lists in recordFields: no reflection, and a hit is copied from the
+// store's read buffer (runcache.Store.LoadInto) through a stack buffer
+// into a value on the caller's stack, with no allocation. A fixed-size
+// type declared outside this package (netsim's summary) has the same
+// layout through encoding/binary, which finds it by reflection.
 package exp
 
 import (
@@ -22,9 +29,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 
+	"repro/internal/network"
 	"repro/internal/runcache"
 )
 
@@ -92,14 +101,25 @@ func (ses *Session) DiskCacheStats() runcache.Stats {
 // payload verifies and decodes, else compute and store. A checksum-valid
 // entry that fails to decode (schema drift within one fingerprint) is
 // quarantined and recomputed, never trusted. With no store in the session
-// it is exactly compute().
+// it is exactly compute(). A record payload decodes into a value on the
+// caller's stack; the other codecs decode through the heap.
 func cached[T any](ses *Session, key string, compute func() T) T {
 	var v T
-	if ses.prefetchIntercept(key) || lookupPayload(ses.store, key, &v) {
+	if ses.prefetchIntercept(key) {
 		return v
 	}
+	if ses.store != nil {
+		if size := recordSize(&v); size > 0 {
+			if loadRecord(ses.store, key, &v, size) {
+				return v
+			}
+		} else if p := new(T); lookupPayload(ses.store, key, p) {
+			return *p
+		}
+	}
 	v = compute()
-	storePayload(ses.store, key, &v)
+	stored := v // a copy, so that only a miss moves one to the heap
+	storePayload(ses.store, key, &stored)
 	return v
 }
 
@@ -120,19 +140,40 @@ func lookupPayload(s *runcache.Store, key string, v any) bool {
 	if s == nil {
 		return false
 	}
-	if !fixedSize(v) {
-		return s.Load(key, func(b []byte) error { return json.Unmarshal(b, v) })
+	if size := recordSize(v); size > 0 {
+		return loadRecord(s, key, v, size)
 	}
-	return s.Load(key, func(b []byte) error {
-		r := bytes.NewReader(b)
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		if r.Len() != 0 {
-			return fmt.Errorf("exp: %d bytes past a fixed-size payload", r.Len())
-		}
-		return nil
-	})
+	if fixedSize(v) {
+		return s.Load(key, func(b []byte) error {
+			r := bytes.NewReader(b)
+			if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+				return err
+			}
+			if r.Len() != 0 {
+				return fmt.Errorf("exp: %d bytes past a fixed-size payload", r.Len())
+			}
+			return nil
+		})
+	}
+	return s.Load(key, func(b []byte) error { return json.Unmarshal(b, v) })
+}
+
+// loadRecord decodes the record stored under key into v, a pointer to a
+// type recordFields lists, size bytes long. The payload goes from the
+// store's read buffer through one on this stack into *v, with no
+// allocation; a payload of another length is quarantined and counted as a
+// miss.
+func loadRecord(s *runcache.Store, key string, v any, size int) bool {
+	var raw [128]byte
+	b := raw[:]
+	if size > len(b) {
+		b = make([]byte, size)
+	}
+	if !s.LoadInto(key, b[:size]) {
+		return false
+	}
+	recordFields(&recordCodec{buf: b[:size], decode: true}, v)
+	return true
 }
 
 // storePayload stores v, a value or a pointer to one, under key. A
@@ -146,13 +187,17 @@ func storePayload(s *runcache.Store, key string, v any) {
 		return
 	}
 	var b []byte
-	if fixedSize(v) {
+	switch size := recordSize(v); {
+	case size > 0:
+		b = make([]byte, size)
+		recordFields(&recordCodec{buf: b}, v)
+	case fixedSize(v):
 		var buf bytes.Buffer
 		if binary.Write(&buf, binary.LittleEndian, v) != nil {
 			return
 		}
 		b = buf.Bytes()
-	} else {
+	default:
 		var err error
 		if b, err = json.Marshal(v); err != nil {
 			return
@@ -164,7 +209,85 @@ func storePayload(s *runcache.Store, key string, v any) {
 // fixedSize reports whether v's payloads are raw records. The choice
 // follows v's type alone, never its value, so lookup and store always
 // agree: a slice has a binary.Size too, but one that depends on its
-// length, so slices stay JSON.
+// length, so slices stay JSON. The types recordFields lists never get
+// here; this covers fixed-size types declared elsewhere (netsim's
+// summary), which encoding/binary lays out the same way by reflection.
 func fixedSize(v any) bool {
 	return binary.Size(v) > 0 && reflect.Indirect(reflect.ValueOf(v)).Kind() != reflect.Slice
+}
+
+// recordCodec encodes or decodes one raw little-endian record in buf,
+// field by field in declaration order: the layout encoding/binary gives
+// the same struct, without reflection or an intermediate buffer.
+// recordFields walks a payload's fields once for both directions, and a
+// walk over no buffer measures the record.
+type recordCodec struct {
+	buf    []byte // the record, exactly its size
+	decode bool
+	off    int // bytes walked
+}
+
+func (c *recordCodec) u64(p *uint64) {
+	if c.off+8 <= len(c.buf) {
+		if c.decode {
+			*p = binary.LittleEndian.Uint64(c.buf[c.off:])
+		} else {
+			binary.LittleEndian.PutUint64(c.buf[c.off:], *p)
+		}
+	}
+	c.off += 8
+}
+
+func (c *recordCodec) i64(p *int64) {
+	u := uint64(*p)
+	c.u64(&u)
+	*p = int64(u)
+}
+
+func (c *recordCodec) f64(p *float64) {
+	u := math.Float64bits(*p)
+	c.u64(&u)
+	*p = math.Float64frombits(u)
+}
+
+// recordFields runs c over the fields of *v, a fixed-size payload this
+// package stores, and reports whether v points to one. A value of one of
+// these types (not a pointer) is stored by encoding/binary, in the same
+// layout: TestRecordCodecMatchesBinary holds each field list to it.
+func recordFields(c *recordCodec, v any) bool {
+	switch v := v.(type) {
+	case *network.Results:
+		resultsFields(c, v)
+	case *routerPowerPayload:
+		routerPowerFields(c, v)
+	default:
+		return false
+	}
+	return true
+}
+
+// recordSize reports the record length of *v, or 0 if v does not point
+// to a type recordFields lists.
+func recordSize(v any) int {
+	var c recordCodec
+	recordFields(&c, v)
+	return c.off
+}
+
+func resultsFields(c *recordCodec, r *network.Results) {
+	c.i64(&r.Cycles)
+	c.i64(&r.InjectedPkts)
+	c.i64(&r.DeliveredPkts)
+	c.f64(&r.MeanLatency)
+	c.f64(&r.P50Latency)
+	c.f64(&r.P99Latency)
+	c.f64(&r.ThroughputPkts)
+	c.f64(&r.AvgPowerW)
+	c.f64(&r.NormalizedPwr)
+	c.f64(&r.SavingsX)
+}
+
+func routerPowerFields(c *recordCodec, p *routerPowerPayload) {
+	c.f64(&p.CoreW)
+	c.f64(&p.LinkW)
 }

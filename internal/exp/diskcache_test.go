@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/network"
@@ -230,5 +234,95 @@ func TestPayloadRoundTripsBits(t *testing.T) {
 	}
 	if n := reflect.TypeOf(in).NumField(); n != 10 {
 		t.Errorf("network.Results has %d fields; this test compares 10", n)
+	}
+}
+
+// TestRecordCodecMatchesBinary: each record type's field list writes the
+// bytes encoding/binary writes for the type, covers its whole size, and
+// reads back every bit.
+func TestRecordCodecMatchesBinary(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, v := range []any{new(network.Results), new(routerPowerPayload)} {
+		rv := reflect.ValueOf(v).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			f := rv.Field(i)
+			switch f.Kind() {
+			case reflect.Int64:
+				f.SetInt(int64(rng.Uint64()))
+			case reflect.Float64:
+				f.SetFloat(math.Float64frombits(rng.Uint64()))
+			default:
+				t.Fatalf("%s.%s is a %s; the record codec has no field kind for it", rv.Type(), rv.Type().Field(i).Name, f.Kind())
+			}
+		}
+		size := recordSize(v)
+		if want := binary.Size(v); size != want {
+			t.Errorf("%s: record of %d bytes, encoding/binary's is %d", rv.Type(), size, want)
+			continue
+		}
+		var want bytes.Buffer
+		if err := binary.Write(&want, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, size)
+		recordFields(&recordCodec{buf: got}, v)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: record %x, encoding/binary writes %x", rv.Type(), got, want.Bytes())
+		}
+		back := reflect.New(rv.Type())
+		recordFields(&recordCodec{buf: got, decode: true}, back.Interface())
+		var again bytes.Buffer
+		binary.Write(&again, binary.LittleEndian, back.Interface())
+		if !bytes.Equal(again.Bytes(), got) {
+			t.Errorf("%s: decoded record re-encodes as %x, want %x", rv.Type(), again.Bytes(), got)
+		}
+	}
+	if recordSize(new(measurePayload)) != 0 || recordSize(network.Results{}) != 0 {
+		t.Error("a JSON payload type or a value (not a pointer) is taken for a record")
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// maxWarmAllocs bounds TestWarmRegenerationAllocs: the count measured
+// when the hit path was last cut down (122 before it was).
+const maxWarmAllocs = 41
+
+// TestWarmRegenerationAllocs: one warm fig15 regeneration — a fresh
+// session over a reopened store, six record hits, the table rendered —
+// stays within the allocations it makes today. A memo map, a flight
+// channel, a key concatenation, a reflective decode or a heap copy of an
+// entry added back to the hit path each shows here.
+func TestWarmRegenerationAllocs(t *testing.T) {
+	if runtime.GOOS != "linux" || raceEnabled {
+		t.Skip("the bound is the Linux read path's without the race detector; os.File and the detector allocate")
+	}
+	dir := t.TempDir()
+	open := func() *runcache.Store {
+		s, err := runcache.Open(dir, runcache.Options{Fingerprint: "exp-test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cold := render(t, tinySession(open(), 1), quick, "fig15")
+	var warm string
+	var st runcache.Stats
+	allocs := testing.AllocsPerRun(50, func() {
+		ses := tinySession(open(), 1)
+		all, err := ses.RunAll([]string{"fig15"}, quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, st = fprint(all), ses.DiskCacheStats()
+	})
+	if warm != cold || st.Hits != 6 || st.Misses != 0 {
+		t.Fatalf("warm regeneration rendered differently or missed (stats %+v)\n--- cold ---\n%s--- warm ---\n%s", st, cold, warm)
+	}
+	t.Logf("%.0f allocations per warm regeneration", allocs)
+	if allocs > maxWarmAllocs {
+		t.Errorf("a warm fig15 regeneration made %.0f allocations; at most %d expected", allocs, maxWarmAllocs)
 	}
 }

@@ -18,6 +18,8 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"sort"
 	"strconv"
@@ -91,9 +93,12 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 // measured in bytes and cells padded by runes, as fmt's %-*s pads them;
 // each line loses its trailing spaces.
 func (t *Table) Fprint(w io.Writer) {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+	// Column lists live on the stack up to 16 columns.
+	var wbuf [16]int
+	var sbuf [16]string
+	widths := wbuf[:0]
+	for _, h := range t.Header {
+		widths = append(widths, len(h))
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
@@ -130,9 +135,9 @@ func (t *Table) Fprint(w io.Writer) {
 		b = append(b, '\n')
 	}
 	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	sep := sbuf[:0]
+	for _, wd := range widths {
+		sep = append(sep, strings.Repeat("-", wd))
 	}
 	line(sep)
 	for _, row := range t.Rows {
@@ -176,28 +181,24 @@ func List() []string {
 
 // Run executes the experiment with the given id.
 func (ses *Session) Run(id string, o Options) ([]Table, error) {
-	rs, err := runners([]string{id}, o)
-	if err != nil {
+	if err := checkRun([]string{id}, o); err != nil {
 		return nil, err
 	}
-	return rs[0](ses, o), nil
+	return registry[id](ses, o), nil
 }
 
-// runners looks up the experiments' runners, refusing exclusive budgets
-// and unknown ids before anything runs.
-func runners(ids []string, o Options) ([]Runner, error) {
+// checkRun refuses exclusive budgets and unknown ids before anything
+// runs.
+func checkRun(ids []string, o Options) error {
 	if err := o.validate(); err != nil {
-		return nil, err
+		return err
 	}
-	rs := make([]Runner, len(ids))
-	for i, id := range ids {
-		r, ok := registry[id]
-		if !ok {
-			return nil, unknownExperiment(id)
+	for _, id := range ids {
+		if _, ok := registry[id]; !ok {
+			return unknownExperiment(id)
 		}
-		rs[i] = r
 	}
-	return rs, nil
+	return nil
 }
 
 func unknownExperiment(id string) error {
@@ -359,16 +360,20 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 // quoted, so distinct specs give distinct keys. It is both the in-memory
 // singleflight key and — fingerprint-prefixed by the store — the
 // persistent cache key, so any parameter edit re-simulates exactly the
-// points it touches and nothing else. Audit is proven not to change results, but it stays in the key to
-// keep it a plain serialization of the run spec rather than an equivalence
-// claim.
-func (ses *Session) cacheKey(s spec, o Options) string {
-	// Appended field by field into a stack buffer: a warm regeneration
-	// builds one key per point it reads, and fmt's %#v of the spec cost
-	// three times as much. TestSpecKeyIsComplete perturbs every spec and
-	// Options field and fails on any the list below leaves out.
+// points it touches and nothing else. Audit is proven not to change
+// results, but it stays in the key to keep it a plain serialization of the
+// run spec rather than an equivalence claim.
+func (ses *Session) cacheKey(s spec, o Options) string { return ses.prefixedKey("", s, o) }
+
+// prefixedKey is prefix followed by cacheKey, built in one stack buffer:
+// a warm regeneration builds one key per point it reads, so the key costs
+// one allocation, the string itself.
+func (ses *Session) prefixedKey(prefix string, s spec, o Options) string {
+	// Appended field by field: fmt's %#v of the spec cost three times as
+	// much. TestSpecKeyIsComplete perturbs every spec and Options field
+	// and fails on any the list below leaves out.
 	var buf [256]byte
-	b := buf[:0]
+	b := append(buf[:0], prefix...)
 	warm, meas := ses.budget(o)
 	b = append(b, 'v')
 	b = strconv.AppendInt(b, SchemaVersion, 10)
@@ -400,8 +405,15 @@ func keyInt(b []byte, name string, v int64) []byte {
 	return strconv.AppendInt(b, v, 10)
 }
 
+// keyFloat appends v in the shortest form that round-trips ('g', -1). An
+// integral v with |v| < 1e6, negative zero aside, is printed by 'g' as
+// the integer itself, so it is appended as one without the float
+// formatter (rates and other integral key floats take this path).
 func keyFloat(b []byte, name string, v float64) []byte {
 	b = append(append(append(b, '|'), name...), '=')
+	if v > -1e6 && v < 1e6 && float64(int64(v)) == v && (v != 0 || !math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
@@ -412,7 +424,7 @@ func keyFloat(b []byte, name string, v float64) []byte {
 // guarantee covers both layers — one disk read or one simulation per
 // point, no matter how many goroutines ask.
 func (ses *Session) run(s spec, o Options) network.Results {
-	key := "point|" + ses.cacheKey(s, o)
+	key := ses.prefixedKey("point|", s, o)
 	return ses.runCache.do(key, func() network.Results {
 		return cached(ses, key, func() (r network.Results) {
 			ses.withSimSlot(func() {
@@ -429,8 +441,75 @@ func (ses *Session) Point(rate float64, policy network.PolicyKind, o Options) ne
 	return ses.run(defaultSpec(rate, policy), o)
 }
 
-// f formats a float compactly.
-func f(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
+// f formats v with prec digits after the decimal point, byte for byte as
+// strconv.FormatFloat(v, 'f', prec, 64) does.
+func f(v float64, prec int) string {
+	var buf [32]byte
+	return string(appendFixed(buf[:0], v, prec))
+}
+
+// fx formats a factor, f(v, prec) followed by "X", in one allocation.
+func fx(v float64, prec int) string {
+	var buf [32]byte
+	return string(append(appendFixed(buf[:0], v, prec), 'X'))
+}
+
+// appendFixed appends v in strconv's 'f' format with prec decimals.
+// strconv sends every 'f' with a precision through its multiprecision
+// decimal (bigFtoa); for |v| < 1e12 and prec <= 6 this rounds |v|·10^prec
+// to an integer exactly instead, in 128-bit fixed point and half to even
+// as strconv rounds, and prints that integer with the point put back.
+// Anything else (NaN, the infinities, larger values or precisions) goes to
+// strconv. FuzzFixed compares the two.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	if prec < 0 || prec > 6 || !(math.Abs(v) < 1e12) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	// |v| = mant·2^-shift for a normal v, with shift >= 13 since
+	// |v| < 2^40. Zero and the subnormals get shift 1075, which rounds
+	// them to 0 as it should: at prec <= 6 anything below 5e-7 does.
+	fb := math.Float64bits(v)
+	mant, shift := fb&(1<<52-1)|1<<52, 1075-uint(fb>>52&0x7ff)
+	scale := uint64(1)
+	for range prec {
+		scale *= 10
+	}
+	// q, rem = divmod(mant·scale, 2^shift); half = 2^(shift-1). The
+	// product is below 2^73, so a shift of 128 or more leaves q = 0 and a
+	// remainder below half.
+	hi, lo := bits.Mul64(mant, scale)
+	var q, remHi, remLo, halfHi, halfLo uint64
+	switch {
+	case shift >= 128:
+		remHi, remLo, halfHi = hi, lo, 1<<63
+	case shift >= 64:
+		s := shift - 64
+		q, remHi, remLo = hi>>s, hi&(1<<s-1), lo
+		if s == 0 {
+			halfLo = 1 << 63
+		} else {
+			halfHi = 1 << (s - 1)
+		}
+	default:
+		q, remLo, halfLo = hi<<(64-shift)|lo>>shift, lo&(1<<shift-1), 1<<(shift-1)
+	}
+	if remHi > halfHi || remHi == halfHi && (remLo > halfLo || remLo == halfLo && q&1 == 1) {
+		q++
+	}
+
+	if fb>>63 != 0 {
+		b = append(b, '-') // strconv keeps the sign of -0 and of negatives that round to 0
+	}
+	b = strconv.AppendUint(b, q/scale, 10)
+	if prec == 0 {
+		return b
+	}
+	var frac [6]byte
+	for i, r := prec-1, q%scale; i >= 0; i, r = i-1, r/10 {
+		frac[i] = '0' + byte(r%10)
+	}
+	return append(append(b, '.'), frac[:prec]...)
+}
 
 // FprintCSV renders the table as RFC-4180-ish CSV (title and notes as
 // comment lines), for piping into plotting tools.

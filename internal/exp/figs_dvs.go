@@ -62,7 +62,7 @@ func dvsSweep(ses *Session, o Options, tasks int) []Table {
 		perf.AddRow(f(rate, 2), f(b.MeanLatency, 0), f(d.MeanLatency, 0),
 			f(b.ThroughputPkts, 3), f(d.ThroughputPkts, 3),
 			f(d.MeanLatency/b.MeanLatency, 2))
-		pow.AddRow(f(rate, 2), "1.000", f(d.NormalizedPwr, 3), f(d.SavingsX, 2)+"X")
+		pow.AddRow(f(rate, 2), "1.000", f(d.NormalizedPwr, 3), fx(d.SavingsX, 2))
 		rates = append(rates, rate)
 		baseLat = append(baseLat, b.MeanLatency)
 		dvsLat = append(dvsLat, d.MeanLatency)
@@ -187,8 +187,8 @@ func headline(ses *Session, o Options) []Table {
 		n = 1
 		latRatioSum = 1
 	}
-	t.AddRow("max power savings", "6.3X", f(maxSav, 1)+"X")
-	t.AddRow("avg power savings", "4.6X", f(sumSav/float64(len(sweepRates)), 1)+"X")
+	t.AddRow("max power savings", "6.3X", fx(maxSav, 1))
+	t.AddRow("avg power savings", "4.6X", fx(sumSav/float64(len(sweepRates)), 1))
 	t.AddRow("latency increase (pre-saturation)", "+15.2%",
 		fmt.Sprintf("%+.1f%%", 100*(latRatioSum/float64(n)-1)))
 	t.AddRow("throughput change", "-2.5%",

@@ -210,7 +210,7 @@ func measuredInjections(ses *Session, s spec, o Options) [][]float64 {
 func runFig8(ses *Session, o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
 	_, meas := ses.budget(o)
-	p := cached(ses, "fig8|"+ses.cacheKey(s, o), func() (p fig8Payload) {
+	p := cached(ses, ses.prefixedKey("fig8|", s, o), func() (p fig8Payload) {
 		perNode := measuredInjections(ses, s, o)
 		cfg := s.config(o)
 		topo := topology.New(cfg.K, cfg.N, cfg.Torus)
@@ -266,7 +266,7 @@ type fig9Payload struct {
 // carries signal (a fixed node may host no task session under some seeds).
 func runFig9(ses *Session, o Options) []Table {
 	s := defaultSpec(1.0, network.PolicyNone)
-	p := cached(ses, "fig9|"+ses.cacheKey(s, o), func() (p fig9Payload) {
+	p := cached(ses, ses.prefixedKey("fig9|", s, o), func() (p fig9Payload) {
 		perNode := measuredInjections(ses, s, o)
 		busiest, best := 0, -1.0
 		for node, bs := range perNode {

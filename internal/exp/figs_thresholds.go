@@ -101,27 +101,32 @@ func runFig14(ses *Session, o Options) []Table {
 }
 
 func runFig15(ses *Session, o Options) []Table {
-	t := Table{
-		Title:  fmt.Sprintf("Figure 15: latency vs dynamic power savings at rate %.1f", fig15Rate),
-		Header: []string{"setting", "latency(cycles)", "savings"},
-	}
-	type pt struct{ lat, sav float64 }
 	settings := core.Table2Settings()
 	specs := make([]spec, len(settings))
 	for i, set := range settings {
 		specs[i] = thresholdSpec(set, fig15Rate)
 	}
 	res := ses.sweep(o, specs)
-	var pts []pt
-	for i, set := range settings {
-		r := res[i]
-		t.AddRow(set.Name, f(r.MeanLatency, 0), f(r.SavingsX, 2)+"X")
-		pts = append(pts, pt{r.MeanLatency, r.SavingsX})
+	t := Table{
+		Title:  fmt.Sprintf("Figure 15: latency vs dynamic power savings at rate %.1f", fig15Rate),
+		Header: []string{"setting", "latency(cycles)", "savings"},
+		Rows:   make([][]string, len(settings)),
 	}
 	// Check the Pareto property: savings rise monotonically I -> VI.
 	mono := true
-	for i := 1; i < len(pts); i++ {
-		if pts[i].sav < pts[i-1].sav {
+	cells := make([]string, 3*len(settings))
+	for i, set := range settings {
+		r := res[i]
+		// Both numbers of a row are formatted into one string and cut,
+		// one allocation a row.
+		var buf [64]byte
+		b := appendFixed(buf[:0], r.MeanLatency, 0)
+		n := len(b)
+		nums := string(append(appendFixed(b, r.SavingsX, 2), 'X'))
+		row := cells[3*i : 3*i+3 : 3*i+3]
+		row[0], row[1], row[2] = set.Name, nums[:n], nums[n:]
+		t.Rows[i] = row
+		if i > 0 && r.SavingsX < res[i-1].SavingsX {
 			mono = false
 		}
 	}

@@ -101,21 +101,26 @@ func (ses *Session) fanOut(n int, fn func(i int)) {
 // points common to several artifacts (fig10 and headline, say) still
 // simulate once.
 func (ses *Session) RunAll(ids []string, o Options) ([][]Table, error) {
-	rs, err := runners(ids, o)
-	if err != nil {
+	if err := checkRun(ids, o); err != nil {
 		return nil, err
 	}
 	out := make([][]Table, len(ids))
-	ses.fanOut(len(ids), func(i int) { out[i] = rs[i](ses, o) })
+	ses.fanOut(len(ids), func(i int) { out[i] = registry[ids[i]](ses, o) })
 	return out, nil
 }
 
-// flight is one singleflight cache slot: done closes when val is ready,
-// and cost is what the slot charges its cache from then on.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	cost int64
+// flight is one singleflight cache slot, guarded by its cache's lock
+// until ready: from then on val and cost are fixed. done is made only when
+// a second caller waits on the slot, and is closed when the slot becomes
+// ready or its compute panics (failed).
+type flight[K comparable, V any] struct {
+	key    K
+	val    V
+	cost   int64 // what the slot charges its cache once ready
+	ready  bool
+	failed bool // the compute panicked; waiters compute again themselves
+	done   chan struct{}
+	next   *flight[K, V] // the next newer slot, for eviction
 }
 
 // sfCache is a concurrency-safe, singleflight, size-capped memo table.
@@ -125,71 +130,131 @@ type flight[V any] struct {
 // the oldest are evicted until they fit. In-flight entries cost nothing
 // and are never evicted, nor is the entry that has just completed, so one
 // entry larger than the cap is still shared until the next one completes.
+// A compute that panics leaves nothing behind: its entry is removed, and
+// callers that were waiting on it run their own compute.
+//
+// The zero value is an empty, uncapped cache. Its map is made at the
+// first insert, and its entries are chained oldest to newest through the
+// flights, so a memo costs nothing until used and then one allocation
+// per entry beside its key.
 type sfCache[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]*flight[V]
-	order   []K // insertion order, for eviction
-	cap     int64
-	cost    func(V) int64
-	total   int64 // cost of the completed entries
-}
-
-func newSFCache[K comparable, V any](capacity int64) *sfCache[K, V] {
-	return &sfCache[K, V]{entries: make(map[K]*flight[V]), cap: capacity}
+	mu             sync.Mutex
+	entries        map[K]*flight[K, V]
+	oldest, newest *flight[K, V] // insertion order, for eviction
+	cap            int64
+	cost           func(V) int64
+	total          int64 // cost of the completed entries
 }
 
 // do returns the cached value for key, computing it via fn if absent. fn
 // runs outside the cache lock; duplicate concurrent keys wait on the first.
 func (c *sfCache[K, V]) do(key K, fn func() V) V {
 	c.mu.Lock()
-	if f, ok := c.entries[key]; ok {
+	for {
+		f, ok := c.entries[key]
+		if !ok {
+			break
+		}
+		if f.ready {
+			c.mu.Unlock()
+			return f.val
+		}
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		c.mu.Unlock()
-		<-f.done
-		return f.val
+		<-done
+		if !f.failed {
+			return f.val
+		}
+		c.mu.Lock()
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	if c.entries == nil {
+		c.entries = make(map[K]*flight[K, V])
+	}
+	f := &flight[K, V]{key: key}
 	c.entries[key] = f
-	c.order = append(c.order, key)
+	if c.newest == nil {
+		c.oldest = f
+	} else {
+		c.newest.next = f
+	}
+	c.newest = f
 	c.mu.Unlock()
 
-	f.val = fn()
-	f.cost = 1
+	ok := false
+	defer func() {
+		if !ok {
+			c.abandon(f)
+		}
+	}()
+	val := fn()
+	cost := int64(1)
 	if c.cost != nil {
-		f.cost = c.cost(f.val)
+		cost = c.cost(val)
 	}
+	ok = true
+
 	c.mu.Lock()
-	close(f.done)
-	c.total += f.cost
+	f.val, f.cost, f.ready = val, cost, true
+	if f.done != nil {
+		close(f.done)
+	}
+	c.total += cost
 	c.evictLocked(f)
 	c.mu.Unlock()
-	return f.val
+	return val
+}
+
+// abandon removes the in-flight entry f, whose compute panicked, and wakes
+// its waiters to compute for themselves. Without it the key would stay in
+// flight for good and every later caller of it would block.
+func (c *sfCache[K, V]) abandon(f *flight[K, V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var prev *flight[K, V]
+	for g := c.oldest; g != f; g = g.next {
+		prev = g
+	}
+	c.remove(prev, f)
+	f.failed = true
+	if f.done != nil {
+		close(f.done)
+	}
+}
+
+// remove drops f, the entry after prev (nil: f is the oldest).
+func (c *sfCache[K, V]) remove(prev, f *flight[K, V]) {
+	delete(c.entries, f.key)
+	if prev == nil {
+		c.oldest = f.next
+	} else {
+		prev.next = f.next
+	}
+	if c.newest == f {
+		c.newest = prev
+	}
+	f.next = nil
 }
 
 // evictLocked drops the oldest completed entries other than keep until
-// the cap holds.
-func (c *sfCache[K, V]) evictLocked(keep *flight[V]) {
-	if c.cap <= 0 || c.total <= c.cap {
+// the cap holds. An entry in flight is kept: its cost is not charged yet.
+func (c *sfCache[K, V]) evictLocked(keep *flight[K, V]) {
+	if c.cap <= 0 {
 		return
 	}
-	kept := c.order[:0]
-	for i, key := range c.order {
-		if c.total <= c.cap {
-			kept = append(kept, c.order[i:]...)
-			break
+	var prev *flight[K, V]
+	for f := c.oldest; f != nil && c.total > c.cap; {
+		next := f.next
+		if f.ready && f != keep {
+			c.total -= f.cost
+			c.remove(prev, f)
+		} else {
+			prev = f
 		}
-		f := c.entries[key]
-		select {
-		case <-f.done:
-			if f != keep {
-				delete(c.entries, key)
-				c.total -= f.cost
-				continue
-			}
-		default: // in flight: its cost is not charged yet
-		}
-		kept = append(kept, key)
+		f = next
 	}
-	c.order = kept
 }
 
 // runCacheCap bounds the memoized simulation results. A full `-exp all`

@@ -307,6 +307,11 @@ func TestNestedFanOutsFinish(t *testing.T) {
 	}
 }
 
+// newSFCache returns an empty memo capped at capacity.
+func newSFCache[K comparable, V any](capacity int64) *sfCache[K, V] {
+	return &sfCache[K, V]{cap: capacity}
+}
+
 // TestSFCacheSingleflight: concurrent requests for one key compute once.
 func TestSFCacheSingleflight(t *testing.T) {
 	c := newSFCache[string, int](8)
@@ -373,10 +378,8 @@ func checkTotal[K comparable, V any](t *testing.T, c *sfCache[K, V]) int64 {
 	defer c.mu.Unlock()
 	var sum int64
 	for _, f := range c.entries {
-		select {
-		case <-f.done:
+		if f.ready {
 			sum += f.cost
-		default:
 		}
 	}
 	if sum != c.total {
@@ -441,6 +444,74 @@ func TestSFCacheWeighted(t *testing.T) {
 	<-done
 	if _, ok := c.entries["slow"]; !ok || checkTotal(t, c) != 7 {
 		t.Errorf("after the in-flight entry completed: total %d, want it alone at 7", c.total)
+	}
+}
+
+// TestSFCachePanicReleasesKey: a compute that panics leaves its key free.
+// A caller that was waiting on it computes for itself, a later caller
+// computes afresh, and nothing blocks. Before the fix the key stayed in
+// flight for good and every later caller of it blocked.
+func TestSFCachePanicReleasesKey(t *testing.T) {
+	c := newSFCache[string, int](8)
+	panicking := func(started, release chan struct{}) {
+		defer func() {
+			if recover() == nil {
+				t.Error("the compute's panic did not reach its caller")
+			}
+		}()
+		c.do("k", func() int {
+			if started != nil {
+				close(started)
+				<-release
+			}
+			panic("compute failed")
+		})
+	}
+	within := func(what string, ch <-chan int, want int) {
+		t.Helper()
+		select {
+		case got := <-ch:
+			if got != want {
+				t.Errorf("%s got %d, want %d", what, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still blocked after 10 s: the panicked key is wedged", what)
+		}
+	}
+	do := func(v int) <-chan int {
+		ch := make(chan int, 1)
+		go func() { ch <- c.do("k", func() int { return v }) }()
+		return ch
+	}
+
+	panicking(nil, nil)
+	within("a caller after the panic", do(1), 1)
+	if n, total := len(c.entries), checkTotal(t, c); n != 1 || total != 1 {
+		t.Errorf("after the recompute: %d entries weighing %d, want 1 and 1", n, total)
+	}
+
+	// A caller waiting on the flight when it panics computes for itself.
+	c = newSFCache[string, int](8)
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan struct{})
+	go func() {
+		defer close(owner)
+		panicking(started, release)
+	}()
+	<-started
+	waiter := do(2)
+	for waiting := false; !waiting; {
+		c.mu.Lock()
+		waiting = c.entries["k"].done != nil
+		c.mu.Unlock()
+		runtime.Gosched()
+	}
+	close(release)
+	<-owner
+	within("a caller waiting on the panicked flight", waiter, 2)
+	within("a later caller", do(3), 2)
+	if c.oldest == nil || c.oldest != c.newest || c.oldest.next != nil {
+		t.Error("the eviction chain does not hold exactly the recomputed entry")
 	}
 }
 

@@ -73,21 +73,20 @@ func (ses *Session) prefetchIntercept(key string) bool {
 // reaches the persistent layer, and the zero-valued placeholders it
 // memoizes go with it. The session Prefetch is called on is untouched.
 func (ses *Session) Prefetch(ids []string, o Options) ([]PrefetchEntry, error) {
-	rs, err := runners(ids, o)
-	if err != nil {
+	if err := checkRun(ids, o); err != nil {
 		return nil, err
 	}
 	walk := NewSession(ses.store, cap(ses.slots))
 	walk.tinyBudget = ses.tinyBudget
 	walk.walk = &prefetchState{seen: make(map[string]bool)}
-	for _, r := range rs {
+	for _, id := range ids {
 		func() {
 			// Runners render from the payloads cached() hands back; zero
 			// payloads can break rendering (nil histograms, empty grids).
 			// Every key is recorded before its payload is used, so a
 			// rendering panic costs nothing.
 			defer func() { _ = recover() }()
-			r(walk, o)
+			registry[id](walk, o)
 		}()
 	}
 	ps := walk.walk

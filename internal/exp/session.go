@@ -15,14 +15,19 @@ import (
 // shared between sessions, so two of them can regenerate one figure
 // concurrently without seeing each other's work, and a caller that wants
 // cold caches takes a fresh session instead of resetting the process.
+//
+// The memos are values inside the session and make their maps at their
+// first insert, so a session costs one allocation plus its slot channel:
+// the package-level setters build a fresh one on every call, and a warm
+// regeneration builds three.
 type Session struct {
 	store *runcache.Store // nil: results live in the memos only
 	slots chan struct{}   // one token per executing simulation
 
-	runCache     *sfCache[string, network.Results]      // simulation points
-	measureCache *sfCache[Options, *measureSet]         // fig3-5's characterization set
-	warmSnaps    *sfCache[string, *checkpoint.Snapshot] // warm snapshots, one per warm key
-	traceMemo    *sfCache[traceKey, *traffic.Trace]     // captured traces, weighted by arrivals
+	runCache     sfCache[string, network.Results]      // simulation points
+	measureCache sfCache[Options, *measureSet]         // fig3-5's characterization set
+	warmSnaps    sfCache[string, *checkpoint.Snapshot] // warm snapshots, one per warm key
+	traceMemo    sfCache[traceKey, *traffic.Trace]     // captured traces, weighted by arrivals
 
 	warmupCycles atomic.Int64   // warm-up cycles simulated, see heldWarmup
 	walk         *prefetchState // set only on a prefetch walk's session
@@ -43,15 +48,11 @@ func NewSession(store *runcache.Store, workers int) *Session {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ses := &Session{
-		store:        store,
-		slots:        make(chan struct{}, workers),
-		runCache:     newSFCache[string, network.Results](runCacheCap),
-		measureCache: newSFCache[Options, *measureSet](16),
-		warmSnaps:    newSFCache[string, *checkpoint.Snapshot](64),
-		traceMemo:    newSFCache[traceKey, *traffic.Trace](totalTraceArrivals),
-	}
-	ses.traceMemo.cost = traceArrivals
+	ses := &Session{store: store, slots: make(chan struct{}, workers)}
+	ses.runCache.cap = runCacheCap
+	ses.measureCache.cap = 16
+	ses.warmSnaps.cap = 64
+	ses.traceMemo.cap, ses.traceMemo.cost = totalTraceArrivals, traceArrivals
 	return ses
 }
 

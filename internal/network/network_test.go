@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/flow"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -127,6 +128,48 @@ func TestAllPacketsDeliveredUniform(t *testing.T) {
 	r := n.Snapshot()
 	if r.DeliveredPkts < 5000 {
 		t.Errorf("delivered only %d packets", r.DeliveredPkts)
+	}
+}
+
+// TestThroughputBelowBisectionBound: on the paper's 8x8 mesh without DVS,
+// uniform random traffic offered at twice the bisection bound is accepted
+// below that bound. Half of uniform traffic crosses the bisection, whose
+// 2k channels each carry b flits per router cycle, so at most 4b/k flits
+// per node per cycle can be accepted: 6.4 packets/cycle for 5-flit packets
+// at b = 1. b is read from the link table, the top level's flits per
+// router cycle. Accepted counts every packet that leaves the network in
+// the window, whenever it was created: Results.ThroughputPkts counts only
+// packets created inside the window, and past saturation those wait in
+// source queues longer than the window lasts.
+func TestThroughputBelowBisectionBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8x8 mesh past saturation: skipped in -short")
+	}
+	cfg := NewConfig()
+	cfg.Policy = PolicyNone
+	n := mustNew(t, cfg)
+	b := float64(cfg.RouterPeriod) / float64(n.Table.Period[n.Table.Top()])
+	flitsPerNode := 4 * b / float64(cfg.K)
+	bound := flitsPerNode * float64(n.Topo.Nodes()) / flow.FlitsPerPacket
+	const warm, meas = 2000, 3000
+	u := &traffic.Uniform{
+		Topo: n.Topo, RatePerNode: 2 * flitsPerNode / flow.FlitsPerPacket,
+		CyclePeriod: cfg.RouterPeriod, Seed: 3,
+	}
+	n.Launch(u, sim.Time(warm+meas)*cfg.RouterPeriod)
+	n.Run(warm)
+	n.BeginMeasurement()
+	before := n.InFlight
+	n.Run(meas)
+	r := n.Snapshot()
+	accepted := float64(r.InjectedPkts+before-n.InFlight) / float64(r.Cycles)
+	t.Logf("offered %.1f, accepted %.3f packets/cycle (%.3f of them created in the window); bisection bound %.2f (b = %g flits/cycle), margin %.3f (%.1f %%)",
+		u.RatePerNode*float64(n.Topo.Nodes()), accepted, r.ThroughputPkts, bound, b, bound-accepted, 100*(1-accepted/bound))
+	if accepted >= bound {
+		t.Errorf("accepted %.3f packets/cycle, at or above the bisection bound %.2f", accepted, bound)
+	}
+	if accepted <= 0 {
+		t.Error("the mesh accepted nothing in the measured window")
 	}
 }
 

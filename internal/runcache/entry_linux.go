@@ -13,7 +13,9 @@ const atFDCWD = -0x64 // openat's "relative to the working directory"
 
 // readEntry reads the entry file at path whole through one raw descriptor,
 // in four system calls: openat, read, LRU touch, close. path, appended
-// with a NUL, is passed to openat as it is, with no string copy.
+// with a NUL, is passed to openat as it is, with no string copy. An entry
+// that fits small is left there, its length n; a larger one is returned
+// in large.
 //
 // The open asks for O_NOATIME: the store keeps its own clock, the mtime
 // touch, so the kernel's atime write inside the read would be a second
@@ -22,8 +24,8 @@ const atFDCWD = -0x64 // openat's "relative to the working directory"
 // remembers the refusal so a shared directory does not pay two opens a
 // hit.
 //
-// The first read fills at most min(smallEntry, max+1) bytes. Fewer than
-// that is the whole file: a short read that did not reach EOF could only
+// The first read fills at most min(smallEntry, max+1) bytes of small.
+// Fewer than that is the whole file: a short read that did not reach EOF could only
 // fail the checksum, which quarantines the entry, never serves it. max+1
 // bytes is an entry larger than max (errTooLarge), quarantined unread. A
 // full smallEntry buffer means a larger entry (snapshots, JSON payloads):
@@ -33,7 +35,7 @@ const atFDCWD = -0x64 // openat's "relative to the working directory"
 // regular file with the poller, which fails after setting and clearing
 // O_NONBLOCK, and the touch is utimensat on the descriptor (a NULL path)
 // because os.Chtimes would walk the path a second time.
-func (s *Store) readEntry(path []byte) ([]byte, error) {
+func (s *Store) readEntry(path []byte, small *[smallEntry]byte) (n int, large []byte, err error) {
 	path = append(path, 0)
 	flags := syscall.O_RDONLY | syscall.O_CLOEXEC
 	noatime := !s.atimeRefused.Load()
@@ -46,41 +48,36 @@ func (s *Store) readEntry(path []byte) ([]byte, error) {
 		fd, err = openat(path, flags&^syscall.O_NOATIME)
 	}
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	defer syscall.Close(fd)
 
-	var small [smallEntry]byte
 	limit := len(small)
 	if s.maxBytes < int64(limit) {
 		limit = int(s.maxBytes) + 1
 	}
-	n, err := read(fd, small[:limit])
-	if err != nil {
-		return nil, err
+	if n, err = read(fd, small[:limit]); err != nil {
+		return 0, nil, err
 	}
-	var data []byte
 	switch {
 	case int64(n) > s.maxBytes:
-		return nil, errTooLarge
-	case n < limit:
-		data = append([]byte(nil), small[:n]...)
-	default:
+		return 0, nil, errTooLarge
+	case n == limit:
 		var st syscall.Stat_t
 		if err := syscall.Fstat(fd, &st); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		if int64(st.Size) > s.maxBytes {
-			return nil, errTooLarge
+			return 0, nil, errTooLarge
 		}
-		data = make([]byte, st.Size)
-		for m := copy(data, small[:n]); m < len(data); {
-			k, err := read(fd, data[m:])
+		large = make([]byte, st.Size)
+		for m := copy(large, small[:n]); m < len(large); {
+			k, err := read(fd, large[m:])
 			if err != nil {
-				return nil, err
+				return 0, nil, err
 			}
 			if k == 0 {
-				return nil, io.ErrUnexpectedEOF
+				return 0, nil, io.ErrUnexpectedEOF
 			}
 			m += k
 		}
@@ -89,7 +86,7 @@ func (s *Store) readEntry(path []byte) ([]byte, error) {
 	times := [2]syscall.Timespec{now, now} // atime, mtime
 	// LRU touch; best effort.
 	_, _, _ = syscall.Syscall6(syscall.SYS_UTIMENSAT, uintptr(fd), 0, uintptr(unsafe.Pointer(&times)), 0, 0, 0)
-	return data, nil
+	return n, large, nil
 }
 
 // openat opens the NUL-terminated path, retrying on EINTR.

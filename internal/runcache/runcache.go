@@ -17,8 +17,10 @@
 // read, LRU touch, close (see readEntry); only an entry too big for the
 // first read's 512-byte buffer adds a stat — and the resident size the cap
 // needs is worked out at the first write (see sized), so a process that
-// only reads never opens the index sidecar. An entry larger than the cap
-// is quarantined unread.
+// only reads never opens the index sidecar. A small entry stays in that
+// buffer on the stack: LoadInto copies its payload straight into the
+// caller's record, with no allocation, while Get and Load hand out a heap
+// copy. An entry larger than the cap is quarantined unread.
 //
 // The fingerprint mixed into every key is the cross-process invalidation
 // lever: callers derive it from a schema version plus the binary's VCS
@@ -95,7 +97,8 @@ type Store struct {
 	dir      string
 	base     string // what filepath.Join puts before an entry name: the cleaned dir and a separator ("" for ".")
 	maxBytes int64
-	prefix   []byte // length-prefixed fingerprint, prepended to every key preimage
+	prefix   []byte   // length-prefixed fingerprint, prepended to every key preimage
+	prefixIn [64]byte // holds prefix when it fits, so Open allocates one Store
 
 	// atimeRefused: an open with O_NOATIME failed with EPERM (an entry
 	// owned by another user), so later opens go without it (Linux only,
@@ -134,13 +137,13 @@ func newStore(dir string, o Options) *Store {
 	if max <= 0 {
 		max = defaultMaxSize
 	}
-	var prefix []byte
-	prefix = binary.AppendUvarint(prefix, uint64(len(o.Fingerprint)))
-	prefix = append(prefix, o.Fingerprint...)
 	// Join cleans its result; an entry name is one plain element, so the
 	// part of a join before it is the same for every name.
 	j := filepath.Join(dir, "x")
-	return &Store{dir: dir, base: j[:len(j)-1], maxBytes: max, prefix: prefix}
+	s := &Store{dir: dir, base: j[:len(j)-1], maxBytes: max}
+	s.prefix = binary.AppendUvarint(s.prefixIn[:0], uint64(len(o.Fingerprint)))
+	s.prefix = append(s.prefix, o.Fingerprint...)
+	return s
 }
 
 // sized works out the resident size once, the first time a write path
@@ -190,7 +193,9 @@ func (s *Store) path(key string) string {
 // mtime, maintaining LRU order for eviction; one that then fails
 // verification is deleted, so only hits keep the touch.
 func (s *Store) Get(key string) ([]byte, bool) {
-	return s.get(key, nil)
+	var payload []byte
+	ok := s.Load(key, func(p []byte) error { payload = p; return nil })
+	return payload, ok
 }
 
 // Load is Get for a caller that decodes the payload: decode runs on it,
@@ -199,8 +204,46 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // other entry that fails verification. Load reports whether decode ran
 // and succeeded.
 func (s *Store) Load(key string, decode func(payload []byte) error) bool {
-	_, ok := s.get(key, decode)
-	return ok
+	var small [smallEntry]byte
+	payload, end, ok := s.read(key, &small)
+	if !ok {
+		return false
+	}
+	if payload == nil {
+		// decode is a function value, so the compiler moves whatever is
+		// passed to it to the heap: decode gets a copy it may keep, not
+		// the read buffer.
+		payload = append([]byte(nil), small[headerLen:end]...)
+	}
+	if decode(payload) != nil {
+		s.reject(key, len(payload))
+		return false
+	}
+	s.hit(len(payload))
+	return true
+}
+
+// LoadInto copies the payload stored under key into dst, which it must
+// fill exactly: a payload of any other length is quarantined and counted
+// as a miss, as a payload that fails Load's decode is. A small entry goes
+// from the read buffer on the stack into dst, so a fixed-size record is
+// read with no allocation.
+func (s *Store) LoadInto(key string, dst []byte) bool {
+	var small [smallEntry]byte
+	payload, end, ok := s.read(key, &small)
+	if !ok {
+		return false
+	}
+	if payload == nil {
+		payload = small[headerLen:end]
+	}
+	if len(payload) != len(dst) {
+		s.reject(key, len(payload))
+		return false
+	}
+	copy(dst, payload)
+	s.hit(len(payload))
+	return true
 }
 
 // errTooLarge reports an entry above the store's cap. None can be
@@ -209,10 +252,15 @@ func (s *Store) Load(key string, decode func(payload []byte) error) bool {
 // exhaust memory: it is quarantined unread.
 var errTooLarge = errors.New("entry larger than the store's cap")
 
-func (s *Store) get(key string, decode func([]byte) error) ([]byte, bool) {
+// read reads and verifies key's entry. An entry that fits small stays
+// there, its payload small[headerLen:end], and payload is nil; a larger
+// one's payload is on the heap. A missing entry, or one that fails
+// verification (quarantined), is counted as a miss and reported !ok; the
+// caller counts a hit or rejects the payload.
+func (s *Store) read(key string, small *[smallEntry]byte) (payload []byte, end int, ok bool) {
 	var buf pathBuf
 	p := s.appendPath(buf[:0], key)
-	data, err := s.readEntry(p)
+	n, large, err := s.readEntry(p, small)
 	if err != nil {
 		if err == errTooLarge {
 			// The resident counter may hold the size the entry was
@@ -222,20 +270,34 @@ func (s *Store) get(key string, decode func([]byte) error) ([]byte, bool) {
 			s.quarantine(string(p), 0)
 		}
 		s.misses.Add(1)
-		return nil, false
+		return nil, 0, false
 	}
-	payload, ok := decodeEntry(data)
-	if ok && decode != nil {
-		ok = decode(payload) == nil
+	if large != nil {
+		if !verifyEntry(large) {
+			s.quarantine(string(p), int64(len(large)))
+			s.misses.Add(1)
+			return nil, 0, false
+		}
+		return large[headerLen:], 0, true
 	}
-	if !ok {
-		s.quarantine(string(p), int64(len(data)))
+	if !verifyEntry(small[:n]) {
+		s.quarantine(string(p), int64(n))
 		s.misses.Add(1)
-		return nil, false
+		return nil, 0, false
 	}
+	return nil, n, true
+}
+
+func (s *Store) hit(n int) {
 	s.hits.Add(1)
-	s.bytesRead.Add(int64(len(payload)))
-	return payload, true
+	s.bytesRead.Add(int64(n))
+}
+
+// reject quarantines key's entry, whose payload of n bytes passed the
+// checksum but not the caller, and counts a miss.
+func (s *Store) reject(key string, n int) {
+	s.quarantine(s.path(key), int64(headerLen+n))
+	s.misses.Add(1)
 }
 
 // Put stores payload under key, atomically: the entry is written to a
@@ -325,17 +387,13 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// decodeEntry verifies and strips the entry header.
-func decodeEntry(data []byte) ([]byte, bool) {
+// verifyEntry checks an entry's magic and payload checksum.
+func verifyEntry(data []byte) bool {
 	if len(data) < headerLen || !bytes.Equal(data[:len(magic)], magic) {
-		return nil, false
+		return false
 	}
-	payload := data[headerLen:]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], data[len(magic):headerLen]) {
-		return nil, false
-	}
-	return payload, true
+	sum := sha256.Sum256(data[headerLen:])
+	return bytes.Equal(sum[:], data[len(magic):headerLen])
 }
 
 // isEntryName reports whether name is an entry file's: 64 lowercase hex

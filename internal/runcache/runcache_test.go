@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -322,6 +323,74 @@ func TestLoadRejectCountsAsMiss(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v; want 1 hit, 1 miss", st)
+	}
+}
+
+// TestLoadInto: a payload of exactly the destination's length is copied
+// into it and counted as a hit, from an entry inside the first read's
+// buffer and from one past it; a payload of any other length is
+// quarantined and counted as a miss, and the destination is left alone.
+func TestLoadInto(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{Fingerprint: "fp"})
+	for _, n := range []int{0, 80, smallEntry - headerLen, smallEntry + 1 - headerLen, 4 << 10} {
+		key := fmt.Sprint("k", n)
+		payload := bytes.Repeat([]byte{byte(n | 1)}, n)
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, n)
+		if !s.LoadInto(key, dst) || !bytes.Equal(dst, payload) {
+			t.Errorf("payload of %d bytes not copied whole", n)
+		}
+		for _, wrong := range []int{n + 1, n - 1} {
+			if wrong < 0 {
+				continue
+			}
+			if err := s.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			dst := bytes.Repeat([]byte{0xee}, wrong)
+			if s.LoadInto(key, dst) {
+				t.Errorf("a %d-byte payload was served into %d bytes", n, wrong)
+			}
+			if !bytes.Equal(dst, bytes.Repeat([]byte{0xee}, wrong)) {
+				t.Errorf("a rejected %d-byte payload was written into %d bytes", n, wrong)
+			}
+			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
+				t.Errorf("a %d-byte payload refused by %d bytes was not quarantined (err=%v)", n, wrong, err)
+			}
+		}
+	}
+	if st := s.Stats(); st.Hits != 5 || st.Misses != 9 || st.CorruptDropped != 9 {
+		t.Errorf("stats = %+v; want 5 hits, 9 misses, 9 quarantined", st)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestSmallHitsAllocateNothing: on Linux, LoadInto serves an entry that
+// fits the first read's buffer with no allocation at all, and Get with
+// one, its copy of the payload.
+func TestSmallHitsAllocateNothing(t *testing.T) {
+	if runtime.GOOS != "linux" || raceEnabled {
+		t.Skip("counted on Linux without the race detector: the portable read path opens an os.File, and the detector allocates")
+	}
+	s := open(t, t.TempDir(), Options{Fingerprint: "fp"})
+	if err := s.Put("k", make([]byte, 80)); err != nil {
+		t.Fatal(err)
+	}
+	var dst [80]byte
+	if n := testing.AllocsPerRun(100, func() {
+		if !s.LoadInto("k", dst[:]) {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Errorf("LoadInto of a small entry made %.0f allocations; want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get("k") }); n != 1 {
+		t.Errorf("Get of a small entry made %.0f allocations; want 1, its copy", n)
 	}
 }
 
