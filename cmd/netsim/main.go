@@ -103,9 +103,8 @@ func main() {
 		}
 		cacheKey = fmt.Sprintf("netsim|cfg=%s|traffic=%s|rate=%g|tasks=%d|taskdur=%d|warmup=%d|cycles=%d|seed=%d",
 			cfgJSON, *traffic, workload.Rate, workload.Tasks, int64(workload.TaskDuration), *warmup, *measure, workload.Seed)
-		var cs cachedSummary
-		if noc.RunCacheLookup(cacheKey, &cs) {
-			printSummary(os.Stdout, cs.Results, cs.InFlight, cfg, *traffic, workload, *warmup)
+		if r, inFlight, ok := noc.RunCacheLookupSummary(cacheKey); ok {
+			printSummary(os.Stdout, r, inFlight, cfg, *traffic, workload, *warmup)
 			return
 		}
 	}
@@ -169,7 +168,7 @@ func main() {
 		pprof.StopCPUProfile()
 	}
 	if cacheable {
-		noc.RunCacheStore(cacheKey, cachedSummary{Results: r, InFlight: n.InFlight()})
+		noc.RunCacheStoreSummary(cacheKey, r, n.InFlight())
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -289,13 +288,6 @@ func validateWorkload(cfg noc.Config, traffic string, w noc.TwoLevelWorkload) er
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "netsim:", err)
 	os.Exit(1)
-}
-
-// cachedSummary is the persistent form of one run's summary: everything the
-// default output needs, so a cache hit prints without simulating.
-type cachedSummary struct {
-	Results  noc.Results
-	InFlight int64
 }
 
 // printSummary renders the standard result block for a live or cached run

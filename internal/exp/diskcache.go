@@ -10,28 +10,25 @@
 // plus the binary's VCS revision — so entries invalidate automatically on
 // commit or schema bump. The payload codec follows the value's type (see
 // storePayload): a fixed-size value (network.Results, the router-power
-// pair) is its raw little-endian record, anything else canonical JSON.
-// Both round-trip every float64 bit for bit — the record by copying the
-// bits, JSON by Go's shortest round-tripping decimal — so a decoded result
-// renders byte-identically to the freshly simulated one (the golden tests
-// pin this).
+// pair, netsim's Summary) is its raw little-endian record, anything else
+// canonical JSON. Both round-trip every float64 bit for bit — the record
+// by copying the bits, JSON by Go's shortest round-tripping decimal — so a
+// decoded result renders byte-identically to the freshly simulated one
+// (the golden tests pin this).
 //
 // Records have one codec for both directions, recordCodec over the field
-// lists in recordFields: no reflection, and a hit is copied from the
-// store's read buffer (runcache.Store.LoadInto) through a stack buffer
-// into a value on the caller's stack, with no allocation. A fixed-size
-// type declared outside this package (netsim's summary) has the same
-// layout through encoding/binary, which finds it by reflection.
+// lists in recordFields: no reflection, the layout encoding/binary gives
+// the same structs, and a hit is copied from the store's read buffer
+// (runcache.Store.LoadInto) through a stack buffer into a value on the
+// caller's stack, with no allocation.
 package exp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 
 	"repro/internal/network"
 	"repro/internal/runcache"
@@ -124,7 +121,7 @@ func cached[T any](ses *Session, key string, compute func() T) T {
 }
 
 // CacheLookup and CacheStore give downstream tooling (cmd/netsim caches
-// its one-shot summaries here) the persistent layer's one payload path,
+// its one-shot Summary here) the persistent layer's one payload path,
 // lookupPayload and storePayload, over the default session's store;
 // cached goes through the same two. A payload that fails to decode is
 // quarantined and counted as a miss. Both are no-ops without a store.
@@ -132,28 +129,24 @@ func CacheLookup(key string, v any) bool { return lookupPayload(DiskCache(), key
 
 func CacheStore(key string, v any) { storePayload(DiskCache(), key, v) }
 
+// Summary is netsim's persistent form of one run: the results and the
+// packets still in flight when the measurement ended, everything its
+// summary block prints.
+type Summary struct {
+	Results  network.Results
+	InFlight int64
+}
+
 // lookupPayload decodes the payload stored under key into v, a pointer,
-// with the codec storePayload picks for v's type. A fixed-size record
-// must fill v exactly: a short payload or one with bytes left over fails
-// decode, so the entry is quarantined and counted as a miss.
+// with the codec storePayload picks for v's type. A record must fill v
+// exactly: a short payload or one with bytes left over fails decode, so
+// the entry is quarantined and counted as a miss.
 func lookupPayload(s *runcache.Store, key string, v any) bool {
 	if s == nil {
 		return false
 	}
 	if size := recordSize(v); size > 0 {
 		return loadRecord(s, key, v, size)
-	}
-	if fixedSize(v) {
-		return s.Load(key, func(b []byte) error {
-			r := bytes.NewReader(b)
-			if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-				return err
-			}
-			if r.Len() != 0 {
-				return fmt.Errorf("exp: %d bytes past a fixed-size payload", r.Len())
-			}
-			return nil
-		})
 	}
 	return s.Load(key, func(b []byte) error { return json.Unmarshal(b, v) })
 }
@@ -176,44 +169,28 @@ func loadRecord(s *runcache.Store, key string, v any, size int) bool {
 	return true
 }
 
-// storePayload stores v, a value or a pointer to one, under key. A
-// fixed-size value — fixed-width numbers, bools, and arrays and structs of
-// them — is written as its raw little-endian record, which copies every
-// bit (NaN and the infinities included) and decodes without parsing;
-// anything else is JSON. An encoding error stores nothing, so the value is
-// recomputed next time.
+// storePayload stores v, a value or a pointer to one, under key. A record
+// type's value is written as its raw little-endian record, which copies
+// every bit (NaN and the infinities included) and decodes without
+// parsing; anything else is JSON. The codec follows v's type alone, never
+// its value, so lookup and store always agree. An encoding error stores
+// nothing, so the value is recomputed next time.
 func storePayload(s *runcache.Store, key string, v any) {
 	if s == nil {
 		return
 	}
+	v = recordPointer(v)
 	var b []byte
-	switch size := recordSize(v); {
-	case size > 0:
+	if size := recordSize(v); size > 0 {
 		b = make([]byte, size)
 		recordFields(&recordCodec{buf: b}, v)
-	case fixedSize(v):
-		var buf bytes.Buffer
-		if binary.Write(&buf, binary.LittleEndian, v) != nil {
-			return
-		}
-		b = buf.Bytes()
-	default:
+	} else {
 		var err error
 		if b, err = json.Marshal(v); err != nil {
 			return
 		}
 	}
 	s.Put(key, b)
-}
-
-// fixedSize reports whether v's payloads are raw records. The choice
-// follows v's type alone, never its value, so lookup and store always
-// agree: a slice has a binary.Size too, but one that depends on its
-// length, so slices stay JSON. The types recordFields lists never get
-// here; this covers fixed-size types declared elsewhere (netsim's
-// summary), which encoding/binary lays out the same way by reflection.
-func fixedSize(v any) bool {
-	return binary.Size(v) > 0 && reflect.Indirect(reflect.ValueOf(v)).Kind() != reflect.Slice
 }
 
 // recordCodec encodes or decodes one raw little-endian record in buf,
@@ -251,19 +228,37 @@ func (c *recordCodec) f64(p *float64) {
 }
 
 // recordFields runs c over the fields of *v, a fixed-size payload this
-// package stores, and reports whether v points to one. A value of one of
-// these types (not a pointer) is stored by encoding/binary, in the same
-// layout: TestRecordCodecMatchesBinary holds each field list to it.
+// package stores, and reports whether v points to one.
+// TestRecordCodecMatchesBinary holds each field list to encoding/binary's
+// layout of the type.
 func recordFields(c *recordCodec, v any) bool {
 	switch v := v.(type) {
 	case *network.Results:
 		resultsFields(c, v)
 	case *routerPowerPayload:
 		routerPowerFields(c, v)
+	case *Summary:
+		resultsFields(c, &v.Results)
+		c.i64(&v.InFlight)
 	default:
 		return false
 	}
 	return true
+}
+
+// recordPointer returns a pointer to a copy of v when v is a value of a
+// type recordFields lists, and v itself otherwise, so that a record passed
+// by value is stored as one.
+func recordPointer(v any) any {
+	switch v := v.(type) {
+	case network.Results:
+		return &v
+	case routerPowerPayload:
+		return &v
+	case Summary:
+		return &v
+	}
+	return v
 }
 
 // recordSize reports the record length of *v, or 0 if v does not point

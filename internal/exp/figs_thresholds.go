@@ -101,31 +101,21 @@ func runFig14(ses *Session, o Options) []Table {
 }
 
 func runFig15(ses *Session, o Options) []Table {
+	t := Table{
+		Title:  fmt.Sprintf("Figure 15: latency vs dynamic power savings at rate %.1f", fig15Rate),
+		Header: []string{"setting", "latency(cycles)", "savings"},
+	}
 	settings := core.Table2Settings()
 	specs := make([]spec, len(settings))
 	for i, set := range settings {
 		specs[i] = thresholdSpec(set, fig15Rate)
 	}
 	res := ses.sweep(o, specs)
-	t := Table{
-		Title:  fmt.Sprintf("Figure 15: latency vs dynamic power savings at rate %.1f", fig15Rate),
-		Header: []string{"setting", "latency(cycles)", "savings"},
-		Rows:   make([][]string, len(settings)),
-	}
 	// Check the Pareto property: savings rise monotonically I -> VI.
 	mono := true
-	cells := make([]string, 3*len(settings))
 	for i, set := range settings {
 		r := res[i]
-		// Both numbers of a row are formatted into one string and cut,
-		// one allocation a row.
-		var buf [64]byte
-		b := appendFixed(buf[:0], r.MeanLatency, 0)
-		n := len(b)
-		nums := string(append(appendFixed(b, r.SavingsX, 2), 'X'))
-		row := cells[3*i : 3*i+3 : 3*i+3]
-		row[0], row[1], row[2] = set.Name, nums[:n], nums[n:]
-		t.Rows[i] = row
+		t.AddRow(set.Name, f(r.MeanLatency, 0), fx(r.SavingsX, 2))
 		if i > 0 && r.SavingsX < res[i-1].SavingsX {
 			mono = false
 		}

@@ -371,8 +371,8 @@ func TestLoadInto(t *testing.T) {
 var raceEnabled bool
 
 // TestSmallHitsAllocateNothing: on Linux, LoadInto serves an entry that
-// fits the first read's buffer with no allocation at all, and Get with
-// one, its copy of the payload.
+// fits the first read's buffer with no allocation at all, and Get with at
+// most one, its copy of the payload.
 func TestSmallHitsAllocateNothing(t *testing.T) {
 	if runtime.GOOS != "linux" || raceEnabled {
 		t.Skip("counted on Linux without the race detector: the portable read path opens an os.File, and the detector allocates")
@@ -389,8 +389,8 @@ func TestSmallHitsAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("LoadInto of a small entry made %.0f allocations; want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.Get("k") }); n != 1 {
-		t.Errorf("Get of a small entry made %.0f allocations; want 1, its copy", n)
+	if n := testing.AllocsPerRun(100, func() { s.Get("k") }); n > 1 {
+		t.Errorf("Get of a small entry made %.0f allocations; want at most 1, its copy", n)
 	}
 }
 

@@ -80,13 +80,28 @@ func FprintCacheStats(w io.Writer) {
 }
 
 // RunCacheLookup and RunCacheStore expose the persistent layer to
-// downstream tooling that caches its own derived artifacts (cmd/netsim's
-// one-shot summaries). Keys are namespaced by the caller. The payload
-// codec follows v's type: a fixed-size value (fixed-width numbers and
-// structs of them, like netsim's summary) is stored as its raw
-// little-endian record, anything else as JSON. Both are no-ops (lookup
-// always misses) without an enabled cache.
+// downstream tooling that caches its own derived artifacts. Keys are
+// namespaced by the caller, and v is stored as JSON. Both are no-ops
+// (lookup always misses) without an enabled cache.
 func RunCacheLookup(key string, v any) bool { return exp.CacheLookup(key, v) }
 
 // RunCacheStore encodes v (see RunCacheLookup) and stores it under key.
 func RunCacheStore(key string, v any) { exp.CacheStore(key, v) }
+
+// RunCacheLookupSummary reports the summary of one run that
+// RunCacheStoreSummary stored under key: its results and the packets
+// still in flight when the measurement ended (cmd/netsim prints a hit
+// without simulating). It misses without an enabled cache.
+func RunCacheLookupSummary(key string) (r Results, inFlight int64, ok bool) {
+	var s exp.Summary
+	if !exp.CacheLookup(key, &s) {
+		return Results{}, 0, false
+	}
+	return fromInner(s.Results), s.InFlight, true
+}
+
+// RunCacheStoreSummary stores one run's summary under key as a raw
+// little-endian record, every bit of every float kept.
+func RunCacheStoreSummary(key string, r Results, inFlight int64) {
+	exp.CacheStore(key, &exp.Summary{Results: r.inner(), InFlight: inFlight})
+}

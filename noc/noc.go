@@ -344,7 +344,10 @@ type Results struct {
 func (n *Network) Measure(cycles int64) Results {
 	n.inner.BeginMeasurement()
 	n.inner.Run(cycles)
-	r := n.inner.Snapshot()
+	return fromInner(n.inner.Snapshot())
+}
+
+func fromInner(r network.Results) Results {
 	return Results{
 		Cycles:            r.Cycles,
 		InjectedPackets:   r.InjectedPkts,
@@ -356,6 +359,21 @@ func (n *Network) Measure(cycles int64) Results {
 		AvgPowerW:         r.AvgPowerW,
 		NormalizedPower:   r.NormalizedPwr,
 		PowerSavingsX:     r.SavingsX,
+	}
+}
+
+func (r Results) inner() network.Results {
+	return network.Results{
+		Cycles:         r.Cycles,
+		InjectedPkts:   r.InjectedPackets,
+		DeliveredPkts:  r.DeliveredPackets,
+		MeanLatency:    r.MeanLatencyCycles,
+		P50Latency:     r.P50LatencyCycles,
+		P99Latency:     r.P99LatencyCycles,
+		ThroughputPkts: r.ThroughputPkts,
+		AvgPowerW:      r.AvgPowerW,
+		NormalizedPwr:  r.NormalizedPower,
+		SavingsX:       r.PowerSavingsX,
 	}
 }
 
