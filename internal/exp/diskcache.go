@@ -120,8 +120,8 @@ func cached[T any](ses *Session, key string, compute func() T) T {
 	return v
 }
 
-// CacheLookup and CacheStore give downstream tooling (cmd/netsim caches
-// its one-shot Summary here) the persistent layer's one payload path,
+// CacheLookup and CacheStore give downstream tooling (noc's run-summary
+// cache, for cmd/netsim) the persistent layer's one payload path,
 // lookupPayload and storePayload, over the default session's store;
 // cached goes through the same two. A payload that fails to decode is
 // quarantined and counted as a miss. Both are no-ops without a store.

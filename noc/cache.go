@@ -79,19 +79,11 @@ func FprintCacheStats(w io.Writer) {
 		s.BytesRead, s.BytesWritten, s.HitRate(), s.PutFailures)
 }
 
-// RunCacheLookup and RunCacheStore expose the persistent layer to
-// downstream tooling that caches its own derived artifacts. Keys are
-// namespaced by the caller, and v is stored as JSON. Both are no-ops
-// (lookup always misses) without an enabled cache.
-func RunCacheLookup(key string, v any) bool { return exp.CacheLookup(key, v) }
-
-// RunCacheStore encodes v (see RunCacheLookup) and stores it under key.
-func RunCacheStore(key string, v any) { exp.CacheStore(key, v) }
-
-// RunCacheLookupSummary reports the summary of one run that
-// RunCacheStoreSummary stored under key: its results and the packets
-// still in flight when the measurement ended (cmd/netsim prints a hit
-// without simulating). It misses without an enabled cache.
+// RunCacheLookupSummary and RunCacheStoreSummary expose the persistent
+// layer to downstream tooling that caches one run's summary under a key
+// of its own (cmd/netsim prints a hit without simulating): the results
+// and the packets still in flight when the measurement ended. Lookup
+// always misses, and store does nothing, without an enabled cache.
 func RunCacheLookupSummary(key string) (r Results, inFlight int64, ok bool) {
 	var s exp.Summary
 	if !exp.CacheLookup(key, &s) {
@@ -100,8 +92,9 @@ func RunCacheLookupSummary(key string) (r Results, inFlight int64, ok bool) {
 	return fromInner(s.Results), s.InFlight, true
 }
 
-// RunCacheStoreSummary stores one run's summary under key as a raw
-// little-endian record, every bit of every float kept.
+// RunCacheStoreSummary stores one run's summary under key (see
+// RunCacheLookupSummary) as a raw little-endian record, every bit of
+// every float kept.
 func RunCacheStoreSummary(key string, r Results, inFlight int64) {
 	exp.CacheStore(key, &exp.Summary{Results: r.inner(), InFlight: inFlight})
 }
